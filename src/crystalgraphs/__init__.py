@@ -17,7 +17,6 @@ from .crystal import (
     apply_kashiwara,
     canonical_morphism,
     cartan_project,
-    components,
     highest_weight_crystal,
     tensor_crystal,
     tensor_of,
@@ -69,7 +68,6 @@ __all__ = [
     "cartan_braiding",
     "cartan_project",
     "colour_set",
-    "components",
     "graph_tables_from_json",
     "highest_weight_crystal",
     "left_end",

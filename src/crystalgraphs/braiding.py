@@ -1,5 +1,5 @@
 """The Cartan braiding on tensor products of crystals, the induced partial
-symmetric-group action, and the left/right end maps."""
+symmetric-group action, and the left/right ends."""
 
 from __future__ import annotations
 
@@ -9,15 +9,13 @@ from .crystal import (
     Crystal,
     TensorCrystal,
     canonical_morphism,
-    cartan_project,
     highest_weight_crystal,
+    raise_to_top,
     tensor_of,
 )
 from .rootdata import Coords, RootDatum, sub_weights
 
 _PAIR_TABLES: dict[tuple[RootDatum, Coords, Coords], dict] = {}
-_RIGHT_END_MAPS: dict[tuple[RootDatum, Coords, Coords], dict[int, int]] = {}
-_LEFT_END_MAPS: dict[tuple[RootDatum, Coords, Coords], dict[int, int]] = {}
 
 
 def pair_braiding(datum: RootDatum, lam: Coords, lamp: Coords) -> dict:
@@ -31,40 +29,32 @@ def pair_braiding(datum: RootDatum, lam: Coords, lamp: Coords) -> dict:
     if table is not None:
         return table
     source = tensor_of(datum, (lam, lamp))
-    target = tensor_of(datum, (lamp, lam))
-    match = canonical_morphism(
-        source.decomposition().cartan_component,
-        target.decomposition().cartan_component,
-    )
+    match = canonical_morphism(source, tensor_of(datum, (lamp, lam)))
     table = {t: match.get(t) for t in source.elements()}
     _PAIR_TABLES[key] = table
     return table
-
-
-def _factors(crystal_like) -> tuple[Crystal, ...]:
-    if isinstance(crystal_like, Crystal):
-        return (crystal_like,)
-    return crystal_like.factors
 
 
 def _standardize(crystal_like, element):
     """Locate an element inside its component, identified with the standalone
     crystal of the component's highest weight.
 
-    Returns (component weight, standardized element, map back or None if the
-    ambient object is already irreducible)."""
+    Returns (component weight, standardized element, the element map into the
+    standalone crystal, or None if the ambient object is already irreducible)."""
     if isinstance(crystal_like, Crystal):
         return crystal_like.highest_weight, element, None
-    dec = crystal_like.decomposition()
-    cid = dec.ids[element]
-    _, to_std, from_std = crystal_like.standard_map(cid)
-    return dec.component(cid).weight, to_std[element], from_std
+    top = raise_to_top(crystal_like, element)
+    mu = crystal_like.weight(top)
+    to_std = canonical_morphism(
+        crystal_like, highest_weight_crystal(crystal_like.datum, mu), top
+    )
+    return mu, to_std[element], to_std
 
 
-def _restore(back, element) -> tuple:
-    if back is None:
+def _restore(to_std, element) -> tuple:
+    if to_std is None:
         return (element,)
-    return back[element]
+    return next(x for x, y in to_std.items() if y == element)
 
 
 def cartan_braiding(B, Bp, b, bp):
@@ -121,90 +111,48 @@ def longest_permutation_word(n: int) -> tuple[int, ...]:
     return tuple(word)
 
 
-def right_end_map(datum: RootDatum, lam: Coords, mu: Coords) -> dict[int, int]:
-    key = (datum, tuple(lam), tuple(mu))
-    cached = _RIGHT_END_MAPS.get(key)
-    if cached is not None:
-        return cached
-    nu = sub_weights(lam, mu)
-    if not datum.is_dominant(nu):
-        raise ValueError(f"difference {nu} of {lam} and {mu} is not dominant")
-    target = tensor_of(datum, (nu, mu))
-    iso = canonical_morphism(
-        highest_weight_crystal(datum, lam),
-        target.decomposition().cartan_component,
-    )
-    table = {b: image[1] for b, image in iso.items()}
-    _RIGHT_END_MAPS[key] = table
-    return table
-
-
-def left_end_map(datum: RootDatum, lam: Coords, mu: Coords) -> dict[int, int]:
-    key = (datum, tuple(lam), tuple(mu))
-    cached = _LEFT_END_MAPS.get(key)
-    if cached is not None:
-        return cached
-    nu = sub_weights(lam, mu)
-    if not datum.is_dominant(nu):
-        raise ValueError(f"difference {nu} of {lam} and {mu} is not dominant")
-    target = tensor_of(datum, (mu, nu))
-    iso = canonical_morphism(
-        highest_weight_crystal(datum, lam),
-        target.decomposition().cartan_component,
-    )
-    table = {b: image[0] for b, image in iso.items()}
-    _LEFT_END_MAPS[key] = table
-    return table
-
-
-def _project_irreducible(crystal_like, b):
-    """Map an element of a product of irreducibles into the crystal of the
-    total highest weight; None off the Cartan component."""
+def _ends(crystal_like, b, weights: Iterable[Coords], side: int):
+    """For each mu in weights, the B(mu)-factor of b under the embedding of
+    B(lam) into B(lam-mu) (x) B(mu) (side 1) or B(mu) (x) B(lam-mu) (side 0);
+    None off the Cartan component of the ambient product."""
+    if b is None:
+        return None
+    datum = crystal_like.datum
+    lam = crystal_like.highest_weight
     if isinstance(crystal_like, Crystal):
-        return b
-    eta, image = cartan_project(crystal_like, b)
-    return image if eta else None
+        source = crystal_like
+    else:
+        source = highest_weight_crystal(datum, lam)
+        b = canonical_morphism(crystal_like, source).get(b)
+        if b is None:
+            return None
+    ends = []
+    for mu in weights:
+        nu = sub_weights(lam, mu)
+        if not datum.is_dominant(nu):
+            raise ValueError(f"difference {nu} of {lam} and {mu} is not dominant")
+        pair = (nu, mu) if side else (mu, nu)
+        ends.append(canonical_morphism(source, tensor_of(datum, pair))[b][side])
+    return tuple(ends)
 
 
 def right_end(crystal_like, b, mu: Coords):
     """The B(mu)-factor of b under the embedding into B(lam-mu) (x) B(mu)."""
-    if b is None:
-        return None
-    std = _project_irreducible(crystal_like, b)
-    if std is None:
-        return None
-    return right_end_map(crystal_like.datum, crystal_like.highest_weight, mu)[std]
+    ends = _ends(crystal_like, b, (mu,), 1)
+    return None if ends is None else ends[0]
 
 
 def left_end(crystal_like, b, mu: Coords):
     """The B(mu)-factor of b under the embedding into B(mu) (x) B(lam-mu)."""
-    if b is None:
-        return None
-    std = _project_irreducible(crystal_like, b)
-    if std is None:
-        return None
-    return left_end_map(crystal_like.datum, crystal_like.highest_weight, mu)[std]
+    ends = _ends(crystal_like, b, (mu,), 0)
+    return None if ends is None else ends[0]
 
 
 def right_ends(crystal_like, b, weights: Iterable[Coords]):
     """Tuple of right ends over a family of weights; None off the Cartan
     component of the ambient product."""
-    if b is None:
-        return None
-    std = _project_irreducible(crystal_like, b)
-    if std is None:
-        return None
-    datum = crystal_like.datum
-    lam = crystal_like.highest_weight
-    return tuple(right_end_map(datum, lam, mu)[std] for mu in weights)
+    return _ends(crystal_like, b, weights, 1)
 
 
 def left_ends(crystal_like, b, weights: Iterable[Coords]):
-    if b is None:
-        return None
-    std = _project_irreducible(crystal_like, b)
-    if std is None:
-        return None
-    datum = crystal_like.datum
-    lam = crystal_like.highest_weight
-    return tuple(left_end_map(datum, lam, mu)[std] for mu in weights)
+    return _ends(crystal_like, b, weights, 0)

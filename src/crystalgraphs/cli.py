@@ -13,7 +13,7 @@ from itertools import product as iter_product
 
 from .braiding import longest_permutation_word, pair_braiding, sigma_word
 from .crystal import highest_weight_crystal, tensor_of
-from .hrgraph import HigherRankGraph, build_graph, colour_set
+from .hrgraph import _DOT_PALETTE, HigherRankGraph, build_graph, colour_set
 from .report import VerificationReport
 from .rootdata import (
     CartanTypeError,
@@ -23,18 +23,6 @@ from .rootdata import (
     weyl_group,
 )
 from .soibelman import SoibelmanModel
-
-_DOT_PALETTE = (
-    "red",
-    "blue",
-    "forestgreen",
-    "darkorange",
-    "purple",
-    "saddlebrown",
-    "deeppink",
-    "teal",
-)
-
 
 def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     try:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, Union
 
 from .rootdata import (
     Coords,
@@ -78,13 +78,15 @@ def path_weight(chain: Chain, rank: int) -> Coords:
     if not chain:
         return (0,) * rank
     end = chain[-1]
-    assert all(x.denominator == 1 for x in end)
+    if any(x.denominator != 1 for x in end):
+        raise ValueError(f"path ends at the non-integral weight {end}")
     return tuple(int(x) for x in end)
 
 
 def eps_path(chain: Chain, i: int) -> int:
     m = _min_level(chain, i)
-    assert m.denominator == 1
+    if m.denominator != 1:
+        raise ValueError(f"path has the non-integral minimum {m} in colour {i}")
     return -int(m)
 
 
@@ -92,7 +94,8 @@ def phi_path(chain: Chain, i: int) -> int:
     m = _min_level(chain, i)
     last = chain[-1][i - 1] if chain else Fraction(0)
     val = last - m
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise ValueError(f"path has the non-integral rise {val} in colour {i}")
     return int(val)
 
 
@@ -169,6 +172,7 @@ class Crystal:
                 self._phi[i, b] = phi_path(chain, i)
         self._lowest = None
         self._strings: dict[int, list[list[int]]] = {}
+        self._walks: dict = {}
 
     @property
     def size(self) -> int:
@@ -189,7 +193,8 @@ class Crystal:
                 for b in self.elements()
                 if all(self._phi[i, b] == 0 for i in self.datum.colours)
             ]
-            assert len(lows) == 1
+            if len(lows) != 1:
+                raise RuntimeError(f"{self!r} has {len(lows)} lowest-weight elements")
             self._lowest = lows[0]
         return self._lowest
 
@@ -280,24 +285,28 @@ def highest_weight_crystal(
 TensorElement = Union[tuple, None]
 
 
+def _common_datum(factors: tuple[Crystal, ...]) -> RootDatum:
+    if not factors:
+        raise ValueError("tensor product needs at least one factor")
+    datum = factors[0].datum
+    if any(c.datum != datum for c in factors):
+        raise ValueError("tensor factors live over different root data")
+    return datum
+
+
 class TensorCrystal:
     """Tensor product of irreducible crystals; elements are index tuples."""
 
     def __init__(self, factors: Iterable[Crystal]):
         factors = tuple(factors)
-        if not factors:
-            raise ValueError("tensor product needs at least one factor")
-        datum = factors[0].datum
-        if any(c.datum != datum for c in factors):
-            raise ValueError("tensor factors live over different root data")
+        datum = _common_datum(factors)
         self.factors = factors
         self.datum = datum
         hw = datum.zero
         for c in factors:
             hw = add_weights(hw, c.highest_weight)
         self.highest_weight = hw
-        self._decomp: ComponentDecomposition | None = None
-        self._standard: dict[int, tuple[Crystal, dict, dict]] = {}
+        self._walks: dict = {}
 
     @property
     def size(self) -> int:
@@ -345,7 +354,8 @@ class TensorCrystal:
         for k in range(len(t)):
             if k == len(t) - 1 or self.factors[k].phi(i, t[k]) > eps_suf[k + 1]:
                 moved = self.factors[k].f(i, t[k])
-                assert moved is not None
+                if moved is None:
+                    raise RuntimeError(f"tensor rule lowers factor {k} of {t}, which is lowest")
                 return t[:k] + (moved,) + t[k + 1 :]
         raise AssertionError("unreachable")
 
@@ -358,37 +368,14 @@ class TensorCrystal:
         for k in range(len(t)):
             if k == len(t) - 1 or self.factors[k].phi(i, t[k]) >= eps_suf[k + 1]:
                 moved = self.factors[k].e(i, t[k])
-                assert moved is not None
+                if moved is None:
+                    raise RuntimeError(f"tensor rule raises factor {k} of {t}, which is highest")
                 return t[:k] + (moved,) + t[k + 1 :]
         raise AssertionError("unreachable")
 
-    def decomposition(self) -> "ComponentDecomposition":
-        if self._decomp is None:
-            self._decomp = _decompose(self)
-        return self._decomp
-
     def eta(self, t: TensorElement) -> int:
         """Indicator of the Cartan component (0 on the absorbing value)."""
-        if t is None:
-            return 0
-        dec = self.decomposition()
-        return int(dec.ids[t] == dec.cartan)
-
-    def standard_map(self, cid: int) -> tuple[Crystal, dict, dict]:
-        """Identify component cid with the standalone crystal of its weight.
-
-        Returns (crystal, to_standard, from_standard)."""
-        cached = self._standard.get(cid)
-        if cached is not None:
-            return cached
-        dec = self.decomposition()
-        comp = dec.component(cid)
-        std = highest_weight_crystal(self.datum, comp.weight)
-        to_std = canonical_morphism(comp, std)
-        from_std = {v: k for k, v in to_std.items()}
-        out = (std, to_std, from_std)
-        self._standard[cid] = out
-        return out
+        return int(t in canonical_morphism(self, self))
 
     def __repr__(self) -> str:
         hw = "x".join(str(c.highest_weight) for c in self.factors)
@@ -401,118 +388,79 @@ _TENSORS: dict[tuple[RootDatum, tuple[Coords, ...]], TensorCrystal] = {}
 def tensor_crystal(factors: Iterable[Crystal]) -> TensorCrystal:
     """Tensor product of crystals over one root datum (cached by weights)."""
     factors = tuple(factors)
-    tc = TensorCrystal(factors)
-    key = (tc.datum, tuple(c.highest_weight for c in factors))
-    return _TENSORS.setdefault(key, tc)
+    key = (_common_datum(factors), tuple(c.highest_weight for c in factors))
+    tc = _TENSORS.get(key)
+    if tc is None:
+        tc = _TENSORS[key] = TensorCrystal(factors)
+    return tc
 
 
 def tensor_of(datum: RootDatum, weights: Iterable[Coords]) -> TensorCrystal:
     return tensor_crystal(highest_weight_crystal(datum, w) for w in weights)
 
 
-class Component(NamedTuple):
-    ambient: object  # Crystal or TensorCrystal
-    highest: object  # element
-    weight: Coords
+def raise_to_top(crystal_like, x):
+    """The highest-weight element of the component of x: apply raising
+    operators until none applies."""
+    colours = crystal_like.datum.colours
+    while True:
+        for i in colours:
+            y = crystal_like.e(i, x)
+            if y is not None:
+                x = y
+                break
+        else:
+            return x
 
 
-class ComponentDecomposition:
-    """Connected components of a tensor crystal, with their highest weights."""
+def canonical_morphism(source, target, top=None) -> dict:
+    """The unique crystal isomorphism from the component of ``top`` in source
+    (default: its highest element) onto the component of ``target.highest``.
 
-    def __init__(self, ambient: TensorCrystal, ids: dict, comps: list[Component]):
-        self.ambient = ambient
-        self.ids = ids
-        self.comps = comps
-        self.cartan = ids[ambient.highest]
-
-    def component(self, cid: int) -> Component:
-        return self.comps[cid]
-
-    @property
-    def cartan_component(self) -> Component:
-        return self.comps[self.cartan]
-
-    def highest_weights(self) -> list[Coords]:
-        return [c.weight for c in self.comps]
-
-
-def _decompose(tc: TensorCrystal) -> ComponentDecomposition:
-    colours = tc.datum.colours
-    ids: dict[tuple, int] = {}
-    comps: list[Component] = []
-    for start in tc.elements():
-        if start in ids:
-            continue
-        cid = len(comps)
-        members = [start]
-        ids[start] = cid
-        pos = 0
-        while pos < len(members):
-            x = members[pos]
-            pos += 1
-            for i in colours:
-                for y in (tc.f(i, x), tc.e(i, x)):
-                    if y is not None and y not in ids:
-                        ids[y] = cid
-                        members.append(y)
-        tops = [x for x in members if all(tc.eps(i, x) == 0 for i in colours)]
-        assert len(tops) == 1
-        comps.append(Component(tc, tops[0], tc.weight(tops[0])))
-    return ComponentDecomposition(tc, ids, comps)
-
-
-def components(tc: TensorCrystal) -> ComponentDecomposition:
-    return tc.decomposition()
-
-
-def _as_component(obj) -> Component:
-    if isinstance(obj, Component):
-        return obj
-    if isinstance(obj, Crystal):
-        return Component(obj, obj.highest, obj.highest_weight)
-    if isinstance(obj, TensorCrystal):
-        return obj.decomposition().cartan_component
-    raise TypeError(f"not a crystal or component: {obj!r}")
-
-
-def canonical_morphism(source, target) -> dict:
-    """The unique crystal isomorphism between two connected components of equal
-    highest weight, as an element map (computed by a parallel lowering walk)."""
-    src = _as_component(source)
-    dst = _as_component(target)
-    if src.weight != dst.weight:
+    Computed by a lockstep lowering walk from the two tops, so its keys are
+    exactly the source component.  The element map is memoized on the source
+    and shared between callers; do not mutate it.
+    """
+    if top is None:
+        top = source.highest
+    key = (top, target)
+    walk = source._walks.get(key)
+    if walk is not None:
+        return walk
+    colours = source.datum.colours
+    if any(source.e(i, top) is not None for i in colours):
+        raise ValueError(f"{top} is not a highest-weight element of {source!r}")
+    weight = source.weight(top)
+    if weight != target.highest_weight:
         raise ValueError(
-            f"mismatched highest weights {src.weight} vs {dst.weight}"
+            f"mismatched highest weights {weight} vs {target.highest_weight}"
         )
-    colours = src.ambient.datum.colours
-    out = {src.highest: dst.highest}
-    queue = [src.highest]
+    walk = {top: target.highest}
+    queue = [top]
     pos = 0
     while pos < len(queue):
         x = queue[pos]
         pos += 1
-        y = out[x]
+        y = walk[x]
         for i in colours:
-            fx = src.ambient.f(i, x)
-            fy = dst.ambient.f(i, y)
+            fx = source.f(i, x)
+            fy = target.f(i, y)
             if (fx is None) != (fy is None):
                 raise RuntimeError("components are not isomorphic")
-            if fx is not None and fx not in out:
-                out[fx] = fy
+            if fx is not None and fx not in walk:
+                walk[fx] = fy
                 queue.append(fx)
-    return out
+    source._walks[key] = walk
+    return walk
 
 
 def cartan_project(tc: TensorCrystal, t: TensorElement) -> tuple[int, object]:
     """Indicator of the Cartan component together with the image under the
     unique surjective morphism onto the crystal of the total highest weight."""
-    if t is None:
-        return 0, None
-    dec = tc.decomposition()
-    if dec.ids[t] != dec.cartan:
-        return 0, None
-    _, to_std, _ = tc.standard_map(dec.cartan)
-    return 1, to_std[t]
+    image = canonical_morphism(
+        tc, highest_weight_crystal(tc.datum, tc.highest_weight)
+    ).get(t)
+    return (0, None) if image is None else (1, image)
 
 
 def apply_kashiwara(crystal_like, direction: str, i: int, b):

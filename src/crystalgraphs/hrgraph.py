@@ -14,8 +14,13 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Iterable, NamedTuple
 
-from .braiding import right_end_map, right_ends
-from .crystal import cartan_project, highest_weight_crystal, tensor_of
+from .braiding import right_ends
+from .crystal import (
+    canonical_morphism,
+    cartan_project,
+    highest_weight_crystal,
+    tensor_of,
+)
 from .report import VerificationReport
 from .rootdata import (
     Coords,
@@ -104,6 +109,7 @@ class HigherRankGraph:
         self.vertex_ids = {v: k for k, v in enumerate(self.vertices)}
         self._paths: dict[Degree, tuple[GraphPath, ...]] = {}
         self._ranges: dict[GraphPath, Vertex] = {}
+        self._matchings: dict[Degree, list[dict]] = {}
         self._descendants: list[dict[int, frozenset[int]] | None] = [None] * colours.n
 
     @property
@@ -113,31 +119,40 @@ class HigherRankGraph:
     def degree_weight(self, degree: Degree) -> Coords:
         return self.colours.weight_of(degree)
 
+    def _colour_matchings(self, degree: Degree) -> list[dict]:
+        """For each colour theta_i, the matching of the Cartan components of
+        B(theta_i) (x) B(lam) and B(lam) (x) B(theta_i), lam of the degree.
+
+        (v_i, b) is a key iff it lies in the Cartan component, and the B(theta_i)
+        factor of its image is the right end of the projection to B(theta_i+lam).
+        """
+        cached = self._matchings.get(degree)
+        if cached is not None:
+            return cached
+        lam = self.degree_weight(degree)
+        matchings = [
+            canonical_morphism(
+                tensor_of(self.datum, (theta, lam)), tensor_of(self.datum, (lam, theta))
+            )
+            for theta in self.colours.colours
+        ]
+        self._matchings[degree] = matchings
+        return matchings
+
     def paths(self, degree: Degree) -> tuple[GraphPath, ...]:
         """All paths of the given degree, ordered by (source vertex, element)."""
         degree = tuple(degree)
         cached = self._paths.get(degree)
         if cached is not None:
             return cached
-        lam = self.degree_weight(degree)
-        crystal = highest_weight_crystal(self.datum, lam)
-        allowed: list[dict[int, set[int]]] = []
-        for theta, factor in zip(self.colours.colours, self.factor_crystals):
-            pair = tensor_of(self.datum, (theta, lam))
-            dec = pair.decomposition()
-            table: dict[int, set[int]] = {b: set() for b in crystal.elements()}
-            for c in factor.elements():
-                for b in crystal.elements():
-                    if dec.ids[(c, b)] == dec.cartan:
-                        table[b].add(c)
-            allowed.append(table)
-        out = [
+        crystal = highest_weight_crystal(self.datum, self.degree_weight(degree))
+        matchings = self._colour_matchings(degree)
+        result = tuple(
             GraphPath(v, b, degree)
             for v in self.vertices
             for b in crystal.elements()
-            if all(v[i] in allowed[i][b] for i in range(self.colours.n))
-        ]
-        result = tuple(out)
+            if all((c, b) in m for c, m in zip(v, matchings))
+        )
         self._paths[degree] = result
         return result
 
@@ -148,18 +163,12 @@ class HigherRankGraph:
         cached = self._ranges.get(e)
         if cached is not None:
             return cached
-        lam = self.degree_weight(e.degree)
-        if not any(lam):
-            self._ranges[e] = e.source
-            return e.source
         ends = []
-        for i, theta in enumerate(self.colours.colours):
-            pair = tensor_of(self.datum, (theta, lam))
-            eta, image = cartan_project(pair, (e.source[i], e.element))
-            assert eta, "path violates the Cartan-component condition"
-            ends.append(
-                right_end_map(self.datum, add_weights(theta, lam), theta)[image]
-            )
+        for c, m in zip(e.source, self._colour_matchings(e.degree)):
+            image = m.get((c, e.element))
+            if image is None:
+                raise ValueError(f"{e} violates the Cartan-component condition")
+            ends.append(image[1])
         vertex = tuple(ends)
         self._ranges[e] = vertex
         return vertex

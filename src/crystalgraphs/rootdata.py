@@ -86,7 +86,8 @@ def _cartan_data(family: str, rank: int) -> tuple[list[list[int]], list[int]]:
         d = [1, 3]
     for i in range(rank):
         for j in range(rank):
-            assert d[i] * a[i][j] == d[j] * a[j][i]
+            if d[i] * a[i][j] != d[j] * a[j][i]:
+                raise RuntimeError(f"{d} does not symmetrize the {family}{rank} Cartan matrix")
     return a, d
 
 
@@ -278,7 +279,8 @@ def weyl_dim(datum: RootDatum, lam: Coords) -> int:
         num *= sum(c * dj * (lj + 1) for c, dj, lj in zip(coeffs, d, lam))
         den *= sum(c * dj for c, dj in zip(coeffs, d))
     dim, remainder = divmod(num, den)
-    assert remainder == 0
+    if remainder:
+        raise RuntimeError(f"Weyl dimension formula is not integral at {lam}")
     return dim
 
 
@@ -369,5 +371,6 @@ def weyl_group(datum: RootDatum, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
                     fresh.append(seen[images])
         frontier = fresh
     group = WeylGroup(datum, elements)
-    assert len(group.longest_word) == len(datum.positive_roots)
+    if len(group.longest_word) != len(datum.positive_roots):
+        raise RuntimeError(f"longest word of {datum.label} is not of length |positive roots|")
     return group

@@ -33,7 +33,8 @@ def transport(src, src_hw, dst, dst_hw, x):
 
 
 def component_sizes(tc):
-    """Connected-component sizes and highest weights via union-find."""
+    """Connected components via union-find, as sorted (highest weight, size,
+    highest-weight element) triples."""
     parent = {}
 
     def find(x):
@@ -65,7 +66,7 @@ def component_sizes(tc):
             if all(tc.eps(i, x) == 0 for i in tc.datum.colours)
         ]
         assert len(tops) == 1
-        out.append((tc.weight(tops[0]), len(members)))
+        out.append((tc.weight(tops[0]), len(members), tops[0]))
     return sorted(out)
 
 

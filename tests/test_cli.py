@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from crystalgraphs.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -119,3 +125,17 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["type"] == "A2"
+
+
+def test_verify_identical_under_optimize_flag():
+    # python -O strips assert statements, so invariants must not rely on them
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    args = ["-m", "crystalgraphs.cli", "verify", "--type", "A2", "--suite", "all", "--bound", "1,1"]
+    plain = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    optimized = subprocess.run(
+        [sys.executable, "-O", *args], env=env, capture_output=True, text=True
+    )
+    assert plain.returncode == 0 and optimized.returncode == 0
+    assert "PASS" in plain.stdout
+    assert optimized.stdout == plain.stdout

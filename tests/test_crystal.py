@@ -7,6 +7,7 @@ from crystalgraphs.crystal import (
     canonical_morphism,
     cartan_project,
     highest_weight_crystal,
+    raise_to_top,
     tensor_crystal,
     tensor_of,
 )
@@ -16,6 +17,7 @@ from helpers import component_sizes, transport
 
 A2 = build_root_datum("A2")
 C2 = build_root_datum("C2")
+G2 = build_root_datum("G2")
 
 
 def test_a2_fundamental_chains():
@@ -66,6 +68,8 @@ def test_errors():
         highest_weight_crystal(A2, (30, 30), size_cap=100)
     with pytest.raises(ValueError):
         highest_weight_crystal(A2, (1, 0)).f(3, 1)
+    # the cache key of a mixed tuple would match this product over A2
+    tensor_of(A2, ((1, 0), (1, 0)))
     with pytest.raises(ValueError):
         tensor_crystal(
             [highest_weight_crystal(A2, (1, 0)), highest_weight_crystal(C2, (1, 0))]
@@ -157,39 +161,37 @@ def test_weight_multiplicities_weyl_invariant(datum, lam):
 
 
 def test_component_decompositions_c2():
-    dec = tensor_of(C2, ((0, 1), (0, 1))).decomposition()
-    assert sorted(c.weight for c in dec.comps) == [(0, 0), (0, 2), (2, 0)]
-    dec2 = tensor_of(C2, ((1, 0), (1, 0))).decomposition()
-    assert sorted(c.weight for c in dec2.comps) == [(0, 0), (0, 1), (2, 0)]
-    dec3 = tensor_of(C2, ((1, 0), (0, 1))).decomposition()
-    assert sorted(c.weight for c in dec3.comps) == [(1, 0), (1, 1)]
+    def weights(pair):
+        return [w for w, _, _ in component_sizes(tensor_of(C2, pair))]
+
+    assert weights(((0, 1), (0, 1))) == [(0, 0), (0, 2), (2, 0)]
+    assert weights(((1, 0), (1, 0))) == [(0, 0), (0, 1), (2, 0)]
+    assert weights(((1, 0), (0, 1))) == [(1, 0), (1, 1)]
 
 
 def test_components_against_union_find_oracle():
     t = tensor_of(A2, ((1, 0), (0, 1)))
-    assert component_sizes(t) == [((0, 0), 1), ((1, 1), 8)]
-    dec = t.decomposition()
-    assert sorted((c.weight, 0) for c in dec.comps) == [((0, 0), 0), ((1, 1), 0)]
-    for c in dec.comps:
-        size = sum(1 for x in dec.ids if dec.ids[x] == dec.comps.index(c))
-        assert size == weyl_dim(A2, c.weight)
+    assert component_sizes(t) == [((0, 0), 1, (1, 3)), ((1, 1), 8, (1, 1))]
+    for weight, size, top in component_sizes(t):
+        assert size == weyl_dim(A2, weight)
+        walk = canonical_morphism(t, highest_weight_crystal(A2, weight), top)
+        assert len(walk) == size
 
 
 def test_single_factor_tensor_is_connected():
     t = tensor_of(C2, ((1, 1),))
-    assert len(t.decomposition().comps) == 1
+    assert len(component_sizes(t)) == 1
 
 
 def test_cartan_component_identification():
     t = tensor_of(A2, ((1, 0), (0, 1)))
     target = highest_weight_crystal(A2, (1, 1))
-    iso = canonical_morphism(t.decomposition().cartan_component, target)
+    iso = canonical_morphism(t, target)
     assert len(iso) == 8
     assert sorted(iso.values()) == list(range(1, 9))
     # transport oracle agrees
-    comp = t.decomposition().cartan_component
     for x, y in iso.items():
-        assert transport(t, comp.highest, target, 1, x) == y
+        assert transport(t, t.highest, target, 1, x) == y
 
 
 def test_canonical_morphism_identity_and_errors():
@@ -198,14 +200,42 @@ def test_canonical_morphism_identity_and_errors():
     assert iso == {x: x for x in b.elements()}
     with pytest.raises(ValueError):
         canonical_morphism(b, highest_weight_crystal(A2, (1, 0)))
+    t = tensor_of(A2, ((1, 0), (0, 1)))
+    with pytest.raises(ValueError):
+        canonical_morphism(t, b, (2, 1))  # not a highest-weight element
+
+
+@pytest.mark.parametrize(
+    "datum,pair",
+    [
+        (A2, ((1, 0), (0, 1))),
+        (A2, ((1, 1), (1, 1))),
+        (C2, ((0, 1), (0, 1))),
+        (C2, ((1, 1), (1, 0))),
+        (G2, ((1, 0), (0, 1))),
+        (G2, ((0, 1), (0, 1))),
+    ],
+)
+def test_walks_match_transport_on_every_component(datum, pair):
+    t = tensor_of(datum, pair)
+    comps = component_sizes(t)
+    assert len(comps) > 1
+    covered = 0
+    for weight, size, top in comps:
+        std = highest_weight_crystal(datum, weight)
+        walk = canonical_morphism(t, std, top)
+        assert len(walk) == size
+        covered += size
+        for x, y in walk.items():
+            assert raise_to_top(t, x) == top
+            assert transport(t, top, std, std.highest, x) == y
+    assert covered == t.size
 
 
 def test_cartan_braiding_matching_of_swapped_products():
     t = tensor_of(A2, ((1, 0), (0, 1)))
     u = tensor_of(A2, ((0, 1), (1, 0)))
-    iso = canonical_morphism(
-        t.decomposition().cartan_component, u.decomposition().cartan_component
-    )
+    iso = canonical_morphism(t, u)
     assert iso[(3, 1)] == (2, 2)
     assert len(iso) == 8
 
@@ -228,9 +258,8 @@ def test_component_highest_weight_elements_start_at_first_factor_top():
         (C2, ((1, 0), (0, 1))),
         (C2, ((0, 1), (0, 1))),
     ]:
-        t = tensor_of(datum, weights)
-        for comp in t.decomposition().comps:
-            assert comp.highest[0] == 1
+        for _, _, top in component_sizes(tensor_of(datum, weights)):
+            assert top[0] == 1
 
 
 def test_tensor_associativity():

@@ -10,6 +10,8 @@ from crystalgraphs.hrgraph import (
 )
 from crystalgraphs.rootdata import build_root_datum, weyl_group
 
+from helpers import transport
+
 A2 = build_root_datum("A2")
 C2 = build_root_datum("C2")
 
@@ -145,6 +147,41 @@ def test_path_validity_matches_rho_tensor_condition():
                 assert (((v, b) in valid)) == etas.pop()
 
 
+def test_range_matches_projection_then_right_end():
+    # the old route: project (v_i, b) into B(theta_i + lam), then embed that
+    # into B(lam) (x) B(theta_i) and keep the B(theta_i) factor
+    for datum in (A2, C2):
+        g = build_graph(datum, datum.fundamental_weights)
+        for degree in [(1, 0), (0, 1), (1, 1), (2, 0)]:
+            lam = g.colours.weight_of(degree)
+            for i, theta in enumerate(g.colours.colours):
+                pair = tensor_of(datum, (theta, lam))
+                total = highest_weight_crystal(datum, pair.highest_weight)
+                swapped = tensor_of(datum, (lam, theta))
+                for e in g.paths(degree):
+                    projected = transport(
+                        pair, pair.highest, total, 1, (e.source[i], e.element)
+                    )
+                    end = transport(total, 1, swapped, swapped.highest, projected)
+                    assert g.range(e)[i] == end[1]
+
+
+def test_range_rejects_paths_off_the_cartan_component():
+    g = a2_graph()
+    valid = set(g.paths((1, 0)))
+    crystal = highest_weight_crystal(A2, (1, 0))
+    bad = [
+        GraphPath(v, b, (1, 0))
+        for v in g.vertices
+        for b in crystal.elements()
+        if GraphPath(v, b, (1, 0)) not in valid
+    ]
+    assert bad
+    for e in bad:
+        with pytest.raises(ValueError):
+            g.range(e)
+
+
 def test_compose_identity_and_degree_additivity():
     g = a2_graph()
     e = g.paths((1, 0))[0]
@@ -243,7 +280,7 @@ def test_weyl_vertex_map_minuscule_type_a_factor_tuples():
         tensor = tensor_of(datum, g.colours.colours)
         from crystalgraphs.crystal import canonical_morphism
 
-        iso = canonical_morphism(crystal, tensor.decomposition().cartan_component)
+        iso = canonical_morphism(crystal, tensor)
         group = weyl_group(datum)
         table = weyl_vertex_map(g)
         for k in range(group.order):
