@@ -42,7 +42,7 @@ from .rootdata import (
     weyl_group,
 )
 from .soibelman import SoibelmanModel, restriction_limit, string_data, strings
-from .toeplitz import OperatorElement, projection_p0, shift_product, sl2_limit
+from .toeplitz import OperatorElement, projection_p0, sl2_limit
 
 __version__ = "0.1.0"
 
@@ -78,7 +78,6 @@ __all__ = [
     "restriction_limit",
     "right_end",
     "right_ends",
-    "shift_product",
     "sigma_word",
     "sl2_limit",
     "string_data",

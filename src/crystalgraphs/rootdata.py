@@ -167,6 +167,11 @@ class RootDatum:
     cartan_inverse: tuple[tuple[Fraction, ...], ...]
     gram: tuple[tuple[Fraction, ...], ...]  # (varpi_i, varpi_j)
 
+    def __hash__(self) -> int:
+        # every cache keyed by a datum hashes it; the label determines the
+        # rest, so equal data hash alike without rehashing Fraction matrices
+        return hash(self.label)
+
     @property
     def zero(self) -> Coords:
         return (0,) * self.rank

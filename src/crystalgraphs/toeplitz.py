@@ -1,41 +1,35 @@
 """Exact arithmetic in tensor powers of the algebra generated by the right
 shift T, with an integral torus-weight label on each pure tensor.
 
-The basis consists of monomials T^a T*^b per slot; products of monomials are
-again monomials, so normal forms keep integer coefficients and equality is
-equality of dictionaries.  A term is stored as one flat integer tuple
-(a_1, b_1, ..., a_l, b_l, t_1, ..., t_r) where t is the torus weight.
+Each slot carries an element of the inverse semigroup of partial isometries
+{T^a T*^b} ∪ {T^a P0 T*^b}, where P0 = 1 - T T* projects onto the bottom
+basis vector.  A term is stored as one flat integer tuple
+(a_1, b_1, p_1, ..., a_l, b_l, p_l, t_1, ..., t_r): p = 1 marks the P0 form
+and t is the torus weight.  The product of two basis tensors is one basis
+tensor or zero, slot by slot, so multiplication never cancels.
+
+The basis is linearly dependent, T^a P0 T*^b = T^a T*^b - T^(a+1) T*^(b+1),
+so equality, zero tests, degrees and rendering read the expansion into
+shift monomials T^a T*^b, which are linearly independent.  The expansion is
+computed once per element; arithmetic never expands.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-Monomial = tuple[int, int]
-
-
-def shift_product(x: Monomial, y: Monomial) -> Monomial:
-    """(T^a T*^b)(T^c T*^d) = T^(a+max(c-b,0)) T*^(d+max(b-c,0))."""
-    a, b = x
-    c, d = y
-    if c >= b:
-        return (a + c - b, d)
-    return (a, d + b - c)
-
-
-def shift_adjoint(x: Monomial) -> Monomial:
-    return (x[1], x[0])
-
 
 class OperatorElement:
-    """Integer combination of pure tensors of shift monomials with a torus label."""
+    """Integer combination of pure tensors over the per-slot basis
+    {T^a T*^b} ∪ {T^a P0 T*^b}, with a torus label."""
 
-    __slots__ = ("slots", "rank", "terms")
+    __slots__ = ("slots", "rank", "terms", "_expanded")
 
     def __init__(self, slots: int, rank: int, terms: dict[tuple[int, ...], int]):
         self.slots = slots
         self.rank = rank
         self.terms = terms
+        self._expanded: dict[tuple[int, ...], int] | None = None
 
     # construction -----------------------------------------------------
 
@@ -46,16 +40,20 @@ class OperatorElement:
     @classmethod
     def monomial(
         cls,
-        monos: Sequence[Monomial],
+        monos: Sequence[tuple[int, ...]],
         tau: Sequence[int] | None = None,
         rank: int = 0,
         coeff: int = 1,
     ) -> "OperatorElement":
+        """One pure tensor; each slot is (a, b) for T^a T*^b or (a, b, 1)
+        for T^a P0 T*^b."""
         if tau is None:
             tau = (0,) * rank
         tau = tuple(tau)
-        key = tuple(x for mono in monos for x in mono) + tau
-        terms = {key: coeff} if coeff else {}
+        key: list[int] = []
+        for a, b, *p in monos:
+            key += (a, b, p[0] if p else 0)
+        terms = {tuple(key) + tau: coeff} if coeff else {}
         return cls(len(monos), len(tau), terms)
 
     @classmethod
@@ -64,24 +62,46 @@ class OperatorElement:
 
     # structure --------------------------------------------------------
 
-    def _split(self, key: tuple[int, ...]) -> tuple[tuple[Monomial, ...], tuple[int, ...]]:
-        cut = 2 * self.slots
-        monos = tuple(
-            (key[2 * s], key[2 * s + 1]) for s in range(self.slots)
-        )
-        return monos, key[cut:]
+    def expanded(self) -> dict[tuple[int, ...], int]:
+        """Normal form over shift monomials: keys (a_1, b_1, ..., a_l, b_l,
+        t_1, ..., t_r), zero coefficients dropped.  Computed once and
+        shared, so callers must not mutate it."""
+        if self._expanded is not None:
+            return self._expanded
+        cut = 3 * self.slots
+        out: dict[tuple[int, ...], int] = {}
+        for key, c in self.terms.items():
+            partial: list[tuple[tuple[int, ...], int]] = [((), c)]
+            for s in range(0, cut, 3):
+                a, b = key[s], key[s + 1]
+                if key[s + 2]:  # T^a P0 T*^b = T^a T*^b - T^(a+1) T*^(b+1)
+                    partial = [(m + (a, b), x) for m, x in partial] + [
+                        (m + (a + 1, b + 1), -x) for m, x in partial
+                    ]
+                else:
+                    partial = [(m + (a, b), x) for m, x in partial]
+            tau = key[cut:]
+            for m, x in partial:
+                mono = m + tau
+                acc = out.get(mono, 0) + x
+                if acc:
+                    out[mono] = acc
+                else:
+                    del out[mono]
+        self._expanded = out
+        return out
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.expanded()
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.expanded())
 
     def degrees(self) -> set[tuple[int, ...]]:
         """Set of torus weights appearing in the support."""
         cut = 2 * self.slots
-        return {key[cut:] for key in self.terms}
+        return {key[cut:] for key in self.expanded()}
 
     def homogeneous_degree(self) -> tuple[int, ...] | None:
         """The torus weight when the element is homogeneous, else None."""
@@ -126,42 +146,45 @@ class OperatorElement:
         )
 
     def __mul__(self, other: "OperatorElement") -> "OperatorElement":
+        """Slot by slot, (a, b, p)(c, d, r) is (a + c - b, d, p | r) when
+        c >= b, zero if p = 1 and c != b; and (a, d + b - c, p) when c < b,
+        zero if r = 1."""
         self._check_compatible(other)
-        slots = self.slots
-        cut = 2 * slots
+        cut = 3 * self.slots
         out: dict[tuple[int, ...], int] = {}
         rhs = list(other.terms.items())
         for k1, c1 in self.terms.items():
             for k2, c2 in rhs:
-                parts = []
-                for s in range(0, cut, 2):
-                    a, b = k1[s], k1[s + 1]
-                    c, d = k2[s], k2[s + 1]
+                parts: list[int] = []
+                for s in range(0, cut, 3):
+                    b, c = k1[s + 1], k2[s]
                     if c >= b:
-                        parts.append(a + c - b)
-                        parts.append(d)
+                        if c != b and k1[s + 2]:
+                            break
+                        parts += (k1[s] + c - b, k2[s + 1], k1[s + 2] | k2[s + 2])
                     else:
-                        parts.append(a)
-                        parts.append(d + b - c)
-                key = tuple(parts) + tuple(
-                    x + y for x, y in zip(k1[cut:], k2[cut:])
-                )
-                acc = out.get(key, 0) + c1 * c2
-                if acc:
-                    out[key] = acc
+                        if k2[s + 2]:
+                            break
+                        parts += (k1[s], k2[s + 1] + b - c, k1[s + 2])
                 else:
-                    del out[key]
-        return OperatorElement(slots, self.rank, out)
+                    key = tuple(parts) + tuple(
+                        x + y for x, y in zip(k1[cut:], k2[cut:])
+                    )
+                    acc = out.get(key, 0) + c1 * c2
+                    if acc:
+                        out[key] = acc
+                    else:
+                        del out[key]
+        return OperatorElement(self.slots, self.rank, out)
 
     def adjoint(self) -> "OperatorElement":
-        """Componentwise shift adjoint; negates the torus label."""
-        cut = 2 * self.slots
+        """Slotwise (a, b, p) -> (b, a, p); negates the torus label."""
+        cut = 3 * self.slots
         out = {}
         for key, c in self.terms.items():
-            parts = []
-            for s in range(0, cut, 2):
-                parts.append(key[s + 1])
-                parts.append(key[s])
+            parts: list[int] = []
+            for s in range(0, cut, 3):
+                parts += (key[s + 1], key[s], key[s + 2])
             out[tuple(parts) + tuple(-x for x in key[cut:])] = c
         return OperatorElement(self.slots, self.rank, out)
 
@@ -169,8 +192,8 @@ class OperatorElement:
         """Concatenate tensor slots; torus labels add."""
         if self.rank != other.rank:
             raise ValueError("tensor factors carry different torus ranks")
-        cut1 = 2 * self.slots
-        cut2 = 2 * other.slots
+        cut1 = 3 * self.slots
+        cut2 = 3 * other.slots
         out: dict[tuple[int, ...], int] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
@@ -191,7 +214,7 @@ class OperatorElement:
             isinstance(other, OperatorElement)
             and self.slots == other.slots
             and self.rank == other.rank
-            and self.terms == other.terms
+            and (self.terms == other.terms or self.expanded() == other.expanded())
         )
 
     __hash__ = None
@@ -199,14 +222,17 @@ class OperatorElement:
     # rendering --------------------------------------------------------
 
     def render(self) -> str:
-        if not self.terms:
+        terms = self.expanded()
+        if not terms:
             return "0"
+        cut = 2 * self.slots
         bits = []
-        for key in sorted(self.terms):
-            c = self.terms[key]
-            monos, tau = self._split(key)
+        for key in sorted(terms):
+            c = terms[key]
+            tau = key[cut:]
             factors = []
-            for a, b in monos:
+            for s in range(0, cut, 2):
+                a, b = key[s], key[s + 1]
                 if a == 0 and b == 0:
                     factors.append("1")
                     continue
@@ -238,9 +264,7 @@ class OperatorElement:
 
 def projection_p0(rank: int = 0) -> OperatorElement:
     """P0 = 1 - T T*, the rank-one projection onto the bottom basis vector."""
-    return OperatorElement.unit(1, rank) - OperatorElement.monomial(
-        ((1, 1),), (0,) * rank
-    )
+    return OperatorElement.monomial(((0, 0, 1),), (0,) * rank)
 
 
 def sl2_limit(m: int, i: int, j: int, rank: int = 0) -> OperatorElement:
@@ -256,6 +280,4 @@ def sl2_limit(m: int, i: int, j: int, rank: int = 0) -> OperatorElement:
         return OperatorElement.zero(1, rank)
     if i == j:
         return OperatorElement.monomial(((i, m - i),), tau)
-    return OperatorElement.monomial(((j, m - i),), tau) - OperatorElement.monomial(
-        ((j + 1, m - i + 1),), tau
-    )
+    return OperatorElement.monomial(((j, m - i, 1),), tau)

@@ -1,8 +1,9 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's own lockstep-morphism and normal-form
-code paths: transport replays an explicit lowering word, and the truncation
-oracle realizes shift monomials as finite 0/1 matrices.
+code paths: transport replays an explicit lowering word, the truncation
+oracle realizes shift operators as finite 0/1 matrices, and the monomial
+product multiplies expanded normal forms T^a T*^b term by term.
 """
 
 from collections import deque
@@ -70,6 +71,35 @@ def component_sizes(tc):
     return sorted(out)
 
 
+def shift_product(x, y):
+    """(T^a T*^b)(T^c T*^d) = T^(a+max(c-b,0)) T*^(d+max(b-c,0))."""
+    a, b = x
+    c, d = y
+    if c >= b:
+        return (a + c - b, d)
+    return (a, d + b - c)
+
+
+def shift_adjoint(x):
+    return (x[1], x[0])
+
+
+def monomial_product(x, y, slots):
+    """Product of two shift-monomial normal forms, dicts keyed by
+    (a_1, b_1, ..., a_l, b_l, t_1, ..., t_r) as OperatorElement.expanded()
+    returns them; torus labels add and zero coefficients are dropped."""
+    cut = 2 * slots
+    out = {}
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            parts = []
+            for s in range(0, cut, 2):
+                parts += shift_product(k1[s : s + 2], k2[s : s + 2])
+            key = tuple(parts) + tuple(p + q for p, q in zip(k1[cut:], k2[cut:]))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
 def monomial_matrix(mono, cutoff):
     """The truncated matrix of T^a T*^b on basis vectors e_0..e_{cutoff-1}."""
     a, b = mono
@@ -83,7 +113,11 @@ def monomial_matrix(mono, cutoff):
 
 def operator_matrix(op, cutoff):
     """Truncated matrix of an OperatorElement on the l-fold tensor basis,
-    ignoring the torus label; indices are tuples of basis positions."""
+    ignoring the torus label; indices are tuples of basis positions.
+
+    Reads the stored keys (a, b, p) per slot directly: T^a T*^b sends e_n to
+    e_(n-b+a) for n >= b, and T^a P0 T*^b is the single unit sending e_b to
+    e_a."""
     slots = op.slots
     size = cutoff**slots
     matrix = [[0] * size for _ in range(size)]
@@ -95,12 +129,12 @@ def operator_matrix(op, cutoff):
         return out
 
     for key, coeff in op.terms.items():
-        monos = [(key[2 * s], key[2 * s + 1]) for s in range(slots)]
+        factors = [key[3 * s : 3 * s + 3] for s in range(slots)]
         for col in iter_product(range(cutoff), repeat=slots):
             row = []
             ok = True
-            for (a, b), n in zip(monos, col):
-                if n < b or n - b + a >= cutoff:
+            for (a, b, p), n in zip(factors, col):
+                if n < b or (p and n != b) or n - b + a >= cutoff:
                     ok = False
                     break
                 row.append(n - b + a)

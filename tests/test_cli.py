@@ -105,6 +105,14 @@ def test_verify_all_c2(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_all_b2(capsys):
+    code, out, _ = run(capsys, "verify", "--type", "B2", "--suite", "all", "--bound", "1,1")
+    assert code == 0
+    assert "FAIL" not in out
+    assert "PASS KP2 path composition (352 cases)" in out
+    assert "PASS KP3 orthogonal isometries (5204 cases)" in out
+
+
 def test_verify_exit_one_on_failure(capsys, monkeypatch):
     from crystalgraphs import cli
     from crystalgraphs.report import VerificationReport

@@ -150,3 +150,17 @@ def test_weyl_dim_examples():
 def test_weyl_dim_rejects_non_dominant():
     with pytest.raises(ValueError):
         weyl_dim(build_root_datum("A2"), (-1, 0))
+
+
+def test_equal_data_hash_alike_and_stay_apart_as_keys():
+    from dataclasses import replace
+
+    a2 = build_root_datum("A2")
+    copy = replace(a2)
+    assert copy is not a2 and copy == a2 and hash(copy) == hash(a2)
+    data = {build_root_datum(label): label for label in ("A2", "C2", "G2")}
+    assert len(data) == 3
+    assert data[copy] == "A2"
+    assert data[build_root_datum("C2")] == "C2"
+    assert data[build_root_datum("G2")] == "G2"
+    assert build_root_datum("C2") != build_root_datum("B2")

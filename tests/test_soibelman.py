@@ -63,15 +63,35 @@ def test_generators_are_nonzero(datum):
                 assert not m.pi0_generator(lam, a, kind).is_zero
 
 
-@pytest.mark.parametrize("datum", [A1, A2])
+@pytest.mark.parametrize("datum", [A1, A2, C2])
 def test_generators_are_zero_one_matrices(datum):
-    # with respect to the standard basis, every generator image is a 0/1 matrix
+    # with respect to the standard basis, every generator image is a partial
+    # permutation: each column holds at most one nonzero entry, and it is 1
     m = SoibelmanModel(datum)
     for lam in list(datum.fundamental_weights) + [datum.rho]:
         crystal = highest_weight_crystal(datum, lam)
         for a in crystal.elements():
             matrix = operator_matrix(m.pi0_generator(lam, a, "f"), 5)
-            assert all(entry in (0, 1) for row in matrix for entry in row)
+            for col in zip(*matrix):
+                nonzero = [entry for entry in col if entry]
+                assert nonzero in ([], [1])
+
+
+def test_g2_fundamental_generators_store_few_terms():
+    # in the partial-isometry basis no term of a generator cancels: the 14
+    # f-generators of G2 varpi2 store 97 terms with coefficient 1 (1455 shift
+    # monomials once every P0 is expanded)
+    g2 = build_root_datum("G2")
+    m = SoibelmanModel(g2)
+    lam = g2.fundamental_weights[1]
+    crystal = highest_weight_crystal(g2, lam)
+    sizes = []
+    for a in crystal.elements():
+        terms = m.pi0_generator(lam, a, "f").terms
+        assert set(terms.values()) == {1}
+        sizes.append(len(terms))
+    assert max(sizes) <= 15
+    assert sum(sizes) <= 97
 
 
 def test_projection_examples():

@@ -4,15 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crystalgraphs.toeplitz import (
-    OperatorElement,
-    projection_p0,
+from crystalgraphs.toeplitz import OperatorElement, projection_p0, sl2_limit
+
+from helpers import (
+    monomial_matrix,
+    monomial_product,
+    operator_matrix,
     shift_adjoint,
     shift_product,
-    sl2_limit,
 )
-
-from helpers import monomial_matrix, operator_matrix
 
 
 def mono(a, b, coeff=1, tau=()):
@@ -37,6 +37,8 @@ def test_unit_and_p0():
     assert p0 * t == OperatorElement.zero(1, 0)  # P0 T = 0
     assert p0 * p0 == p0
     assert p0.adjoint() == p0
+    assert (tstar * p0).terms == {}  # T* P0 = 0
+    assert (mono(2, 1) * OperatorElement.monomial(((1, 3, 1),))).terms == {(2, 3, 1): 1}
 
 
 def test_monomial_products_stay_monomial():
@@ -44,6 +46,33 @@ def test_monomial_products_stay_monomial():
         product = mono(a, b) * mono(c, d)
         assert len(product.terms) == 1
         assert next(iter(product.terms.values())) == 1
+    # the slot basis {T^a T*^b} ∪ {T^a P0 T*^b} is an inverse semigroup with
+    # zero: a product of basis elements is one basis element or zero
+    basis = [
+        OperatorElement.monomial(((a, b, p),))
+        for a, b, p in iter_product(range(4), range(4), (0, 1))
+    ]
+    for x, y in iter_product(basis, basis):
+        product = x * y
+        assert len(product.terms) <= 1
+        assert all(c == 1 for c in product.terms.values())
+        assert product.expanded() == monomial_product(x.expanded(), y.expanded(), 1)
+
+
+def test_expansion_normal_form():
+    x = OperatorElement.monomial(((1, 2, 1), (0, 0, 1)), (1,))
+    assert x.expanded() == {
+        (1, 2, 0, 0, 1): 1,
+        (2, 3, 0, 0, 1): -1,
+        (1, 2, 1, 1, 1): -1,
+        (2, 3, 1, 1, 1): 1,
+    }
+    # stored forms differ, expansions agree: P0 + T T* = 1
+    total = projection_p0(0) + mono(1, 1)
+    assert total.terms != OperatorElement.unit(1, 0).terms
+    assert total == OperatorElement.unit(1, 0)
+    assert not (total - OperatorElement.unit(1, 0))
+    assert (total - OperatorElement.unit(1, 0)).is_zero
 
 
 def test_tau_additive_and_adjoint_negates():
@@ -77,13 +106,21 @@ def test_sl2_limit_fundamental_table():
     assert sl2_limit(0, 0, 0) == OperatorElement.unit(1, 0)
     assert sl2_limit(3, 2, 2) == mono(2, 1)
     assert sl2_limit(2, 2, 0) == mono(0, 0) - mono(1, 1)
+    # below the diagonal the limit is stored as one P0 term (j, m - i, 1)
+    assert sl2_limit(3, 2, 1).terms == {(1, 1, 1): 1}
+    assert projection_p0(0).terms == {(0, 0, 1): 1}
     with pytest.raises(ValueError):
         sl2_limit(1, 2, 0)
 
 
 def _random_elements(slots, rank):
+    slot = (
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=1),
+    )
     keys = st.tuples(
-        *([st.integers(min_value=0, max_value=3)] * (2 * slots)),
+        *(slot * slots),
         *([st.integers(min_value=-2, max_value=2)] * rank),
     )
     return st.dictionaries(keys, st.integers(min_value=-3, max_value=3).filter(bool), max_size=4).map(
@@ -108,6 +145,12 @@ def test_adjoint_is_an_anti_involution(x, y):
     assert x.adjoint().adjoint() == x
     assert (x * y).adjoint() == y.adjoint() * x.adjoint()
     assert (x + y).adjoint() == x.adjoint() + y.adjoint()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_elements(2, 1), _random_elements(2, 1))
+def test_product_expansion_matches_monomial_oracle(x, y):
+    assert (x * y).expanded() == monomial_product(x.expanded(), y.expanded(), 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -138,5 +181,6 @@ def test_render():
     assert OperatorElement.zero(1, 0).render() == "0"
     assert OperatorElement.unit(2, 0).render() == "1 ⊗ 1"
     assert projection_p0(0).render() == "1 - T T*"
+    assert sl2_limit(2, 2, 0).render() == "1 - T T*"
     x = OperatorElement.monomial(((2, 1), (0, 0)), (1, 0))
     assert x.render() == "T^2 T* ⊗ 1 · z^(1, 0)"
