@@ -30,6 +30,7 @@ from .hrgraph import (
     graph_tables_from_json,
     weyl_vertex_map,
 )
+from .memo import cache_stats, clear_caches
 from .report import Check, VerificationReport
 from .rootdata import (
     CartanTypeError,
@@ -64,9 +65,11 @@ __all__ = [
     "bilinear_form",
     "build_graph",
     "build_root_datum",
+    "cache_stats",
     "canonical_morphism",
     "cartan_braiding",
     "cartan_project",
+    "clear_caches",
     "colour_set",
     "graph_tables_from_json",
     "highest_weight_crystal",

@@ -13,9 +13,8 @@ from .crystal import (
     raise_to_top,
     tensor_of,
 )
+from .memo import memo
 from .rootdata import Coords, RootDatum, sub_weights
-
-_PAIR_TABLES: dict[tuple[RootDatum, Coords, Coords], dict] = {}
 
 
 def pair_braiding(datum: RootDatum, lam: Coords, lamp: Coords) -> dict:
@@ -24,15 +23,14 @@ def pair_braiding(datum: RootDatum, lam: Coords, lamp: Coords) -> dict:
     Maps each element of B(lam) x B(lamp) to its image in B(lamp) x B(lam):
     the canonical matching of Cartan components, None elsewhere.
     """
-    key = (datum, tuple(lam), tuple(lamp))
-    table = _PAIR_TABLES.get(key)
-    if table is not None:
-        return table
+    return _pair_braiding(datum, tuple(lam), tuple(lamp))
+
+
+@memo
+def _pair_braiding(datum: RootDatum, lam: Coords, lamp: Coords) -> dict:
     source = tensor_of(datum, (lam, lamp))
     match = canonical_morphism(source, tensor_of(datum, (lamp, lam)))
-    table = {t: match.get(t) for t in source.elements()}
-    _PAIR_TABLES[key] = table
-    return table
+    return {t: match.get(t) for t in source.elements()}
 
 
 def _standardize(crystal_like, element):

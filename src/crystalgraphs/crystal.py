@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Iterable, Iterator, Union
 
+from .memo import memo
 from .rootdata import (
     Coords,
     RootDatum,
@@ -171,8 +172,6 @@ class Crystal:
                 self._eps[i, b] = eps_path(chain, i)
                 self._phi[i, b] = phi_path(chain, i)
         self._lowest = None
-        self._strings: dict[int, list[list[int]]] = {}
-        self._walks: dict = {}
 
     @property
     def size(self) -> int:
@@ -235,23 +234,19 @@ class Crystal:
         return f"Crystal({self.datum.label}, {self.highest_weight}, size={self.size})"
 
 
-_CRYSTALS: dict[tuple[RootDatum, Coords], Crystal] = {}
-
-
 def highest_weight_crystal(
     datum: RootDatum, lam: Coords, size_cap: int = DEFAULT_SIZE_CAP
 ) -> Crystal:
     """Generate B(lam) by closing the straight-line path under root operators."""
     lam = tuple(lam)
-    key = (datum, lam)
-    cached = _CRYSTALS.get(key)
-    if cached is not None:
-        return cached
-    if len(lam) != datum.rank or not datum.is_dominant(lam):
-        raise ValueError(f"weight {lam} is not dominant for {datum.label}")
     dim = weyl_dim(datum, lam)
     if dim > size_cap:
         raise ValueError(f"crystal of weight {lam} has {dim} elements, above cap {size_cap}")
+    return _build_crystal(datum, lam, dim)
+
+
+@memo
+def _build_crystal(datum: RootDatum, lam: Coords, dim: int) -> Crystal:
     seed = _chain_from_steps([_to_q(lam)])
     chains = [seed]
     index = {seed: 1}
@@ -277,9 +272,7 @@ def highest_weight_crystal(
         raise RuntimeError(
             f"path model generated {len(chains)} elements for {lam}, expected {dim}"
         )
-    crystal = Crystal(datum, lam, chains, f_edges, e_edges)
-    _CRYSTALS[key] = crystal
-    return crystal
+    return Crystal(datum, lam, chains, f_edges, e_edges)
 
 
 TensorElement = Union[tuple, None]
@@ -306,7 +299,6 @@ class TensorCrystal:
         for c in factors:
             hw = add_weights(hw, c.highest_weight)
         self.highest_weight = hw
-        self._walks: dict = {}
 
     @property
     def size(self) -> int:
@@ -382,21 +374,19 @@ class TensorCrystal:
         return f"TensorCrystal({self.datum.label}, {hw})"
 
 
-_TENSORS: dict[tuple[RootDatum, tuple[Coords, ...]], TensorCrystal] = {}
-
-
 def tensor_crystal(factors: Iterable[Crystal]) -> TensorCrystal:
     """Tensor product of crystals over one root datum (cached by weights)."""
     factors = tuple(factors)
-    key = (_common_datum(factors), tuple(c.highest_weight for c in factors))
-    tc = _TENSORS.get(key)
-    if tc is None:
-        tc = _TENSORS[key] = TensorCrystal(factors)
-    return tc
+    return tensor_of(_common_datum(factors), (c.highest_weight for c in factors))
 
 
 def tensor_of(datum: RootDatum, weights: Iterable[Coords]) -> TensorCrystal:
-    return tensor_crystal(highest_weight_crystal(datum, w) for w in weights)
+    return _tensor_of(datum, tuple(map(tuple, weights)))
+
+
+@memo
+def _tensor_of(datum: RootDatum, weights: tuple[Coords, ...]) -> TensorCrystal:
+    return TensorCrystal(highest_weight_crystal(datum, w) for w in weights)
 
 
 def raise_to_top(crystal_like, x):
@@ -418,15 +408,14 @@ def canonical_morphism(source, target, top=None) -> dict:
     (default: its highest element) onto the component of ``target.highest``.
 
     Computed by a lockstep lowering walk from the two tops, so its keys are
-    exactly the source component.  The element map is memoized on the source
-    and shared between callers; do not mutate it.
+    exactly the source component.  The element map is memoized and shared
+    between callers; do not mutate it.
     """
-    if top is None:
-        top = source.highest
-    key = (top, target)
-    walk = source._walks.get(key)
-    if walk is not None:
-        return walk
+    return _walk(source, source.highest if top is None else top, target)
+
+
+@memo
+def _walk(source, top, target) -> dict:
     colours = source.datum.colours
     if any(source.e(i, top) is not None for i in colours):
         raise ValueError(f"{top} is not a highest-weight element of {source!r}")
@@ -450,7 +439,6 @@ def canonical_morphism(source, target, top=None) -> dict:
             if fx is not None and fx not in walk:
                 walk[fx] = fy
                 queue.append(fx)
-    source._walks[key] = walk
     return walk
 
 

@@ -21,6 +21,7 @@ from .crystal import (
     highest_weight_crystal,
     tensor_of,
 )
+from .memo import memo
 from .report import VerificationReport
 from .rootdata import (
     Coords,
@@ -64,6 +65,10 @@ class ColourSet:
         return total
 
     def weight_of(self, degree: Degree) -> Coords:
+        return self._weight_of(tuple(degree))
+
+    @memo
+    def _weight_of(self, degree: Degree) -> Coords:
         if len(degree) != self.n or any(x < 0 for x in degree):
             raise ValueError(f"degree {degree} is outside the colour monoid")
         total = self.datum.zero
@@ -107,78 +112,54 @@ class HigherRankGraph:
         }
         self.vertices: tuple[Vertex, ...] = tuple(sorted(verts))
         self.vertex_ids = {v: k for k, v in enumerate(self.vertices)}
-        self._paths: dict[Degree, tuple[GraphPath, ...]] = {}
-        self._ranges: dict[GraphPath, Vertex] = {}
-        self._matchings: dict[Degree, list[dict]] = {}
-        self._descendants: list[dict[int, frozenset[int]] | None] = [None] * colours.n
 
     @property
     def zero_degree(self) -> Degree:
         return (0,) * self.colours.n
 
-    def degree_weight(self, degree: Degree) -> Coords:
-        return self.colours.weight_of(degree)
+    @memo
+    def _slice(self, degree: Degree) -> dict[GraphPath, Vertex]:
+        """The paths of one degree, ordered by (source vertex, element), each
+        mapped to its range.
 
-    def _colour_matchings(self, degree: Degree) -> list[dict]:
-        """For each colour theta_i, the matching of the Cartan components of
-        B(theta_i) (x) B(lam) and B(lam) (x) B(theta_i), lam of the degree.
-
-        (v_i, b) is a key iff it lies in the Cartan component, and the B(theta_i)
-        factor of its image is the right end of the projection to B(theta_i+lam).
+        For each colour theta_i, the canonical matching of the Cartan components
+        of B(theta_i) (x) B(lam) and B(lam) (x) B(theta_i), lam of the degree,
+        has (v_i, b) as a key iff it lies in the Cartan component; the
+        B(theta_i) factor of its image is the right end of the projection to
+        B(theta_i+lam), that is the i-th entry of the range.
         """
-        cached = self._matchings.get(degree)
-        if cached is not None:
-            return cached
-        lam = self.degree_weight(degree)
+        lam = self.colours.weight_of(degree)
         matchings = [
             canonical_morphism(
                 tensor_of(self.datum, (theta, lam)), tensor_of(self.datum, (lam, theta))
             )
             for theta in self.colours.colours
         ]
-        self._matchings[degree] = matchings
-        return matchings
+        elements = highest_weight_crystal(self.datum, lam).elements()
+        out = {}
+        for v in self.vertices:
+            for b in elements:
+                images = [m.get((c, b)) for c, m in zip(v, matchings)]
+                if None not in images:
+                    out[GraphPath(v, b, degree)] = tuple(image[1] for image in images)
+        return out
 
     def paths(self, degree: Degree) -> tuple[GraphPath, ...]:
         """All paths of the given degree, ordered by (source vertex, element)."""
-        degree = tuple(degree)
-        cached = self._paths.get(degree)
-        if cached is not None:
-            return cached
-        crystal = highest_weight_crystal(self.datum, self.degree_weight(degree))
-        matchings = self._colour_matchings(degree)
-        result = tuple(
-            GraphPath(v, b, degree)
-            for v in self.vertices
-            for b in crystal.elements()
-            if all((c, b) in m for c, m in zip(v, matchings))
-        )
-        self._paths[degree] = result
-        return result
-
-    def source(self, e: GraphPath) -> Vertex:
-        return e.source
+        return tuple(self._slice(tuple(degree)))
 
     def range(self, e: GraphPath) -> Vertex:
-        cached = self._ranges.get(e)
-        if cached is not None:
-            return cached
-        ends = []
-        for c, m in zip(e.source, self._colour_matchings(e.degree)):
-            image = m.get((c, e.element))
-            if image is None:
-                raise ValueError(f"{e} violates the Cartan-component condition")
-            ends.append(image[1])
-        vertex = tuple(ends)
-        self._ranges[e] = vertex
+        vertex = self._slice(e.degree).get(e)
+        if vertex is None:
+            raise ValueError(f"{e} is not a path of this graph")
         return vertex
 
     def compose(self, eprime: GraphPath, e: GraphPath) -> GraphPath:
         """The composite eprime . e (e traversed first); degrees add."""
         if self.range(e) != eprime.source:
             raise ValueError("paths are not composable: range/source mismatch")
-        lam = self.degree_weight(e.degree)
-        lamp = self.degree_weight(eprime.degree)
+        lam = self.colours.weight_of(e.degree)
+        lamp = self.colours.weight_of(eprime.degree)
         if not any(lam):
             return eprime
         if not any(lamp):
@@ -235,23 +216,22 @@ class HigherRankGraph:
             )
         return report
 
+    @memo
     def _descendant_table(self, i: int) -> dict[int, frozenset[int]]:
-        if self._descendants[i] is None:
-            factor = self.factor_crystals[i]
-            table = {}
-            for b in factor.elements():
-                seen = {b}
-                queue = [b]
-                while queue:
-                    x = queue.pop()
-                    for col in self.datum.colours:
-                        y = factor.f(col, x)
-                        if y is not None and y not in seen:
-                            seen.add(y)
-                            queue.append(y)
-                table[b] = frozenset(seen)
-            self._descendants[i] = table
-        return self._descendants[i]
+        factor = self.factor_crystals[i]
+        table = {}
+        for b in factor.elements():
+            seen = {b}
+            queue = [b]
+            while queue:
+                x = queue.pop()
+                for col in self.datum.colours:
+                    y = factor.f(col, x)
+                    if y is not None and y not in seen:
+                        seen.add(y)
+                        queue.append(y)
+            table[b] = frozenset(seen)
+        return table
 
     def vertex_leq(self, v: Vertex, w: Vertex) -> bool:
         """Componentwise lowering-reachability order: v <= w iff each v_i is
@@ -268,7 +248,7 @@ class HigherRankGraph:
     def vertex_min(self) -> Vertex:
         return tuple(c.lowest for c in self.factor_crystals)
 
-    def _nonzero_degrees(self, bound: Degree) -> list[Degree]:
+    def nonzero_degrees(self, bound: Degree) -> list[Degree]:
         out = [
             deg
             for deg in iter_product(*(range(b + 1) for b in bound))
@@ -290,7 +270,7 @@ class HigherRankGraph:
                     "element": e.element,
                     "range": self.vertex_ids[self.range(e)],
                 }
-                for degree in self._nonzero_degrees(bound)
+                for degree in self.nonzero_degrees(bound)
                 for e in self.paths(degree)
             ],
         }

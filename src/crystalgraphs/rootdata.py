@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
+
+from .memo import memo
 
 Coords = tuple[int, ...]
 
@@ -233,7 +234,7 @@ def neg_weights(u: Coords) -> Coords:
     return tuple(-a for a in u)
 
 
-@lru_cache(maxsize=None)
+@memo
 def build_root_datum(label: str) -> RootDatum:
     """Construct the root datum for a label like "A2", "C2", "B3"."""
     family, rank = parse_cartan_label(label)
@@ -275,8 +276,13 @@ def bilinear_form(datum: RootDatum, mu: Coords, nu: Coords) -> Fraction:
 
 def weyl_dim(datum: RootDatum, lam: Coords) -> int:
     """Dimension of the irreducible module of highest weight lam (Weyl formula)."""
-    if not datum.is_dominant(lam):
-        raise ValueError(f"weight {lam} is not dominant")
+    return _weyl_dim(datum, tuple(lam))
+
+
+@memo
+def _weyl_dim(datum: RootDatum, lam: Coords) -> int:
+    if len(lam) != datum.rank or not datum.is_dominant(lam):
+        raise ValueError(f"weight {lam} is not dominant for {datum.label}")
     d = datum.symmetrizers
     num = 1
     den = 1
@@ -339,7 +345,7 @@ class WeylGroup:
         return sum(1 for k in range(self.order) if self.apply(k, weight) == weight)
 
 
-@lru_cache(maxsize=None)
+@memo
 def weyl_group(datum: RootDatum, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
     """Enumerate the Weyl group by breadth-first closure of simple reflections.
 

@@ -20,16 +20,15 @@ from .crystal import (
     tensor_of,
 )
 from .hrgraph import ColourSet, GraphPath, HigherRankGraph, Vertex
+from .memo import memo
 from .report import VerificationReport
 from .rootdata import Coords, RootDatum, add_weights, neg_weights, weyl_group
 from .toeplitz import OperatorElement, sl2_limit
 
 
+@memo
 def strings(crystal: Crystal, i: int) -> list[list[int]]:
     """The i-strings of a crystal, each listed from its top element down."""
-    cached = crystal._strings.get(i)
-    if cached is not None:
-        return cached
     out: list[list[int]] = []
     for b in crystal.elements():
         if crystal.eps(i, b) == 0:
@@ -38,10 +37,10 @@ def strings(crystal: Crystal, i: int) -> list[list[int]]:
             while (cur := crystal.f(i, cur)) is not None:
                 string.append(cur)
             out.append(string)
-    crystal._strings[i] = out
     return out
 
 
+@memo
 def string_data(crystal: Crystal, i: int) -> dict[int, tuple[int, int, int]]:
     """Per element: (string id, position from the top, string length)."""
     return {
@@ -82,9 +81,6 @@ class SoibelmanModel:
         self.word = tuple(word)
         self.length = len(self.word)
         self.rank = datum.rank
-        self._generators: dict[tuple[Coords, int, str], OperatorElement] = {}
-        self._projections: dict[tuple[tuple[Coords, ...], Vertex], OperatorElement] = {}
-        self._path_ops: dict[tuple[tuple[Coords, ...], GraphPath], OperatorElement] = {}
 
     @property
     def one(self) -> OperatorElement:
@@ -96,67 +92,53 @@ class SoibelmanModel:
 
     def pi0_generator(self, lam: Coords, a: int, kind: str) -> OperatorElement:
         """Image of the a-th generator of weight lam, kind 'f' or 'v'."""
-        lam = tuple(lam)
+        return self._generator(tuple(lam), a, kind)
+
+    @memo
+    def _generator(self, lam: Coords, a: int, kind: str) -> OperatorElement:
         if kind not in ("f", "v"):
             raise ValueError(f"kind must be 'f' or 'v', got {kind!r}")
-        key = (lam, a, kind)
-        cached = self._generators.get(key)
-        if cached is not None:
-            return cached
         if kind == "v":
-            value = self.pi0_generator(lam, a, "f").adjoint()
-        else:
-            crystal = highest_weight_crystal(self.datum, lam)
-            scalar = OperatorElement.unit(0, self.rank)
-            frontier: dict[int, OperatorElement] = {a: scalar}
-            for i in self.word:
-                data = string_data(crystal, i)
-                lines = strings(crystal, i)
-                fresh: dict[int, OperatorElement] = {}
-                for k, acc in frontier.items():
-                    sid, pos, length = data[k]
-                    for new_pos in range(pos + 1):
-                        target = lines[sid][new_pos]
-                        term = acc.tensor(sl2_limit(length, pos, new_pos, self.rank))
-                        if target in fresh:
-                            fresh[target] = fresh[target] + term
-                        else:
-                            fresh[target] = term
-                frontier = fresh
-            value = frontier.get(crystal.highest)
-            if value is None:
-                value = self.zero
-            else:
-                character = OperatorElement.monomial(((0, 0),) * self.length, lam)
-                value = value * character
-        self._generators[key] = value
-        return value
+            return self.pi0_generator(lam, a, "f").adjoint()
+        crystal = highest_weight_crystal(self.datum, lam)
+        scalar = OperatorElement.unit(0, self.rank)
+        frontier: dict[int, OperatorElement] = {a: scalar}
+        for i in self.word:
+            data = string_data(crystal, i)
+            lines = strings(crystal, i)
+            fresh: dict[int, OperatorElement] = {}
+            for k, acc in frontier.items():
+                sid, pos, length = data[k]
+                for new_pos in range(pos + 1):
+                    target = lines[sid][new_pos]
+                    term = acc.tensor(sl2_limit(length, pos, new_pos, self.rank))
+                    if target in fresh:
+                        fresh[target] = fresh[target] + term
+                    else:
+                        fresh[target] = term
+            frontier = fresh
+        value = frontier.get(crystal.highest)
+        if value is None:
+            return self.zero
+        return value * OperatorElement.monomial(((0, 0),) * self.length, lam)
 
     def projection(self, colours: ColourSet, v: Vertex) -> OperatorElement:
         """P_v: the product over colours of v-generator times f-generator."""
-        key = (colours.colours, tuple(v))
-        cached = self._projections.get(key)
-        if cached is not None:
-            return cached
+        return self._projection(colours, tuple(v))
+
+    @memo
+    def _projection(self, colours: ColourSet, v: Vertex) -> OperatorElement:
         out = self.one
         for theta, b in zip(colours.colours, v):
             out = out * self.pi0_generator(theta, b, "v")
             out = out * self.pi0_generator(theta, b, "f")
-        self._projections[key] = out
         return out
 
+    @memo
     def path_operator(self, colours: ColourSet, e: GraphPath) -> OperatorElement:
         """S_e = v-generator of the path element times P_{s(e)}."""
-        key = (colours.colours, e)
-        cached = self._path_ops.get(key)
-        if cached is not None:
-            return cached
         lam = colours.weight_of(e.degree)
-        out = self.pi0_generator(lam, e.element, "v") * self.projection(
-            colours, e.source
-        )
-        self._path_ops[key] = out
-        return out
+        return self.pi0_generator(lam, e.element, "v") * self.projection(colours, e.source)
 
     # verification -------------------------------------------------------
 
@@ -266,7 +248,7 @@ class SoibelmanModel:
             bad = bad or "sum of vertex projections is not 1"
         report.add("KP1 vertex projections", not bad, cases, bad)
 
-        degrees = graph._nonzero_degrees(bound)
+        degrees = graph.nonzero_degrees(bound)
         S = {
             e: self.path_operator(colours, e)
             for degree in degrees

@@ -78,6 +78,12 @@ def test_errors():
         apply_kashiwara(highest_weight_crystal(A2, (1, 0)), "sideways", 1, 1)
 
 
+def test_size_cap_is_checked_on_a_cache_hit():
+    assert highest_weight_crystal(A2, (2, 2)).size == 27
+    with pytest.raises(ValueError):
+        highest_weight_crystal(A2, (2, 2), size_cap=10)
+
+
 def test_tensor_sizes():
     assert tensor_of(A2, ((1, 0), (0, 1))).size == 9
     assert tensor_of(C2, ((1, 0), (0, 1))).size == 20

@@ -1,0 +1,82 @@
+import re
+from pathlib import Path
+
+from crystalgraphs import cli
+from crystalgraphs.braiding import pair_braiding
+from crystalgraphs.crystal import highest_weight_crystal, tensor_of
+from crystalgraphs.hrgraph import build_graph
+from crystalgraphs.memo import cache_stats, clear_caches
+from crystalgraphs.rootdata import build_root_datum
+from crystalgraphs.soibelman import SoibelmanModel
+
+A2 = build_root_datum("A2")
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "crystalgraphs"
+
+TABLES = {
+    "crystalgraphs.rootdata.build_root_datum",
+    "crystalgraphs.rootdata._weyl_dim",
+    "crystalgraphs.rootdata.weyl_group",
+    "crystalgraphs.crystal._build_crystal",
+    "crystalgraphs.crystal._tensor_of",
+    "crystalgraphs.crystal._walk",
+    "crystalgraphs.braiding._pair_braiding",
+    "crystalgraphs.hrgraph.ColourSet._weight_of",
+    "crystalgraphs.hrgraph.HigherRankGraph._slice",
+    "crystalgraphs.hrgraph.HigherRankGraph._descendant_table",
+    "crystalgraphs.soibelman.strings",
+    "crystalgraphs.soibelman.string_data",
+    "crystalgraphs.soibelman.SoibelmanModel._generator",
+    "crystalgraphs.soibelman.SoibelmanModel._projection",
+    "crystalgraphs.soibelman.SoibelmanModel.path_operator",
+}
+# Called once per run, or not at all, by `verify`.
+UNREUSED = {
+    "crystalgraphs.rootdata.build_root_datum",
+    "crystalgraphs.rootdata.weyl_group",
+    "crystalgraphs.hrgraph.HigherRankGraph._descendant_table",
+}
+
+
+def test_counters_clear_and_cold_rerun(capsys):
+    argv = ["verify", "--type", "A2", "--suite", "all", "--bound", "1,1"]
+    clear_caches()
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    stats = cache_stats()
+    assert set(stats) == TABLES
+    for name, (hits, misses, size) in stats.items():
+        assert size == misses
+        if name not in UNREUSED:
+            assert hits > 0, name
+    crystal = highest_weight_crystal(A2, (1, 1))
+
+    clear_caches()
+    assert all(entry == (0, 0, 0) for entry in cache_stats().values())
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == first
+    # no identity-keyed table kept an entry for an object built before the clear
+    assert highest_weight_crystal(A2, (1, 1)) is not crystal
+
+
+def test_list_arguments_hit_the_tuple_entries():
+    assert highest_weight_crystal(A2, [1, 1]) is highest_weight_crystal(A2, (1, 1))
+    assert tensor_of(A2, [[1, 0], [0, 1]]) is tensor_of(A2, ((1, 0), (0, 1)))
+    assert pair_braiding(A2, [1, 0], [0, 1]) is pair_braiding(A2, (1, 0), (0, 1))
+    model = SoibelmanModel(A2)
+    assert model.pi0_generator([1, 0], 2, "f") is model.pi0_generator((1, 0), 2, "f")
+    graph = build_graph(A2, A2.fundamental_weights)
+    assert graph.paths([1, 1]) == graph.paths((1, 1))
+
+
+def test_every_cache_goes_through_the_memo_layer():
+    pattern = re.compile(
+        r"lru_cache|cached_property|functools\.cache\b|from functools import[^\n]*\bcache\b"
+    )
+    assert (PACKAGE / "memo.py").is_file()
+    offenders = [
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if path.name != "memo.py" and pattern.search(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
