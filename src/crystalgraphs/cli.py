@@ -13,7 +13,7 @@ from itertools import product as iter_product
 
 from .braiding import longest_permutation_word, pair_braiding, sigma_word
 from .crystal import highest_weight_crystal, tensor_of
-from .hrgraph import _DOT_PALETTE, HigherRankGraph, build_graph, colour_set
+from .hrgraph import _DOT_PALETTE, build_graph, colour_set, graph_of
 from .report import VerificationReport
 from .rootdata import (
     CartanTypeError,
@@ -113,7 +113,7 @@ def _run_verify(args, datum, colours) -> tuple[VerificationReport, str]:
         report.extend(_crystal_suite(datum, cs))
     if args.suite in ("braiding", "all"):
         report.extend(_braiding_suite(datum, cs))
-    graph = HigherRankGraph(cs) if args.suite in ("graph", "kp", "all") else None
+    graph = graph_of(cs) if args.suite in ("graph", "kp", "all") else None
     if args.suite in ("graph", "all"):
         for m, n in _degree_splits(bound):
             report.extend(graph.check_factorization(m, n))

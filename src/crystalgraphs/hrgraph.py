@@ -297,6 +297,13 @@ def build_graph(datum: RootDatum, colours: Iterable[Coords]) -> HigherRankGraph:
     return HigherRankGraph(colour_set(datum, colours))
 
 
+@memo
+def graph_of(colours: ColourSet) -> HigherRankGraph:
+    """The graph of a colour set, built once and shared, so that its slices
+    are computed once however many suites run on it."""
+    return HigherRankGraph(colours)
+
+
 def weyl_vertex_map(
     graph: HigherRankGraph, cap: int | None = None
 ) -> dict[int, Vertex]:

@@ -19,11 +19,11 @@ from .crystal import (
     highest_weight_crystal,
     tensor_of,
 )
-from .hrgraph import ColourSet, GraphPath, HigherRankGraph, Vertex
+from .hrgraph import ColourSet, GraphPath, HigherRankGraph, Vertex, graph_of
 from .memo import memo
 from .report import VerificationReport
 from .rootdata import Coords, RootDatum, add_weights, neg_weights, weyl_group
-from .toeplitz import OperatorElement, sl2_limit
+from .toeplitz import OperatorElement, sl2_limit, string_slot
 
 
 @memo
@@ -81,14 +81,12 @@ class SoibelmanModel:
         self.word = tuple(word)
         self.length = len(self.word)
         self.rank = datum.rank
+        # arithmetic never mutates an element, so one zero serves every check
+        self.zero = OperatorElement.zero(self.length, self.rank)
 
     @property
     def one(self) -> OperatorElement:
         return OperatorElement.unit(self.length, self.rank)
-
-    @property
-    def zero(self) -> OperatorElement:
-        return OperatorElement.zero(self.length, self.rank)
 
     def pi0_generator(self, lam: Coords, a: int, kind: str) -> OperatorElement:
         """Image of the a-th generator of weight lam, kind 'f' or 'v'."""
@@ -101,26 +99,26 @@ class SoibelmanModel:
         if kind == "v":
             return self.pi0_generator(lam, a, "f").adjoint()
         crystal = highest_weight_crystal(self.datum, lam)
-        scalar = OperatorElement.unit(0, self.rank)
-        frontier: dict[int, OperatorElement] = {a: scalar}
+        # element reached so far -> {slot triples of the letters read: coefficient}
+        frontier: dict[int, dict[tuple[int, ...], int]] = {a: {(): 1}}
         for i in self.word:
             data = string_data(crystal, i)
             lines = strings(crystal, i)
-            fresh: dict[int, OperatorElement] = {}
+            fresh: dict[int, dict[tuple[int, ...], int]] = {}
             for k, acc in frontier.items():
                 sid, pos, length = data[k]
-                for new_pos in range(pos + 1):
-                    target = lines[sid][new_pos]
-                    term = acc.tensor(sl2_limit(length, pos, new_pos, self.rank))
-                    if target in fresh:
-                        fresh[target] = fresh[target] + term
-                    else:
-                        fresh[target] = term
+                line = lines[sid]
+                for new_pos in range(pos + 1):  # on or below the diagonal: never 0
+                    slot = string_slot(length, pos, new_pos)
+                    out = fresh.setdefault(line[new_pos], {})
+                    for key, c in acc.items():
+                        key += slot
+                        out[key] = out.get(key, 0) + c
             frontier = fresh
-        value = frontier.get(crystal.highest)
-        if value is None:
-            return self.zero
-        return value * OperatorElement.monomial(((0, 0),) * self.length, lam)
+        value = frontier.get(crystal.highest, {})
+        return OperatorElement(
+            self.length, self.rank, {key + lam: c for key, c in value.items()}
+        )
 
     def projection(self, colours: ColourSet, v: Vertex) -> OperatorElement:
         """P_v: the product over colours of v-generator times f-generator."""
@@ -324,6 +322,5 @@ class SoibelmanModel:
     ) -> VerificationReport:
         """Relation checks (R1)-(R4) plus KP1-KP4 and the grading."""
         report = self.verify_relations(colours, lambdas)
-        graph = HigherRankGraph(colours)
-        report.extend(self.verify_graph_algebra(graph, bound))
+        report.extend(self.verify_graph_algebra(graph_of(colours), bound))
         return report

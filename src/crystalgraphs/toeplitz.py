@@ -151,25 +151,26 @@ class OperatorElement:
         zero if r = 1."""
         self._check_compatible(other)
         cut = 3 * self.slots
+        slots = range(0, cut, 3)
+        torus = range(cut, cut + self.rank)
         out: dict[tuple[int, ...], int] = {}
-        rhs = list(other.terms.items())
         for k1, c1 in self.terms.items():
-            for k2, c2 in rhs:
+            for k2, c2 in other.terms.items():
                 parts: list[int] = []
-                for s in range(0, cut, 3):
-                    b, c = k1[s + 1], k2[s]
+                for s in slots:
+                    b = k1[s + 1]
+                    c = k2[s]
                     if c >= b:
                         if c != b and k1[s + 2]:
                             break
                         parts += (k1[s] + c - b, k2[s + 1], k1[s + 2] | k2[s + 2])
+                    elif k2[s + 2]:
+                        break
                     else:
-                        if k2[s + 2]:
-                            break
                         parts += (k1[s], k2[s + 1] + b - c, k1[s + 2])
                 else:
-                    key = tuple(parts) + tuple(
-                        x + y for x, y in zip(k1[cut:], k2[cut:])
-                    )
+                    parts += [k1[t] + k2[t] for t in torus]
+                    key = tuple(parts)
                     acc = out.get(key, 0) + c1 * c2
                     if acc:
                         out[key] = acc
@@ -267,17 +268,24 @@ def projection_p0(rank: int = 0) -> OperatorElement:
     return OperatorElement.monomial(((0, 0, 1),), (0,) * rank)
 
 
-def sl2_limit(m: int, i: int, j: int, rank: int = 0) -> OperatorElement:
-    """Limit of the (i, j) matrix coefficient of a string of length m.
+def string_slot(m: int, i: int, j: int) -> tuple[int, int, int] | None:
+    """The basis slot (a, b, p) of the limit of the (i, j) matrix coefficient
+    of a string of length m, or None where the limit is 0.
 
     Positions are counted from the top of the string, 0-based: the value is
     T^j P0 T*^(m-i) for i > j, T^i T*^(m-i) for i = j, and 0 for i < j.
     """
     if not (0 <= i <= m and 0 <= j <= m):
         raise ValueError(f"positions ({i}, {j}) out of range for string length {m}")
-    tau = (0,) * rank
     if i < j:
-        return OperatorElement.zero(1, rank)
+        return None
     if i == j:
-        return OperatorElement.monomial(((i, m - i),), tau)
-    return OperatorElement.monomial(((j, m - i, 1),), tau)
+        return (i, m - i, 0)
+    return (j, m - i, 1)
+
+
+def sl2_limit(m: int, i: int, j: int, rank: int = 0) -> OperatorElement:
+    """The one-slot element with the string coefficient `string_slot(m, i, j)`."""
+    slot = string_slot(m, i, j)
+    terms = {} if slot is None else {slot + (0,) * rank: 1}
+    return OperatorElement(1, rank, terms)

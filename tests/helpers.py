@@ -2,12 +2,17 @@
 
 These deliberately avoid the library's own lockstep-morphism and normal-form
 code paths: transport replays an explicit lowering word, the truncation
-oracle realizes shift operators as finite 0/1 matrices, and the monomial
-product multiplies expanded normal forms T^a T*^b term by term.
+oracle realizes shift operators as finite 0/1 matrices, the monomial
+product multiplies expanded normal forms T^a T*^b term by term, and the
+slot-by-slot generator tensors one operator element per letter.
 """
 
 from collections import deque
 from itertools import product as iter_product
+
+from crystalgraphs.crystal import highest_weight_crystal
+from crystalgraphs.soibelman import string_data, strings
+from crystalgraphs.toeplitz import OperatorElement, sl2_limit
 
 
 def transport(src, src_hw, dst, dst_hw, x):
@@ -141,3 +146,25 @@ def operator_matrix(op, cutoff):
             if ok:
                 matrix[flat(row)][flat(col)] += coeff
     return matrix
+
+
+def slotwise_generator(model, lam, a):
+    """The f-generator image of the a-th element of B(lam), built one slot at
+    a time: each letter i of the reduced word tensors the string coefficient
+    sl2_limit onto every entry of the frontier of reached elements, and the
+    image at the highest element is multiplied by the unit labelled lam."""
+    crystal = highest_weight_crystal(model.datum, lam)
+    frontier = {a: OperatorElement.unit(0, model.rank)}
+    for i in model.word:
+        data = string_data(crystal, i)
+        lines = strings(crystal, i)
+        fresh = {}
+        for k, acc in frontier.items():
+            sid, pos, length = data[k]
+            for new_pos in range(pos + 1):
+                target = lines[sid][new_pos]
+                term = acc.tensor(sl2_limit(length, pos, new_pos, model.rank))
+                fresh[target] = fresh[target] + term if target in fresh else term
+        frontier = fresh
+    value = frontier.get(crystal.highest, OperatorElement.zero(model.length, model.rank))
+    return value * OperatorElement.monomial(((0, 0),) * model.length, lam)

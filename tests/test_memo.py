@@ -4,7 +4,7 @@ from pathlib import Path
 from crystalgraphs import cli
 from crystalgraphs.braiding import pair_braiding
 from crystalgraphs.crystal import highest_weight_crystal, tensor_of
-from crystalgraphs.hrgraph import build_graph
+from crystalgraphs.hrgraph import build_graph, colour_set
 from crystalgraphs.memo import cache_stats, clear_caches
 from crystalgraphs.rootdata import build_root_datum
 from crystalgraphs.soibelman import SoibelmanModel
@@ -24,6 +24,7 @@ TABLES = {
     "crystalgraphs.hrgraph.ColourSet._weight_of",
     "crystalgraphs.hrgraph.HigherRankGraph._slice",
     "crystalgraphs.hrgraph.HigherRankGraph._descendant_table",
+    "crystalgraphs.hrgraph.graph_of",
     "crystalgraphs.soibelman.strings",
     "crystalgraphs.soibelman.string_data",
     "crystalgraphs.soibelman.SoibelmanModel._generator",
@@ -35,6 +36,7 @@ UNREUSED = {
     "crystalgraphs.rootdata.build_root_datum",
     "crystalgraphs.rootdata.weyl_group",
     "crystalgraphs.hrgraph.HigherRankGraph._descendant_table",
+    "crystalgraphs.hrgraph.graph_of",
 }
 
 
@@ -57,6 +59,18 @@ def test_counters_clear_and_cold_rerun(capsys):
     assert capsys.readouterr().out == first
     # no identity-keyed table kept an entry for an object built before the clear
     assert highest_weight_crystal(A2, (1, 1)) is not crystal
+
+
+def test_repeated_suites_reuse_one_graph():
+    c2 = build_root_datum("C2")
+    colours = colour_set(c2, c2.fundamental_weights)
+    model = SoibelmanModel(c2)
+    clear_caches()
+    slices = []
+    for _ in range(4):
+        assert model.verify_suite(colours, (1, 1)).passed
+        slices.append(cache_stats()["crystalgraphs.hrgraph.HigherRankGraph._slice"][2])
+    assert slices == [3] * 4
 
 
 def test_list_arguments_hit_the_tuple_entries():

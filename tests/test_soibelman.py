@@ -9,7 +9,7 @@ from crystalgraphs.rootdata import build_root_datum
 from crystalgraphs.soibelman import SoibelmanModel, restriction_limit, string_data, strings
 from crystalgraphs.toeplitz import OperatorElement, projection_p0, sl2_limit
 
-from helpers import operator_matrix
+from helpers import operator_matrix, slotwise_generator
 
 A1 = build_root_datum("A1")
 A2 = build_root_datum("A2")
@@ -92,6 +92,29 @@ def test_g2_fundamental_generators_store_few_terms():
         sizes.append(len(terms))
     assert max(sizes) <= 15
     assert sum(sizes) <= 97
+
+
+@pytest.mark.parametrize(
+    "label, word",
+    [
+        ("A2", None),
+        ("A2", (2, 1, 2)),
+        ("B2", None),
+        ("B2", (2, 1, 2, 1)),
+        ("C2", None),
+        ("C2", (2, 1, 2, 1)),
+        ("G2", None),
+        ("G2", (2, 1, 2, 1, 2, 1)),
+    ],
+)
+def test_generators_store_the_slotwise_terms(label, word):
+    datum = build_root_datum(label)
+    m = SoibelmanModel(datum, word)
+    for lam in list(datum.fundamental_weights) + [datum.rho]:
+        for a in highest_weight_crystal(datum, lam).elements():
+            oracle = slotwise_generator(m, lam, a)
+            assert m.pi0_generator(lam, a, "f").terms == oracle.terms
+            assert m.pi0_generator(lam, a, "v").terms == oracle.adjoint().terms
 
 
 def test_projection_examples():

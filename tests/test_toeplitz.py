@@ -92,10 +92,16 @@ def test_scale():
 
 
 def test_shape_mismatch_rejected():
+    x = OperatorElement.unit(1, 1)
+    for y in (OperatorElement.unit(2, 1), OperatorElement.unit(1, 2)):
+        with pytest.raises(ValueError):
+            x * y
+        with pytest.raises(ValueError):
+            y * x
+        with pytest.raises(ValueError):
+            x + y
     with pytest.raises(ValueError):
-        OperatorElement.unit(1, 0) * OperatorElement.unit(2, 0)
-    with pytest.raises(ValueError):
-        OperatorElement.unit(1, 1) + OperatorElement.unit(1, 2)
+        x.tensor(OperatorElement.unit(1, 2))
 
 
 def test_sl2_limit_fundamental_table():
