@@ -12,6 +12,14 @@ class Check:
     passed: bool
     cases: int = 0
     detail: str = ""
+    # cases covered by a certificate instead of a computation; never folded
+    # into the computed count
+    implied: int = 0
+    implied_by: str = ""
+
+    @property
+    def computed(self) -> int:
+        return self.cases - self.implied
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -22,6 +30,18 @@ class Check:
             text += f": {self.detail}"
         return text
 
+    def lines(self) -> list[str]:
+        """The status line, then the computed/implied split of a certified
+        check under the tag that opens its name."""
+        out = [self.line()]
+        if self.implied:
+            tag = self.name.split()[0]
+            out.append(
+                f"  {tag} split: {self.computed} computed, "
+                f"{self.implied} implied by {self.implied_by}"
+            )
+        return out
+
 
 @dataclass
 class VerificationReport:
@@ -31,8 +51,16 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name: str, passed: bool, cases: int = 0, detail: str = "") -> Check:
-        check = Check(name, bool(passed), cases, detail)
+    def add(
+        self,
+        name: str,
+        passed: bool,
+        cases: int = 0,
+        detail: str = "",
+        implied: int = 0,
+        implied_by: str = "",
+    ) -> Check:
+        check = Check(name, bool(passed), cases, detail, implied, implied_by)
         self.checks.append(check)
         return check
 
@@ -40,7 +68,7 @@ class VerificationReport:
         self.checks.extend(other.checks)
 
     def lines(self) -> list[str]:
-        return [c.line() for c in self.checks]
+        return [line for c in self.checks for line in c.lines()]
 
     def __str__(self) -> str:
         return "\n".join(self.lines())
@@ -54,6 +82,8 @@ class VerificationReport:
                         "name": c.name,
                         "passed": c.passed,
                         "cases": c.cases,
+                        "computed": c.computed,
+                        "implied": c.implied,
                         "detail": c.detail,
                     }
                     for c in self.checks

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own lockstep-morphism and normal-form
 code paths: transport replays an explicit lowering word, the truncation
 oracle realizes shift operators as finite 0/1 matrices, the monomial
-product multiplies expanded normal forms T^a T*^b term by term, and the
-slot-by-slot generator tensors one operator element per letter.
+product multiplies expanded normal forms T^a T*^b term by term, the
+slot-by-slot generator tensors one operator element per letter, and the
+exhaustive KP3 multiplies every pair of same-degree path operators.
 """
 
 from collections import deque
@@ -168,3 +169,22 @@ def slotwise_generator(model, lam, a):
         frontier = fresh
     value = frontier.get(crystal.highest, OperatorElement.zero(model.length, model.rank))
     return value * OperatorElement.monomial(((0, 0),) * model.length, lam)
+
+
+def exhaustive_kp3(model, graph, bound):
+    """KP3 pair by pair: S_e* S_f must be P_s(e) when e == f and 0 otherwise,
+    for every pair of paths of one nonzero degree within bound.  Returns the
+    case count and the failing (e, f) pairs."""
+    colours = graph.colours
+    cases = 0
+    failures = []
+    for degree in graph.nonzero_degrees(tuple(bound)):
+        paths = graph.paths(degree)
+        for e in paths:
+            adj = model.path_operator(colours, e).adjoint()
+            for f in paths:
+                expected = model.projection(colours, e.source) if e == f else model.zero
+                cases += 1
+                if adj * model.path_operator(colours, f) != expected:
+                    failures.append((e, f))
+    return cases, failures

@@ -147,3 +147,45 @@ def test_verify_identical_under_optimize_flag():
     assert plain.returncode == 0 and optimized.returncode == 0
     assert "PASS" in plain.stdout
     assert optimized.stdout == plain.stdout
+
+
+def _kp_report(cases):
+    """The KP suite report lines, given the case count of each line."""
+    return [
+        f"PASS R1 products collapse through the Cartan component ({cases[0]} cases)",
+        f"PASS R2 cross relations through the braiding ({cases[1]} cases)",
+        f"PASS R3 unitality ({cases[2]} cases)",
+        f"PASS R4 adjoint pairing ({cases[3]} cases)",
+        f"PASS KP1 vertex projections ({cases[4]} cases)",
+        f"PASS KP2 path composition ({cases[5]} cases)",
+        f"PASS KP3 orthogonal isometries ({cases[6]} cases)",
+        f"PASS KP4 range decomposition ({cases[7]} cases)",
+        f"PASS grading: P_v invariant, S_e of degree -d(e) ({cases[8]} cases)",
+    ]
+
+
+def test_verify_kp_a3(capsys):
+    code, out, _ = run(capsys, "verify", "--type", "A3", "--suite", "kp", "--bound", "1,1,1")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines.pop(7) == "  KP3 split: 1145 computed, 284176 implied by KP1+KP4"
+    assert lines == _kp_report([12482, 6241, 5, 79, 601, 5880, 285321, 168, 1169])
+
+
+def test_verify_kp_g2(capsys):
+    code, out, _ = run(capsys, "verify", "--type", "G2", "--suite", "kp", "--bound", "1,1")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines.pop(7) == "  KP3 split: 699 computed, 233834 implied by KP1+KP4"
+    assert lines == _kp_report([14792, 7396, 4, 86, 813, 2296, 234533, 84, 727])
+
+
+def test_verify_json_splits_computed_and_implied(capsys):
+    code, out, _ = run(capsys, "verify", "--type", "A2", "--suite", "all", "--emit", "json")
+    assert code == 0
+    for check in json.loads(out)["checks"]:
+        assert check["computed"] + check["implied"] == check["cases"]
+        if check["name"].startswith("KP3"):
+            assert (check["computed"], check["implied"]) == (47, 770)
+        else:
+            assert check["implied"] == 0

@@ -4,12 +4,12 @@ import pytest
 
 from crystalgraphs.braiding import pair_braiding
 from crystalgraphs.crystal import cartan_project, highest_weight_crystal, tensor_of
-from crystalgraphs.hrgraph import GraphPath, HigherRankGraph, colour_set
+from crystalgraphs.hrgraph import GraphPath, HigherRankGraph, colour_set, graph_of
 from crystalgraphs.rootdata import build_root_datum
 from crystalgraphs.soibelman import SoibelmanModel, restriction_limit, string_data, strings
 from crystalgraphs.toeplitz import OperatorElement, projection_p0, sl2_limit
 
-from helpers import operator_matrix, slotwise_generator
+from helpers import exhaustive_kp3, operator_matrix, slotwise_generator
 
 A1 = build_root_datum("A1")
 A2 = build_root_datum("A2")
@@ -242,3 +242,75 @@ def test_grading_reversal_of_path_operators():
             s = m.path_operator(cs, e)
             if not s.is_zero:
                 assert s.degrees() == {tuple(-x for x in lam)}
+
+
+def _check(report, tag):
+    return next(c for c in report.checks if c.name.split()[0] == tag)
+
+
+@pytest.mark.parametrize(
+    "label, bound", [("A2", (1, 1)), ("B2", (1, 1)), ("C2", (1, 1)), ("C2", (2, 1))]
+)
+def test_kp3_certificate_covers_the_exhaustive_oracle(label, bound):
+    datum = build_root_datum(label)
+    m = SoibelmanModel(datum)
+    graph = graph_of(colour_set(datum, datum.fundamental_weights))
+    cases, failures = exhaustive_kp3(m, graph, bound)
+    assert failures == []
+    kp3 = _check(m.verify_graph_algebra(graph, bound), "KP3")
+    assert kp3.passed and kp3.cases == cases
+    # only the diagonal S_e* S_e = P_s(e) is multiplied out
+    diagonal = sum(len(graph.paths(d)) for d in graph.nonzero_degrees(bound))
+    assert kp3.computed == diagonal
+    assert kp3.implied == cases - diagonal > 0
+
+
+def _mutated_suite(monkeypatch, replace):
+    """The C2 (1, 1) oracle failures and graph-algebra report with S_e replaced
+    by replace(e, original) for every path e."""
+    original = SoibelmanModel.path_operator
+    monkeypatch.setattr(
+        SoibelmanModel,
+        "path_operator",
+        lambda self, colours, e: replace(e, lambda path: original(self, colours, path)),
+    )
+    m = SoibelmanModel(C2)
+    graph = graph_of(colour_set(C2, C2.fundamental_weights))
+    _, failures = exhaustive_kp3(m, graph, (1, 1))
+    return failures, m.verify_graph_algebra(graph, (1, 1))
+
+
+def _twin_paths():
+    """Two distinct nonzero paths of one degree with one source in C2 (1, 1)."""
+    m = SoibelmanModel(C2)
+    cs = colour_set(C2, C2.fundamental_weights)
+    graph = graph_of(cs)
+    seen = {}
+    for degree in graph.nonzero_degrees((1, 1)):
+        for e in graph.paths(degree):
+            if m.path_operator(cs, e).is_zero:
+                continue
+            twin = seen.setdefault((degree, e.source), e)
+            if twin != e:
+                return twin, e
+    raise AssertionError("no twin paths")
+
+
+def test_kp3_certificate_fails_through_kp4_when_one_path_repeats(monkeypatch):
+    e, f = _twin_paths()
+    failures, report = _mutated_suite(monkeypatch, lambda p, s: s(f if p == e else p))
+    assert any(x != y for x, y in failures)  # the oracle sees an off-diagonal pair
+    kp3, kp4 = _check(report, "KP3"), _check(report, "KP4")
+    assert not kp4.passed
+    assert not kp3.passed and kp3.implied == 0
+    # S_e* S_e = S_f* S_f = P_s(e) still holds: KP3 fails only through its premise
+    assert kp3.detail.startswith("premise")
+    assert "premise KP4 fails" in kp3.detail
+
+
+def test_kp3_certificate_fails_through_the_diagonal_when_a_path_doubles(monkeypatch):
+    e, _ = _twin_paths()
+    _, report = _mutated_suite(monkeypatch, lambda p, s: s(p).scale(2) if p == e else s(p))
+    kp3 = _check(report, "KP3")
+    assert not kp3.passed and kp3.implied == 0
+    assert kp3.detail.startswith(f"isometry relation fails at {e}, {e}")
