@@ -42,7 +42,7 @@ from .rootdata import (
     weyl_dim,
     weyl_group,
 )
-from .soibelman import SoibelmanModel, restriction_limit, string_data, strings
+from .soibelman import SoibelmanModel, string_data, strings
 from .toeplitz import OperatorElement, projection_p0, sl2_limit
 
 __version__ = "0.1.0"
@@ -78,7 +78,6 @@ __all__ = [
     "longest_permutation_word",
     "pair_braiding",
     "projection_p0",
-    "restriction_limit",
     "right_end",
     "right_ends",
     "sigma_word",

@@ -4,14 +4,18 @@ These deliberately avoid the library's own lockstep-morphism and normal-form
 code paths: transport replays an explicit lowering word, the truncation
 oracle realizes shift operators as finite 0/1 matrices, the monomial
 product multiplies expanded normal forms T^a T*^b term by term, the
-slot-by-slot generator tensors one operator element per letter, and the
-exhaustive KP3 multiplies every pair of same-degree path operators.
+slot-by-slot generator tensors one operator element per letter, the
+exhaustive R1/R2 multiplies out both halves of every relation the adjoint
+pairs up, and the exhaustive KP3 multiplies every pair of same-degree path
+operators.
 """
 
 from collections import deque
 from itertools import product as iter_product
 
-from crystalgraphs.crystal import highest_weight_crystal
+from crystalgraphs.braiding import pair_braiding
+from crystalgraphs.crystal import cartan_project, highest_weight_crystal, tensor_of
+from crystalgraphs.rootdata import add_weights
 from crystalgraphs.soibelman import string_data, strings
 from crystalgraphs.toeplitz import OperatorElement, sl2_limit
 
@@ -169,6 +173,54 @@ def slotwise_generator(model, lam, a):
         frontier = fresh
     value = frontier.get(crystal.highest, OperatorElement.zero(model.length, model.rank))
     return value * OperatorElement.monomial(((0, 0),) * model.length, lam)
+
+
+def restriction_limit(crystal, i, a, b):
+    """Limit of the (a, b) matrix coefficient restricted to the SU(2) of
+    colour i: zero across different i-strings, a string coefficient within."""
+    data = string_data(crystal, i)
+    sid_a, pos_a, length = data[a]
+    sid_b, pos_b, _ = data[b]
+    rank = crystal.datum.rank
+    if sid_a != sid_b:
+        return OperatorElement.zero(1, rank)
+    return sl2_limit(length, pos_a, pos_b, rank)
+
+
+def exhaustive_relations(model, lams):
+    """R1 and R2 over every ordered pair of weights in lams, with both the
+    f- and the v-half of R1 and every (i, j) of R2 multiplied out.  Returns
+    {"R1": (cases, failures), "R2": (cases, failures)}, each failure naming
+    its case."""
+    gen = model.pi0_generator
+    datum = model.datum
+    r1_cases, r1_failures = 0, []
+    r2_cases, r2_failures = 0, []
+    for lam, lamp in iter_product(lams, lams):
+        pair = tensor_of(datum, (lam, lamp))
+        total = add_weights(lam, lamp)
+        for i, j in pair.elements():
+            eta, m = cartan_project(pair, (i, j))
+            for kind, product in [
+                ("f", gen(lam, i, "f") * gen(lamp, j, "f")),
+                ("v", gen(lamp, j, "v") * gen(lam, i, "v")),
+            ]:
+                r1_cases += 1
+                if product != (gen(total, m, kind) if eta else model.zero):
+                    r1_failures.append((kind, lam, lamp, i, j))
+        table = pair_braiding(datum, lam, lamp)
+        size = highest_weight_crystal(datum, lam).size
+        sizep = highest_weight_crystal(datum, lamp).size
+        for i in range(1, size + 1):
+            for j in range(1, sizep + 1):
+                rhs = model.zero
+                for (l, jj), image in table.items():
+                    if jj == j and image is not None and image[1] == i:
+                        rhs = rhs + gen(lamp, image[0], "v") * gen(lam, l, "f")
+                r2_cases += 1
+                if gen(lam, i, "f") * gen(lamp, j, "v") != rhs:
+                    r2_failures.append((lam, lamp, i, j))
+    return {"R1": (r1_cases, r1_failures), "R2": (r2_cases, r2_failures)}
 
 
 def exhaustive_kp3(model, graph, bound):

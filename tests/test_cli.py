@@ -164,11 +164,24 @@ def _kp_report(cases):
     ]
 
 
+def _kp_splits(r1, r2, kp1, kp3):
+    """The split lines of the KP suite, given (computed, implied) of each
+    certified check, in the order they are popped: KP3, KP1, R2, R1."""
+    return [
+        f"  KP3 split: {kp3[0]} computed, {kp3[1]} implied by KP1+KP4",
+        f"  KP1 split: {kp1[0]} computed, {kp1[1]} implied by adjoints of self-adjoint P_v",
+        f"  R2 split: {r2[0]} computed, {r2[1]} implied by adjoints under R4 and inverse braidings",
+        f"  R1 split: {r1[0]} computed, {r1[1]} implied by adjoints under R4",
+    ]
+
+
 def test_verify_kp_a3(capsys):
     code, out, _ = run(capsys, "verify", "--type", "A3", "--suite", "kp", "--bound", "1,1,1")
     assert code == 0
     lines = out.splitlines()
-    assert lines.pop(7) == "  KP3 split: 1145 computed, 284176 implied by KP1+KP4"
+    assert [lines.pop(k) for k in (10, 7, 3, 1)] == _kp_splits(
+        (6241, 6241), (3160, 3081), (325, 276), (1145, 284176)
+    )
     assert lines == _kp_report([12482, 6241, 5, 79, 601, 5880, 285321, 168, 1169])
 
 
@@ -176,16 +189,17 @@ def test_verify_kp_g2(capsys):
     code, out, _ = run(capsys, "verify", "--type", "G2", "--suite", "kp", "--bound", "1,1")
     assert code == 0
     lines = out.splitlines()
-    assert lines.pop(7) == "  KP3 split: 699 computed, 233834 implied by KP1+KP4"
+    assert [lines.pop(k) for k in (10, 7, 3, 1)] == _kp_splits(
+        (7396, 7396), (3741, 3655), (435, 378), (699, 233834)
+    )
     assert lines == _kp_report([14792, 7396, 4, 86, 813, 2296, 234533, 84, 727])
 
 
 def test_verify_json_splits_computed_and_implied(capsys):
     code, out, _ = run(capsys, "verify", "--type", "A2", "--suite", "all", "--emit", "json")
     assert code == 0
+    certified = {"R1": (225, 225), "R2": (120, 105), "KP1": (28, 15), "KP3": (47, 770)}
     for check in json.loads(out)["checks"]:
         assert check["computed"] + check["implied"] == check["cases"]
-        if check["name"].startswith("KP3"):
-            assert (check["computed"], check["implied"]) == (47, 770)
-        else:
-            assert check["implied"] == 0
+        split = certified.get(check["name"].split()[0], (check["cases"], 0))
+        assert (check["computed"], check["implied"]) == split

@@ -6,10 +6,16 @@ from crystalgraphs.braiding import pair_braiding
 from crystalgraphs.crystal import cartan_project, highest_weight_crystal, tensor_of
 from crystalgraphs.hrgraph import GraphPath, HigherRankGraph, colour_set, graph_of
 from crystalgraphs.rootdata import build_root_datum
-from crystalgraphs.soibelman import SoibelmanModel, restriction_limit, string_data, strings
+from crystalgraphs.soibelman import SoibelmanModel, string_data, strings
 from crystalgraphs.toeplitz import OperatorElement, projection_p0, sl2_limit
 
-from helpers import exhaustive_kp3, operator_matrix, slotwise_generator
+from helpers import (
+    exhaustive_kp3,
+    exhaustive_relations,
+    operator_matrix,
+    restriction_limit,
+    slotwise_generator,
+)
 
 A1 = build_root_datum("A1")
 A2 = build_root_datum("A2")
@@ -314,3 +320,80 @@ def test_kp3_certificate_fails_through_the_diagonal_when_a_path_doubles(monkeypa
     kp3 = _check(report, "KP3")
     assert not kp3.passed and kp3.implied == 0
     assert kp3.detail.startswith(f"isometry relation fails at {e}, {e}")
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2"])
+def test_relation_certificates_cover_the_exhaustive_oracle(label):
+    datum = build_root_datum(label)
+    m = SoibelmanModel(datum)
+    cs = colour_set(datum, datum.fundamental_weights)
+    oracle = exhaustive_relations(m, m._default_lambdas(cs))
+    report = m.verify_relations(cs)
+    for tag in ("R1", "R2"):
+        cases, failures = oracle[tag]
+        check = _check(report, tag)
+        assert failures == []
+        assert check.passed and check.cases == cases
+        assert 0 < check.implied < cases
+    # R1 multiplies out exactly its f-half
+    assert _check(report, "R1").computed == _check(report, "R1").implied
+
+
+def _mutated_relations(monkeypatch, **patches):
+    """The C2 oracle results and relation report with the names in patches
+    replaced in the soibelman module (and in the oracle's helpers)."""
+    import helpers
+    from crystalgraphs import soibelman
+
+    for name, value in patches.items():
+        monkeypatch.setattr(soibelman, name, value)
+        if hasattr(helpers, name):
+            monkeypatch.setattr(helpers, name, value)
+    m = SoibelmanModel(C2)
+    cs = colour_set(C2, C2.fundamental_weights)
+    return exhaustive_relations(m, m._default_lambdas(cs)), m.verify_relations(cs)
+
+
+def test_r2_certificate_fails_through_its_premise_when_a_braiding_is_not_inverted(
+    monkeypatch,
+):
+    # the default weights are 0, varpi1, varpi2, rho: R2 multiplies out
+    # (varpi1, varpi2) and certifies (varpi2, varpi1), whose table it reads
+    # only to check that the two tables are mutually inverse
+    late, early = C2.fundamental_weights[1], C2.fundamental_weights[0]
+
+    def broken(datum, lam, lamp):
+        table = pair_braiding(datum, lam, lamp)
+        if (tuple(lam), tuple(lamp)) != (late, early):
+            return table
+        x, y = [key for key, image in table.items() if image is not None][:2]
+        return {**table, x: table[y], y: table[x]}
+
+    oracle, report = _mutated_relations(monkeypatch, pair_braiding=broken)
+    assert all((lam, lamp) == (late, early) for lam, lamp, _, _ in oracle["R2"][1])
+    assert oracle["R2"][1]  # the oracle sees the mirrored cases fail
+    r2 = _check(report, "R2")
+    assert not r2.passed and r2.implied == 0
+    # every computed case still holds: R2 fails only through its premise
+    assert r2.detail.startswith("premise inverse braidings fails")
+    assert _check(report, "R1").passed and _check(report, "R4").passed
+
+
+def test_relation_certificates_fail_when_a_v_generator_doubles(monkeypatch):
+    lam = C2.fundamental_weights[0]
+    original = SoibelmanModel.pi0_generator
+
+    def doubled(self, weight, a, kind):
+        image = original(self, weight, a, kind)
+        return image.scale(2) if (tuple(weight), a, kind) == (lam, 1, "v") else image
+
+    monkeypatch.setattr(SoibelmanModel, "pi0_generator", doubled)
+    oracle, report = _mutated_relations(monkeypatch)
+    assert any(kind == "v" for kind, *_ in oracle["R1"][1])
+    assert oracle["R2"][1]
+    r4 = _check(report, "R4")
+    assert not r4.passed and r4.detail == f"adjoint pairing at {lam}, 1"
+    for tag in ("R1", "R2"):
+        check = _check(report, tag)
+        assert not check.passed and check.implied == 0
+        assert "premise R4 fails" in check.detail

@@ -190,3 +190,40 @@ def test_render():
     assert sl2_limit(2, 2, 0).render() == "1 - T T*"
     x = OperatorElement.monomial(((2, 1), (0, 0)), (1, 0))
     assert x.render() == "T^2 T* ⊗ 1 · z^(1, 0)"
+
+
+def _split_unit(slots, rank):
+    """The unit stored as (P0 + T T*) in every slot: equal to 1 with no
+    stored term in common with it."""
+    slot = projection_p0(rank) + OperatorElement.monomial(((1, 1),), (0,) * rank)
+    out = slot
+    for _ in range(slots - 1):
+        out = out.tensor(slot)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _random_elements(2, 2),
+    _random_elements(2, 2),
+    _random_elements(2, 2),
+    st.booleans(),
+)
+def test_adjoint_lemma_behind_the_certificates(x, y, z, rewrite):
+    # the verification suites derive half of R1, R2, KP1 and KP3 by taking
+    # adjoints; over elements with P0-form slots and torus labels this needs
+    # (xy)* = y* x*, x** = x, x == y exactly when x* == y*, and associativity
+    if rewrite:
+        y = x * _split_unit(2, 2)  # equal to x, stored otherwise
+        assert x == y
+    assert (x * y).adjoint() == y.adjoint() * x.adjoint()
+    assert x.adjoint().adjoint() == x
+    assert (x == y) == (x.adjoint() == y.adjoint())
+    assert (x * y) * z == x * (y * z)
+
+
+def test_split_unit_is_the_unit_in_another_form():
+    for slots, rank in [(1, 0), (2, 2)]:
+        unit = OperatorElement.unit(slots, rank)
+        split = _split_unit(slots, rank)
+        assert split == unit and not set(split.terms) & set(unit.terms)
