@@ -8,8 +8,6 @@ demand by degree.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from typing import Iterable, NamedTuple
@@ -17,7 +15,6 @@ from typing import Iterable, NamedTuple
 from .braiding import right_ends
 from .crystal import (
     canonical_morphism,
-    cartan_project,
     highest_weight_crystal,
     tensor_of,
 )
@@ -46,8 +43,7 @@ _DOT_PALETTE = (
 )
 
 
-@dataclass(frozen=True)
-class ColourSet:
+class ColourSet(NamedTuple):
     """An ordered tuple of linearly independent dominant weights."""
 
     datum: RootDatum
@@ -158,19 +154,29 @@ class HigherRankGraph:
         """The composite eprime . e (e traversed first); degrees add."""
         if self.range(e) != eprime.source:
             raise ValueError("paths are not composable: range/source mismatch")
-        lam = self.colours.weight_of(e.degree)
-        lamp = self.colours.weight_of(eprime.degree)
-        if not any(lam):
+        matching, degree = self._composition(e.degree, tuple(eprime.degree))
+        if not any(e.degree):
             return eprime
-        if not any(lamp):
+        if not any(eprime.degree):
             return e
-        pair = tensor_of(self.datum, (lam, lamp))
-        eta, image = cartan_project(pair, (e.element, eprime.element))
-        if not eta:
+        image = matching.get((e.element, eprime.element))
+        if image is None:
             raise RuntimeError("composition left the Cartan component")
-        return GraphPath(
-            e.source, image, tuple(a + b for a, b in zip(e.degree, eprime.degree))
-        )
+        return GraphPath(e.source, image, degree)
+
+    @memo
+    def _composition(self, degree: Degree, degree_p: Degree) -> tuple[dict | None, Degree]:
+        """For paths e of `degree` and e' of `degree_p`: the Cartan matching of
+        B(lam) (x) B(lam') onto B(lam + lam') (None when either weight is 0)
+        and the degree of e'.e."""
+        lam = self.colours.weight_of(degree)
+        lamp = self.colours.weight_of(degree_p)
+        total = tuple(a + b for a, b in zip(degree, degree_p))
+        if not any(lam) or not any(lamp):
+            return None, total
+        pair = tensor_of(self.datum, (lam, lamp))
+        top = highest_weight_crystal(self.datum, pair.highest_weight)
+        return canonical_morphism(pair, top), total
 
     def identity_path(self, v: Vertex) -> GraphPath:
         return GraphPath(v, 1, self.zero_degree)
@@ -274,6 +280,8 @@ class HigherRankGraph:
                 for e in self.paths(degree)
             ],
         }
+        import json  # only JSON export pays for the import
+
         return json.dumps(data)
 
     def export_dot(self, bound: Degree) -> str:
@@ -328,6 +336,8 @@ def weyl_vertex_map(
 
 def graph_tables_from_json(text: str):
     """Reconstruct (vertices, paths) tables from an export for round-tripping."""
+    import json
+
     data = json.loads(text)
     vertices = tuple(tuple(entry["tuple"]) for entry in data["vertices"])
     paths = tuple(

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     cases: int = 0
@@ -43,9 +41,9 @@ class Check:
         return out
 
 
-@dataclass
 class VerificationReport:
-    checks: list[Check] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.checks: list[Check] = []
 
     @property
     def passed(self) -> bool:
@@ -74,6 +72,8 @@ class VerificationReport:
         return "\n".join(self.lines())
 
     def to_json(self) -> str:
+        import json  # only JSON output pays for the import
+
         return json.dumps(
             {
                 "passed": self.passed,

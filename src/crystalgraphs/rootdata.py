@@ -8,7 +8,6 @@ dimensions) is computed over `fractions.Fraction`; no floating point enters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -151,8 +150,7 @@ def _positive_roots(a: list[list[int]], rank: int) -> list[Coords]:
     return sorted(roots, key=lambda c: (sum(c), c))
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(NamedTuple):
     """Cartan data of a finite type: matrix, symmetrizers, roots, weights."""
 
     label: str

@@ -118,34 +118,50 @@ class SoibelmanModel:
 
     def pi0_generator(self, lam: Coords, a: int, kind: str) -> OperatorElement:
         """Image of the a-th generator of weight lam, kind 'f' or 'v'."""
-        return self._generator(tuple(lam), a, kind)
-
-    @memo
-    def _generator(self, lam: Coords, a: int, kind: str) -> OperatorElement:
         if kind not in ("f", "v"):
             raise ValueError(f"kind must be 'f' or 'v', got {kind!r}")
-        if kind == "v":
-            return self.pi0_generator(lam, a, "f").adjoint()
+        lam = tuple(lam)
+        images = self._generator_table(lam, kind)
+        if not 1 <= a <= len(images):
+            raise ValueError(
+                f"generator index {a} is outside B({lam}), which has {len(images)} elements"
+            )
+        return images[a - 1]
+
+    @memo
+    def _generator_table(self, lam: Coords, kind: str) -> tuple[OperatorElement, ...]:
+        """The images of every generator of weight lam of one kind, in element
+        order.
+
+        The f-image of a sums, over the paths that climb from a to the highest
+        element one letter of the word at a time (at letter i, from x to any y
+        at or above x on x's i-string), the key of one `string_slot` per
+        letter followed by the torus label lam.  The paths are swept backward
+        from the highest element over the reversed word, so only paths that
+        reach it are ever built.  The v-images are the adjoints.
+        """
         crystal = highest_weight_crystal(self.datum, lam)
-        # element reached so far -> {slot triples of the letters read: coefficient}
-        frontier: dict[int, dict[tuple[int, ...], int]] = {a: {(): 1}}
-        for i in self.word:
+        if kind == "v":
+            return tuple(self.pi0_generator(lam, a, "f").adjoint() for a in crystal.elements())
+        # element -> {slot triples of the letters still to read, then lam: coefficient}
+        reach: dict[int, dict[tuple[int, ...], int]] = {crystal.highest: {lam: 1}}
+        for i in reversed(self.word):
             data = string_data(crystal, i)
             lines = strings(crystal, i)
             fresh: dict[int, dict[tuple[int, ...], int]] = {}
-            for k, acc in frontier.items():
-                sid, pos, length = data[k]
+            for y, suffixes in reach.items():
+                sid, top, length = data[y]
                 line = lines[sid]
-                for new_pos in range(pos + 1):  # on or below the diagonal: never 0
-                    slot = string_slot(length, pos, new_pos)
-                    out = fresh.setdefault(line[new_pos], {})
-                    for key, c in acc.items():
-                        key += slot
+                for pos in range(top, length + 1):  # on or below the diagonal: never 0
+                    slot = string_slot(length, pos, top)
+                    out = fresh.setdefault(line[pos], {})
+                    for key, c in suffixes.items():
+                        key = slot + key
                         out[key] = out.get(key, 0) + c
-            frontier = fresh
-        value = frontier.get(crystal.highest, {})
-        return OperatorElement(
-            self.length, self.rank, {key + lam: c for key, c in value.items()}
+            reach = fresh
+        return tuple(
+            OperatorElement(self.length, self.rank, reach[a]) if a in reach else self.zero
+            for a in crystal.elements()
         )
 
     def projection(self, colours: ColourSet, v: Vertex) -> OperatorElement:
@@ -402,11 +418,11 @@ class SoibelmanModel:
 
         def grading() -> Iterator[str]:
             for v, p in P.items():
-                invariant = p.degrees() in (set(), {(0,) * self.rank})
+                invariant = p.supported_in({(0,) * self.rank})
                 yield "" if invariant else f"P_{v} is not gauge-invariant"
             for e, s in S.items():
                 lam = colours.weight_of(e.degree)
-                if s.degrees() in (set(), {neg_weights(lam)}):
+                if s.supported_in({neg_weights(lam)}):
                     yield ""
                 else:
                     yield f"S_{e} is not homogeneous of degree {neg_weights(lam)}"

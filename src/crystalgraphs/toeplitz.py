@@ -16,7 +16,7 @@ computed once per element; arithmetic never expands.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 class OperatorElement:
@@ -102,6 +102,19 @@ class OperatorElement:
         """Set of torus weights appearing in the support."""
         cut = 2 * self.slots
         return {key[cut:] for key in self.expanded()}
+
+    def supported_in(self, degrees: Iterable[tuple[int, ...]]) -> bool:
+        """Whether every torus weight of the support lies in degrees, that is
+        ``self.degrees() <= set(degrees)``.
+
+        Expansion keeps each term's torus label, and expanded terms of
+        different labels never cancel, so only the stored terms labelled
+        outside degrees are expanded: the answer is whether they sum to 0.
+        """
+        allowed = set(degrees)
+        cut = 3 * self.slots
+        stray = {key: c for key, c in self.terms.items() if key[cut:] not in allowed}
+        return not OperatorElement(self.slots, self.rank, stray)
 
     def homogeneous_degree(self) -> tuple[int, ...] | None:
         """The torus weight when the element is homogeneous, else None."""

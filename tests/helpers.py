@@ -10,8 +10,9 @@ pairs up, and the exhaustive KP3 multiplies every pair of same-degree path
 operators.
 """
 
+import random
 from collections import deque
-from itertools import product as iter_product
+from itertools import permutations, product as iter_product
 
 from crystalgraphs.braiding import pair_braiding
 from crystalgraphs.crystal import cartan_project, highest_weight_crystal, tensor_of
@@ -173,6 +174,32 @@ def slotwise_generator(model, lam, a):
         frontier = fresh
     value = frontier.get(crystal.highest, OperatorElement.zero(model.length, model.rank))
     return value * OperatorElement.monomial(((0, 0),) * model.length, lam)
+
+
+def braid_moved_word(datum, word, seed=0):
+    """Another reduced word for the same Weyl element as `word`: a seeded
+    random walk of braid moves (s_i s_j s_i ... = s_j s_i s_j ..., m_ij
+    letters each) that never revisits a word, stopped when it has no fresh
+    move or after 2 * len(word) moves."""
+    a = datum.cartan_matrix
+    order = {0: 2, 1: 3, 2: 4, 3: 6}  # m_ij from a_ij a_ji
+    rng = random.Random(seed)
+    word = tuple(word)
+    seen = {word}
+    for _ in range(2 * len(word)):
+        moves = []
+        for i, j in permutations(datum.colours, 2):
+            m = order[a[i - 1][j - 1] * a[j - 1][i - 1]]
+            side, other = ((i, j) * m)[:m], ((j, i) * m)[:m]
+            for k in range(len(word) - m + 1):
+                moved = word[:k] + other + word[k + m :]
+                if word[k : k + m] == side and moved not in seen:
+                    moves.append(moved)
+        if not moves:
+            break
+        word = rng.choice(moves)
+        seen.add(word)
+    return word
 
 
 def restriction_limit(crystal, i, a, b):

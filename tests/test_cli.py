@@ -149,6 +149,24 @@ def test_verify_identical_under_optimize_flag():
     assert optimized.stdout == plain.stdout
 
 
+def test_cli_import_leaves_out_dataclasses_inspect_and_json():
+    # dataclasses pulls in inspect, ast, dis and tokenize on every launch;
+    # json is needed only by the JSON output and parser, which import it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+    def modules(statement):
+        code = f"import sys\n{statement}\nprint(*sorted(sys.modules))"
+        probe = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        return set(probe.stdout.split())
+
+    added = modules("import crystalgraphs.cli") - modules("pass")
+    assert "crystalgraphs.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "json"})
+
+
 def _kp_report(cases):
     """The KP suite report lines, given the case count of each line."""
     return [

@@ -23,11 +23,12 @@ TABLES = {
     "crystalgraphs.braiding._pair_braiding",
     "crystalgraphs.hrgraph.ColourSet._weight_of",
     "crystalgraphs.hrgraph.HigherRankGraph._slice",
+    "crystalgraphs.hrgraph.HigherRankGraph._composition",
     "crystalgraphs.hrgraph.HigherRankGraph._descendant_table",
     "crystalgraphs.hrgraph.graph_of",
     "crystalgraphs.soibelman.strings",
     "crystalgraphs.soibelman.string_data",
-    "crystalgraphs.soibelman.SoibelmanModel._generator",
+    "crystalgraphs.soibelman.SoibelmanModel._generator_table",
     "crystalgraphs.soibelman.SoibelmanModel._projection",
     "crystalgraphs.soibelman.SoibelmanModel.path_operator",
 }

@@ -5,11 +5,12 @@ import pytest
 from crystalgraphs.braiding import pair_braiding
 from crystalgraphs.crystal import cartan_project, highest_weight_crystal, tensor_of
 from crystalgraphs.hrgraph import GraphPath, HigherRankGraph, colour_set, graph_of
-from crystalgraphs.rootdata import build_root_datum
+from crystalgraphs.rootdata import add_weights, build_root_datum, weyl_group
 from crystalgraphs.soibelman import SoibelmanModel, string_data, strings
 from crystalgraphs.toeplitz import OperatorElement, projection_p0, sl2_limit
 
 from helpers import (
+    braid_moved_word,
     exhaustive_kp3,
     exhaustive_relations,
     operator_matrix,
@@ -58,6 +59,13 @@ def test_generator_kind_validation():
         SoibelmanModel(A1).pi0_generator((1,), 1, "g")
 
 
+@pytest.mark.parametrize("a", [0, 3, -1])
+def test_generator_index_validation(a):
+    # B(varpi1) of A1 has 2 elements, numbered 1 and 2
+    with pytest.raises(ValueError, match=r"B\(\(1,\)\), which has 2 elements"):
+        SoibelmanModel(A1).pi0_generator([1], a, "f")
+
+
 @pytest.mark.parametrize("datum", [A1, A2, C2])
 def test_generators_are_nonzero(datum):
     m = SoibelmanModel(datum)
@@ -103,20 +111,21 @@ def test_g2_fundamental_generators_store_few_terms():
 @pytest.mark.parametrize(
     "label, word",
     [
-        ("A2", None),
-        ("A2", (2, 1, 2)),
-        ("B2", None),
-        ("B2", (2, 1, 2, 1)),
-        ("C2", None),
-        ("C2", (2, 1, 2, 1)),
-        ("G2", None),
-        ("G2", (2, 1, 2, 1, 2, 1)),
+        (label, word)
+        for label in ("A2", "B2", "C2", "G2", "A3")
+        for longest in [weyl_group(build_root_datum(label)).longest_word]
+        for word in (None, braid_moved_word(build_root_datum(label), longest))
     ],
 )
 def test_generators_store_the_slotwise_terms(label, word):
+    # every weight verify_relations builds, the sums lam + lam' included, on
+    # A2, B2 and C2; 0, the fundamentals and rho on G2 and A3
     datum = build_root_datum(label)
     m = SoibelmanModel(datum, word)
-    for lam in list(datum.fundamental_weights) + [datum.rho]:
+    lams = m._default_lambdas(colour_set(datum, datum.fundamental_weights))
+    if label in ("A2", "B2", "C2"):
+        lams += [add_weights(lam, lamp) for lam, lamp in iter_product(lams, lams)]
+    for lam in dict.fromkeys(lams):
         for a in highest_weight_crystal(datum, lam).elements():
             oracle = slotwise_generator(m, lam, a)
             assert m.pi0_generator(lam, a, "f").terms == oracle.terms

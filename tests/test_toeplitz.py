@@ -227,3 +227,28 @@ def test_split_unit_is_the_unit_in_another_form():
         unit = OperatorElement.unit(slots, rank)
         split = _split_unit(slots, rank)
         assert split == unit and not set(split.terms) & set(unit.terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _random_elements(2, 1),
+    _random_elements(2, 1),
+    st.sets(st.tuples(st.integers(min_value=-2, max_value=2)), max_size=3),
+    st.booleans(),
+)
+def test_supported_in_reads_the_degrees_of_the_expansion(x, z, degrees, cancel):
+    if cancel:
+        x = x + (z - z * _split_unit(2, 1))  # stored terms that expand to 0
+    assert x.supported_in(degrees) == (x.degrees() <= degrees)
+
+
+def test_supported_in_expands_the_stray_labels():
+    # P0 - 1 + T T* = 0, all three terms labelled (5,), beside a unit of label (0,)
+    stray = {(0, 0, 1, 5): 1, (0, 0, 0, 5): -1, (1, 1, 0, 5): 1}
+    unit = {(0, 0, 0, 0): 1}
+    assert OperatorElement(1, 1, stray).supported_in(())
+    assert OperatorElement(1, 1, {**unit, **stray}).supported_in({(0,)})
+    del stray[1, 1, 0, 5]  # P0 - 1 = -T T* is left
+    x = OperatorElement(1, 1, {**unit, **stray})
+    assert not x.supported_in({(0,)})
+    assert x.supported_in([(0,), (5,)])
