@@ -10,15 +10,10 @@ tensor slot per letter, with the torus slot pinning the final index.
 from __future__ import annotations
 
 from itertools import product as iter_product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .braiding import pair_braiding
-from .crystal import (
-    Crystal,
-    cartan_project,
-    highest_weight_crystal,
-    tensor_of,
-)
+from .crystal import Crystal, highest_weight_crystal
 from .hrgraph import ColourSet, Degree, GraphPath, HigherRankGraph, Vertex, graph_of
 from .memo import memo
 from .report import Check, VerificationReport
@@ -48,6 +43,46 @@ def string_data(crystal: Crystal, i: int) -> dict[int, tuple[int, int, int]]:
         for sid, string in enumerate(strings(crystal, i))
         for pos, b in enumerate(string)
     }
+
+
+def _irreducible_strings(crystal: Crystal, i: int) -> Callable[[int], tuple[int, int, list[int]]]:
+    """The i-string reader of B(lam), from its own string tables: y -> (the
+    position of y on its i-string from the top, the string's length, the
+    string from y down: y, f_i y, f_i^2 y, ...)."""
+    data = string_data(crystal, i)
+    lines = strings(crystal, i)
+
+    def below(y: int) -> tuple[int, int, list[int]]:
+        sid, top, length = data[y]
+        return top, length, lines[sid][top:]
+
+    return below
+
+
+def _component_strings(
+    first: Crystal, second: Crystal, i: int
+) -> Callable[[tuple[int, int]], tuple[int, int, list[tuple[int, int]]]]:
+    """The i-string reader of B(lam) x B(lam'), from the string tables of its
+    two factors by the tensor rule: with eps/phi the distances to the top and
+    bottom of each factor's string, eps = eps1 + max(0, eps2 - phi1) and
+    phi = phi2 + max(0, phi1 - eps2), and walking down the string f_i acts
+    max(0, phi1 - eps2) times on the first factor, then on the second."""
+    data1, lines1 = string_data(first, i), strings(first, i)
+    data2, lines2 = string_data(second, i), strings(second, i)
+
+    def below(y: tuple[int, int]) -> tuple[int, int, list[tuple[int, int]]]:
+        y1, y2 = y
+        sid1, eps1, length1 = data1[y1]
+        sid2, eps2, length2 = data2[y2]
+        phi1 = length1 - eps1
+        moves = max(0, phi1 - eps2)
+        top = eps1 + max(0, eps2 - phi1)
+        line1 = lines1[sid1][eps1 : eps1 + moves + 1]
+        low1 = line1[-1]
+        string = [(x1, y2) for x1 in line1] + [(low1, x2) for x2 in lines2[sid2][eps2 + 1 :]]
+        return top, top + len(string) - 1, string
+
+    return below
 
 
 def _mutually_inverse(table: dict, back: dict) -> bool:
@@ -131,42 +166,76 @@ class SoibelmanModel:
     @memo
     def _generator_table(self, lam: Coords, kind: str) -> tuple[OperatorElement, ...]:
         """The images of every generator of weight lam of one kind, in element
-        order.
-
-        The f-image of a sums, over the paths that climb from a to the highest
-        element one letter of the word at a time (at letter i, from x to any y
-        at or above x on x's i-string), the key of one `string_slot` per
-        letter followed by the torus label lam.  The paths are swept backward
-        from the highest element over the reversed word, so only paths that
-        reach it are ever built.  The v-images are the adjoints.
-        """
+        order: the f-images by `_sweep` over B(lam), the v-images their
+        adjoints."""
         crystal = highest_weight_crystal(self.datum, lam)
         if kind == "v":
             return tuple(self.pi0_generator(lam, a, "f").adjoint() for a in crystal.elements())
-        # element -> {slot triples of the letters still to read, then lam: coefficient}
-        reach: dict[int, dict[tuple[int, ...], int]] = {crystal.highest: {lam: 1}}
-        for i in reversed(self.word):
-            data = string_data(crystal, i)
-            lines = strings(crystal, i)
-            fresh: dict[int, dict[tuple[int, ...], int]] = {}
-            for y, suffixes in reach.items():
-                sid, top, length = data[y]
-                line = lines[sid]
-                for pos in range(top, length + 1):  # on or below the diagonal: never 0
-                    slot = string_slot(length, pos, top)
-                    out = fresh.setdefault(line[pos], {})
-                    for key, c in suffixes.items():
-                        key = slot + key
-                        out[key] = out.get(key, 0) + c
-            reach = fresh
+        reach = self._sweep(crystal.highest, lam, lambda i: _irreducible_strings(crystal, i))
         return tuple(
             OperatorElement(self.length, self.rank, reach[a]) if a in reach else self.zero
             for a in crystal.elements()
         )
 
+    @memo
+    def _component_table(self, lam: Coords, lamp: Coords, kind: str) -> dict:
+        """The generator images of the Cartan component C of B(lam) x B(lam'),
+        keyed by its elements (i, j); kind 'f' or 'v'.
+
+        The f-images come from `_sweep` over C from (1, 1) with the torus
+        label lam+lam'; elements it does not reach have no key.  The v-images
+        are their adjoints.  The sweep reads only string lengths and
+        positions along the word, and the canonical isomorphism of C onto
+        B(lam+lam') preserves both, so the image of x is term for term
+        `pi0_generator(lam+lam', m, kind)` for the element m that x maps to.
+        """
+        if kind == "v":
+            return {x: f.adjoint() for x, f in self._component_table(lam, lamp, "f").items()}
+        first = highest_weight_crystal(self.datum, lam)
+        second = highest_weight_crystal(self.datum, lamp)
+        reach = self._sweep(
+            (first.highest, second.highest),
+            add_weights(lam, lamp),
+            lambda i: _component_strings(first, second, i),
+        )
+        return {x: OperatorElement(self.length, self.rank, terms) for x, terms in reach.items()}
+
+    def _sweep(
+        self, highest: Hashable, label: Coords, reader: Callable[[int], Callable]
+    ) -> dict[Hashable, dict[tuple[int, ...], int]]:
+        """The f-image terms of a highest-weight crystal whose i-strings
+        `reader(i)` reads, keyed by every element with a nonzero image.
+
+        The f-image of x sums, over the paths that climb from x to the
+        highest element one letter of the word at a time (at letter i, from
+        z to any y at or above z on z's i-string), the key of one
+        `string_slot` per letter followed by the torus label.  The paths are
+        swept backward from the highest element over the reversed word, so
+        only paths that reach it are ever built.
+        """
+        # element -> {slot triples of the letters still to read, then label: coefficient}
+        reach: dict[Hashable, dict[tuple[int, ...], int]] = {highest: {label: 1}}
+        for i in reversed(self.word):
+            below = reader(i)
+            fresh: dict[Hashable, dict[tuple[int, ...], int]] = {}
+            for y, suffixes in reach.items():
+                top, length, string = below(y)
+                # on or below the diagonal: never 0
+                for pos, x in enumerate(string, top):
+                    slot = string_slot(length, pos, top)
+                    out = fresh.setdefault(x, {})
+                    for key, c in suffixes.items():
+                        key = slot + key
+                        out[key] = out.get(key, 0) + c
+            reach = fresh
+        return reach
+
     def projection(self, colours: ColourSet, v: Vertex) -> OperatorElement:
         """P_v: the product over colours of v-generator times f-generator."""
-        return self._projection(colours, tuple(v))
+        v = tuple(v)
+        if len(v) != colours.n:
+            raise ValueError(f"vertex {v} does not have one entry per colour ({colours.n})")
+        return self._projection(colours, v)
 
     @memo
     def _projection(self, colours: ColourSet, v: Vertex) -> OperatorElement:
@@ -215,11 +284,16 @@ class SoibelmanModel:
         expansions over the linearly independent shift monomials, which the
         adjoint permutes).
 
-        - R1 computes the f-products f_i f'_j = f_m (or 0) over
-          B(lam) x B(lam').  Their adjoints are the v-products
-          v'_j v_i = v_m (or 0).  Premises: R4 (v = f* on every B(lam) of the
-          list) and v = f* on B(lam+lam') for every sum not in the list; the
-          latter are not counted as R4 cases.
+        - R1 computes the f-products f_i f'_j = f_(i,j) over
+          B(lam) x B(lam'), where f_(i,j) is the image of (i, j) in the
+          component table of the Cartan component C, and 0 off C.  By the
+          lemma of `_component_table`, f_(i,j) is f_m for the element m of
+          B(lam+lam') that (i, j) maps to, so this is R1 as stated, with no
+          B(lam+lam') built.  The adjoints are the v-products
+          v'_j v_i = v_(i,j) (or 0).  Premises: R4 (v = f* on every B(lam) of
+          the list) and v = f* on the component tables of each pair whose
+          sum is not in the list; the latter are not counted as R4 cases.
+          (For a sum in the list the same lemma reads v = f* off R4.)
         - R2 computes R2(lam, lam')(i, j) only for lam before lam' in the
           list and, for lam' the same entry as lam, only for i <= j.  The
           adjoint of R2(lam, lam')(i, j) is R2(lam', lam)(j, i).  Premises:
@@ -231,16 +305,25 @@ class SoibelmanModel:
         by name with no implied cases; nothing falls back to multiplying
         every case out.
         """
+        if lambdas is None:
+            lambdas = self._default_lambdas(colours)
+        lams = [tuple(l) for l in lambdas]
+        if not lams:
+            raise ValueError("verify_relations needs at least one weight")
         report = VerificationReport()
-        lams = [tuple(l) for l in (lambdas or self._default_lambdas(colours))]
         gen = self.pi0_generator
         size = [highest_weight_crystal(self.datum, lam).size for lam in lams]
         # the entry pairs (a, b) with a <= b: R2 computes only these
         halves = [(a, b) for a in range(len(lams)) for b in range(a, len(lams))]
 
         r4 = self._adjoint_pairing(lams)
-        sums = dict.fromkeys(add_weights(lam, lamp) for lam, lamp in iter_product(lams, lams))
-        sums_paired = not any(self._adjoint_pairing(s for s in sums if s not in lams))
+        table = self._component_table
+        sums_paired = all(
+            f.adjoint() == table(lam, lamp, "v")[x]
+            for lam, lamp in iter_product(lams, lams)
+            if add_weights(lam, lamp) not in lams
+            for x, f in table(lam, lamp, "f").items()
+        )
         inverse_braidings = all(
             _mutually_inverse(
                 pair_braiding(self.datum, lams[a], lams[b]),
@@ -250,13 +333,11 @@ class SoibelmanModel:
         )
 
         def r1() -> Iterator[str]:
-            for lam, lamp in iter_product(lams, lams):
-                pair = tensor_of(self.datum, (lam, lamp))
-                total = add_weights(lam, lamp)
-                for i, j in pair.elements():
-                    eta, m = cartan_project(pair, (i, j))
-                    expected = gen(total, m, "f") if eta else self.zero
-                    if gen(lam, i, "f") * gen(lamp, j, "f") == expected:
+            for a, b in iter_product(range(len(lams)), repeat=2):
+                lam, lamp = lams[a], lams[b]
+                images = table(lam, lamp, "f")
+                for i, j in iter_product(range(1, size[a] + 1), range(1, size[b] + 1)):
+                    if gen(lam, i, "f") * gen(lamp, j, "f") == images.get((i, j), self.zero):
                         yield ""
                     else:
                         yield f"f-product at {lam},{lamp},({i},{j})"

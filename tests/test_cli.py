@@ -4,7 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from crystalgraphs.cli import main
+from crystalgraphs.rootdata import build_root_datum, weyl_group
+
+from helpers import braid_moved_word
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -211,6 +216,22 @@ def test_verify_kp_g2(capsys):
         (7396, 7396), (3741, 3655), (435, 378), (699, 233834)
     )
     assert lines == _kp_report([14792, 7396, 4, 86, 813, 2296, 234533, 84, 727])
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "C2", "A3"])
+def test_kp_report_does_not_depend_on_the_reduced_word(capsys, label):
+    datum = build_root_datum(label)
+    longest = weyl_group(datum).longest_word
+    words = dict.fromkeys([longest] + [braid_moved_word(datum, longest, seed) for seed in (0, 1)])
+    # a rank-2 w0 has exactly two reduced words, so both walks end on the other one
+    assert len(words) == (2 if datum.rank == 2 else 3)
+    argv = ["verify", "--type", label, "--suite", "kp", "--bound", ",".join(["1"] * datum.rank)]
+    outputs = set()
+    for word in words:
+        code, out, _ = run(capsys, *argv, "--word", ",".join(map(str, word)))
+        assert code == 0
+        outputs.add(out)
+    assert len(outputs) == 1
 
 
 def test_verify_json_splits_computed_and_implied(capsys):

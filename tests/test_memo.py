@@ -29,6 +29,7 @@ TABLES = {
     "crystalgraphs.soibelman.strings",
     "crystalgraphs.soibelman.string_data",
     "crystalgraphs.soibelman.SoibelmanModel._generator_table",
+    "crystalgraphs.soibelman.SoibelmanModel._component_table",
     "crystalgraphs.soibelman.SoibelmanModel._projection",
     "crystalgraphs.soibelman.SoibelmanModel.path_operator",
 }
@@ -95,3 +96,19 @@ def test_every_cache_goes_through_the_memo_layer():
         if path.name != "memo.py" and pattern.search(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
+
+
+def test_kp_builds_no_crystal_for_a_weight_sum_only_r1_reads(capsys):
+    # R1 reads the Cartan components of B(lam) x B(lam') themselves, so of the
+    # sums it builds only those the graph at bound (2, 1) needs
+    c2 = build_root_datum("C2")
+    clear_caches()
+    assert cli.main(["verify", "--type", "C2", "--suite", "kp", "--bound", "2,1"]) == 0
+    capsys.readouterr()
+    built = cache_stats()["crystalgraphs.crystal._build_crystal"]
+    assert built[2] == 6
+    # the six are 0, varpi1, varpi2, rho, 2 varpi1 and 2 varpi1 + varpi2
+    for lam in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 1)]:
+        highest_weight_crystal(c2, lam)
+    hits, misses, entries = cache_stats()["crystalgraphs.crystal._build_crystal"]
+    assert (hits, misses, entries) == (built[0] + 6, built[1], 6)

@@ -6,7 +6,7 @@ from crystalgraphs.braiding import pair_braiding
 from crystalgraphs.crystal import cartan_project, highest_weight_crystal, tensor_of
 from crystalgraphs.hrgraph import GraphPath, HigherRankGraph, colour_set, graph_of
 from crystalgraphs.rootdata import add_weights, build_root_datum, weyl_group
-from crystalgraphs.soibelman import SoibelmanModel, string_data, strings
+from crystalgraphs.soibelman import SoibelmanModel, _component_strings, string_data, strings
 from crystalgraphs.toeplitz import OperatorElement, projection_p0, sl2_limit
 
 from helpers import (
@@ -108,15 +108,16 @@ def test_g2_fundamental_generators_store_few_terms():
     assert sum(sizes) <= 97
 
 
-@pytest.mark.parametrize(
-    "label, word",
-    [
-        (label, word)
-        for label in ("A2", "B2", "C2", "G2", "A3")
-        for longest in [weyl_group(build_root_datum(label)).longest_word]
-        for word in (None, braid_moved_word(build_root_datum(label), longest))
-    ],
-)
+# the default word and one drawn by braid moves, per type
+WORDS = [
+    (label, word)
+    for label in ("A2", "B2", "C2", "G2", "A3")
+    for longest in [weyl_group(build_root_datum(label)).longest_word]
+    for word in (None, braid_moved_word(build_root_datum(label), longest))
+]
+
+
+@pytest.mark.parametrize("label, word", WORDS)
 def test_generators_store_the_slotwise_terms(label, word):
     # every weight verify_relations builds, the sums lam + lam' included, on
     # A2, B2 and C2; 0, the fundamentals and rho on G2 and A3
@@ -130,6 +131,49 @@ def test_generators_store_the_slotwise_terms(label, word):
             oracle = slotwise_generator(m, lam, a)
             assert m.pi0_generator(lam, a, "f").terms == oracle.terms
             assert m.pi0_generator(lam, a, "v").terms == oracle.adjoint().terms
+
+
+def _default_pairs(datum):
+    """Every pair (lam, lam') that verify_relations builds by default: 0, the
+    fundamentals and rho."""
+    lams = SoibelmanModel(datum)._default_lambdas(colour_set(datum, datum.fundamental_weights))
+    return list(iter_product(lams, lams))
+
+
+@pytest.mark.parametrize("label, word", WORDS)
+def test_component_tables_store_the_cartan_projected_terms(label, word):
+    # the oracle walks the Cartan component onto a path-model B(lam+lam')
+    datum = build_root_datum(label)
+    m = SoibelmanModel(datum, word)
+    for lam, lamp in _default_pairs(datum):
+        pair = tensor_of(datum, (lam, lamp))
+        total = add_weights(lam, lamp)
+        tables = {kind: m._component_table(lam, lamp, kind) for kind in ("f", "v")}
+        component = set()
+        for t in pair.elements():
+            eta, image = cartan_project(pair, t)
+            if not eta:
+                continue
+            component.add(t)
+            for kind, table in tables.items():
+                assert table.get(t, m.zero).terms == m.pi0_generator(total, image, kind).terms
+        for table in tables.values():
+            assert set(table) <= component
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "C2", "G2", "A3"])
+def test_component_strings_follow_the_tensor_rule(label):
+    datum = build_root_datum(label)
+    for lam, lamp in _default_pairs(datum):
+        pair = tensor_of(datum, (lam, lamp))
+        for i in datum.colours:
+            below = _component_strings(*pair.factors, i)
+            for t in pair.elements():
+                walk = [t]
+                while (lower := pair.f(i, walk[-1])) is not None:
+                    walk.append(lower)
+                top, length, string = below(t)
+                assert (top, length - top, string) == (pair.eps(i, t), pair.phi(i, t), walk)
 
 
 def test_projection_examples():
@@ -146,6 +190,14 @@ def test_projection_examples():
     for v in graph.vertices:
         total = total + m.projection(cs, v)
     assert total == m.one
+
+
+def test_projection_needs_one_entry_per_colour():
+    m = SoibelmanModel(A2)
+    cs = colour_set(A2, A2.fundamental_weights)
+    for v in [(1,), (1, 1, 1), ()]:
+        with pytest.raises(ValueError, match="one entry per colour"):
+            m.projection(cs, v)
 
 
 def test_path_operator_examples():
@@ -231,6 +283,17 @@ def test_verify_suite_a1_and_a2():
         cs = colour_set(datum, datum.fundamental_weights)
         report = m.verify_suite(cs, bound)
         assert report.passed, str(report)
+
+
+def test_verify_relations_reads_only_none_as_the_default_weights():
+    m = SoibelmanModel(A2)
+    cs = colour_set(A2, A2.fundamental_weights)
+    with pytest.raises(ValueError, match="at least one weight"):
+        m.verify_relations(cs, [])
+    default = m.verify_relations(cs)
+    assert str(m.verify_relations(cs, None)) == str(default)
+    assert str(m.verify_relations(cs, m._default_lambdas(cs))) == str(default)
+    assert str(m.verify_relations(cs, [(1, 0)])) != str(default)
 
 
 def test_alternate_reduced_word_passes_identically():
