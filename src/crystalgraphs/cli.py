@@ -24,27 +24,33 @@ from .rootdata import (
 )
 from .soibelman import SoibelmanModel
 
-def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
+def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
     try:
-        coords = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad weight {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"{flag} needs comma-separated integers, got {text!r}"
+        ) from None
+
+
+def _parse_weight(text: str, rank: int, flag: str) -> tuple[int, ...]:
+    coords = _parse_ints(text, flag)
     if len(coords) != rank:
         raise argparse.ArgumentTypeError(
-            f"weight {text!r} has {len(coords)} coordinates, expected {rank}"
+            f"{flag}: weight {text!r} has {len(coords)} coordinates, expected {rank}"
         )
     return coords
 
 
-def _parse_weights(text: str, rank: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(_parse_weight(part, rank) for part in text.split(";"))
+def _parse_weights(text: str, rank: int, flag: str) -> tuple[tuple[int, ...], ...]:
+    return tuple(_parse_weight(part, rank, flag) for part in text.split(";"))
 
 
 def _parse_bound(text: str, n: int) -> tuple[int, ...]:
-    bound = tuple(int(x) for x in text.split(","))
+    bound = _parse_ints(text, "--bound")
     if len(bound) != n or any(x < 0 for x in bound):
         raise argparse.ArgumentTypeError(
-            f"bound {text!r} needs {n} nonnegative entries"
+            f"--bound {text!r} needs {n} nonnegative entries"
         )
     return bound
 
@@ -242,13 +248,13 @@ def main(argv=None) -> int:
         datum = build_root_datum(args.type)
         rank = datum.rank
         if getattr(args, "colours", None):
-            colours = _parse_weights(args.colours, rank)
+            colours = _parse_weights(args.colours, rank, "--colours")
         else:
             colours = datum.fundamental_weights
         if getattr(args, "bound", None):
             args.bound = _parse_bound(args.bound, len(colours))
         if getattr(args, "word", None):
-            args.word = tuple(int(x) for x in args.word.split(","))
+            args.word = _parse_ints(args.word, "--word")
 
         if args.command == "crystal":
             if args.colours:
@@ -264,7 +270,10 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "braiding":
-            lam, lamp = _parse_weights(args.pair, rank)
+            pair = _parse_weights(args.pair, rank, "--pair")
+            if len(pair) != 2:
+                raise argparse.ArgumentTypeError("--pair needs two weights separated by ';'")
+            lam, lamp = pair
             _emit(_braiding_table(datum, lam, lamp), args.out)
             return 0
 

@@ -132,23 +132,6 @@ def f_path(datum: RootDatum, i: int, chain: Chain) -> Chain | None:
     return _rebuild(datum, pts[: k0 + 1], list(pts[k0 + 1 : kk]) + [cut], pts[kk:], i)
 
 
-def e_path(datum: RootDatum, i: int, chain: Chain) -> Chain | None:
-    """Raising root operator on a path; defined iff the minimum level is <= -1."""
-    pts = _breakpoints(chain, datum.rank)
-    hs = [p[i - 1] for p in pts]
-    m = min(hs)
-    if m > -1:
-        return None
-    target = m + 1
-    k1 = next(k for k, h in enumerate(hs) if h == m)
-    kk = max(k for k in range(k1) if hs[k] >= target)
-    if hs[kk] == target:
-        return _rebuild(datum, pts[: kk + 1], pts[kk + 1 : k1 + 1], pts[k1 + 1 :], i)
-    theta = (target - hs[kk]) / (hs[kk + 1] - hs[kk])
-    cut = tuple(a + theta * (b - a) for a, b in zip(pts[kk], pts[kk + 1]))
-    return _rebuild(datum, pts[: kk + 1], [cut] + list(pts[kk + 1 : k1 + 1]), pts[k1 + 1 :], i)
-
-
 class Crystal:
     """The crystal of an irreducible highest-weight module.
 
@@ -320,32 +303,40 @@ class TensorCrystal:
             w = add_weights(w, c.weight(b))
         return w
 
+    # one colour check per call; the factor tables are then read directly
+    _check_colour = Crystal._check_colour
+
     def _suffix_tables(self, i: int, t: tuple) -> tuple[list[int], list[int]]:
         n = len(t)
         eps_suf = [0] * (n + 1)
         phi_suf = [0] * (n + 1)
         for k in range(n - 1, -1, -1):
-            ex = self.factors[k].eps(i, t[k])
-            px = self.factors[k].phi(i, t[k])
+            factor = self.factors[k]
+            ex = factor._eps[i, t[k]]
+            px = factor._phi[i, t[k]]
             eps_suf[k] = ex + max(0, eps_suf[k + 1] - px)
             phi_suf[k] = phi_suf[k + 1] + max(0, px - eps_suf[k + 1])
         return eps_suf, phi_suf
 
     def eps(self, i: int, t: tuple) -> int:
+        self._check_colour(i)
         return self._suffix_tables(i, t)[0][0]
 
     def phi(self, i: int, t: tuple) -> int:
+        self._check_colour(i)
         return self._suffix_tables(i, t)[1][0]
 
     def f(self, i: int, t: TensorElement) -> TensorElement:
         if t is None:
             return None
+        self._check_colour(i)
         eps_suf, phi_suf = self._suffix_tables(i, t)
         if phi_suf[0] == 0:
             return None
-        for k in range(len(t)):
-            if k == len(t) - 1 or self.factors[k].phi(i, t[k]) > eps_suf[k + 1]:
-                moved = self.factors[k].f(i, t[k])
+        last = len(t) - 1
+        for k, factor in enumerate(self.factors):
+            if k == last or factor._phi[i, t[k]] > eps_suf[k + 1]:
+                moved = factor._f.get((i, t[k]))
                 if moved is None:
                     raise RuntimeError(f"tensor rule lowers factor {k} of {t}, which is lowest")
                 return t[:k] + (moved,) + t[k + 1 :]
@@ -354,12 +345,14 @@ class TensorCrystal:
     def e(self, i: int, t: TensorElement) -> TensorElement:
         if t is None:
             return None
+        self._check_colour(i)
         eps_suf, _ = self._suffix_tables(i, t)
         if eps_suf[0] == 0:
             return None
-        for k in range(len(t)):
-            if k == len(t) - 1 or self.factors[k].phi(i, t[k]) >= eps_suf[k + 1]:
-                moved = self.factors[k].e(i, t[k])
+        last = len(t) - 1
+        for k, factor in enumerate(self.factors):
+            if k == last or factor._phi[i, t[k]] >= eps_suf[k + 1]:
+                moved = factor._e.get((i, t[k]))
                 if moved is None:
                     raise RuntimeError(f"tensor rule raises factor {k} of {t}, which is highest")
                 return t[:k] + (moved,) + t[k + 1 :]

@@ -164,6 +164,16 @@ class HigherRankGraph:
             raise RuntimeError("composition left the Cartan component")
         return GraphPath(e.source, image, degree)
 
+    def compose_table(self, degree: Degree, degree_p: Degree) -> dict:
+        """The table `compose` reads for a path e of `degree` followed by e'
+        of `degree_p`, both nonzero: (element of e, element of e') -> the
+        element of e'.e.  A composable pair that is not a key makes
+        `compose` raise."""
+        matching, _ = self._composition(tuple(degree), tuple(degree_p))
+        if matching is None:
+            raise ValueError("compose_table needs two nonzero degrees")
+        return matching
+
     @memo
     def _composition(self, degree: Degree, degree_p: Degree) -> tuple[dict | None, Degree]:
         """For paths e of `degree` and e' of `degree_p`: the Cartan matching of

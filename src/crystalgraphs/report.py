@@ -14,6 +14,9 @@ class Check(NamedTuple):
     # into the computed count
     implied: int = 0
     implied_by: str = ""
+    # cases of the certificate's own lemma, checked in the run as a premise;
+    # never part of the case count
+    lemma_cases: int = 0
 
     @property
     def computed(self) -> int:
@@ -57,8 +60,9 @@ class VerificationReport:
         detail: str = "",
         implied: int = 0,
         implied_by: str = "",
+        lemma_cases: int = 0,
     ) -> Check:
-        check = Check(name, bool(passed), cases, detail, implied, implied_by)
+        check = Check(name, bool(passed), cases, detail, implied, implied_by, lemma_cases)
         self.checks.append(check)
         return check
 
@@ -84,6 +88,7 @@ class VerificationReport:
                         "cases": c.cases,
                         "computed": c.computed,
                         "implied": c.implied,
+                        "lemma_cases": c.lemma_cases,
                         "detail": c.detail,
                     }
                     for c in self.checks

@@ -17,7 +17,7 @@ from .crystal import Crystal, highest_weight_crystal
 from .hrgraph import ColourSet, Degree, GraphPath, HigherRankGraph, Vertex, graph_of
 from .memo import memo
 from .report import Check, VerificationReport
-from .rootdata import Coords, RootDatum, add_weights, neg_weights, weyl_group
+from .rootdata import Coords, RootDatum, neg_weights, weyl_group
 from .toeplitz import OperatorElement, string_slot
 
 
@@ -59,30 +59,22 @@ def _irreducible_strings(crystal: Crystal, i: int) -> Callable[[int], tuple[int,
     return below
 
 
-def _component_strings(
-    first: Crystal, second: Crystal, i: int
-) -> Callable[[tuple[int, int]], tuple[int, int, list[tuple[int, int]]]]:
-    """The i-string reader of B(lam) x B(lam'), from the string tables of its
-    two factors by the tensor rule: with eps/phi the distances to the top and
-    bottom of each factor's string, eps = eps1 + max(0, eps2 - phi1) and
-    phi = phi2 + max(0, phi1 - eps2), and walking down the string f_i acts
-    max(0, phi1 - eps2) times on the first factor, then on the second."""
-    data1, lines1 = string_data(first, i), strings(first, i)
-    data2, lines2 = string_data(second, i), strings(second, i)
+def _slot_strings(m1: int, m2: int) -> dict[tuple[int, int], tuple[int, int, int]]:
+    """The strings of B(m1) x B(m2), the tensor square of two strings of
+    lengths m1 and m2 with elements named by their positions from the top:
+    per pair of positions, (string id, position from the top, string length).
 
-    def below(y: tuple[int, int]) -> tuple[int, int, list[tuple[int, int]]]:
-        y1, y2 = y
-        sid1, eps1, length1 = data1[y1]
-        sid2, eps2, length2 = data2[y2]
-        phi1 = length1 - eps1
-        moves = max(0, phi1 - eps2)
-        top = eps1 + max(0, eps2 - phi1)
-        line1 = lines1[sid1][eps1 : eps1 + moves + 1]
-        low1 = line1[-1]
-        string = [(x1, y2) for x1 in line1] + [(low1, x2) for x2 in lines2[sid2][eps2 + 1 :]]
-        return top, top + len(string) - 1, string
-
-    return below
+    The tensor rule is that of `crystal.TensorCrystal`: walking down from a
+    top (0, p2), f acts on the first factor while its distance to the bottom
+    exceeds the second factor's distance to the top, then on the second.
+    """
+    out: dict[tuple[int, int], tuple[int, int, int]] = {}
+    for sid in range(min(m1, m2) + 1):
+        line = [(p1, sid) for p1 in range(m1 - sid + 1)]
+        line += [(m1 - sid, p2) for p2 in range(sid + 1, m2 + 1)]
+        for pos, x in enumerate(line):
+            out[x] = (sid, pos, len(line) - 1)
+    return out
 
 
 def _mutually_inverse(table: dict, back: dict) -> bool:
@@ -101,12 +93,14 @@ def _certified(
     implied: int = 0,
     implied_by: str = "",
     premises: dict[str, bool] | None = None,
+    lemma_cases: int = 0,
 ) -> Check:
     """Add check `name` from its computed cases and its certificate, if any.
 
     `results` yields one entry per computed case: empty when the case holds,
     else why it fails; the first failure is the detail.  `implied` further
-    cases follow from `premises` (name -> held) by the lemma `implied_by`.
+    cases follow from `premises` (name -> held) by the lemma `implied_by`,
+    whose own `lemma_cases` checked cases are recorded but never counted.
     The check passes with computed + implied cases only when every computed
     case and every premise holds.  Otherwise it fails with the computed count
     alone and names the first failed case and each failed premise.
@@ -123,8 +117,8 @@ def _certified(
         if not held
     ]
     if reasons:
-        return report.add(name, False, computed, "; ".join(reasons))
-    return report.add(name, True, computed + implied, "", implied, implied_by)
+        return report.add(name, False, computed, "; ".join(reasons), lemma_cases=lemma_cases)
+    return report.add(name, True, computed + implied, "", implied, implied_by, lemma_cases)
 
 
 class SoibelmanModel:
@@ -177,29 +171,6 @@ class SoibelmanModel:
             for a in crystal.elements()
         )
 
-    @memo
-    def _component_table(self, lam: Coords, lamp: Coords, kind: str) -> dict:
-        """The generator images of the Cartan component C of B(lam) x B(lam'),
-        keyed by its elements (i, j); kind 'f' or 'v'.
-
-        The f-images come from `_sweep` over C from (1, 1) with the torus
-        label lam+lam'; elements it does not reach have no key.  The v-images
-        are their adjoints.  The sweep reads only string lengths and
-        positions along the word, and the canonical isomorphism of C onto
-        B(lam+lam') preserves both, so the image of x is term for term
-        `pi0_generator(lam+lam', m, kind)` for the element m that x maps to.
-        """
-        if kind == "v":
-            return {x: f.adjoint() for x, f in self._component_table(lam, lamp, "f").items()}
-        first = highest_weight_crystal(self.datum, lam)
-        second = highest_weight_crystal(self.datum, lamp)
-        reach = self._sweep(
-            (first.highest, second.highest),
-            add_weights(lam, lamp),
-            lambda i: _component_strings(first, second, i),
-        )
-        return {x: OperatorElement(self.length, self.rank, terms) for x, terms in reach.items()}
-
     def _sweep(
         self, highest: Hashable, label: Coords, reader: Callable[[int], Callable]
     ) -> dict[Hashable, dict[tuple[int, ...], int]]:
@@ -230,6 +201,58 @@ class SoibelmanModel:
             reach = fresh
         return reach
 
+    @memo
+    def _rank_one(self, m1: int, m2: int) -> tuple[int, bool]:
+        """The rank-one slot lemma for string lengths m1 and m2: (its number
+        of cases, whether every case holds).
+
+        A case is a pair of the slots `_sweep` builds, string_slot(m1, p1, t1)
+        and string_slot(m2, p2, t2) with p1 >= t1 and p2 >= t2.  Their
+        product by `__mul__` must be string_slot(J, P, T) when (p1, p2) and
+        (t1, t2) lie on one string of B(m1) x B(m2), of length J and at
+        positions P and T (so 0 when P < T), and 0 otherwise.  Stored terms
+        are compared, which is stronger than operator equality.
+        """
+
+        def slots(m: int) -> list[tuple[int, int, OperatorElement]]:
+            return [
+                (p, t, OperatorElement(1, 0, {string_slot(m, p, t): 1}))
+                for p in range(m + 1)
+                for t in range(p + 1)
+            ]
+
+        lines = _slot_strings(m1, m2)
+        first, second = slots(m1), slots(m2)
+        holds = True
+        for p1, t1, x in first:
+            for p2, t2, y in second:
+                sid, pos, length = lines[p1, p2]
+                sid_t, top, _ = lines[t1, t2]
+                slot = string_slot(length, pos, top) if sid == sid_t else None
+                holds = holds and (x * y).terms == ({} if slot is None else {slot: 1})
+        return len(first) * len(second), holds
+
+    def _rank_one_premise(self, weight_pairs: Sequence[tuple[Coords, Coords]]) -> tuple[int, bool]:
+        """The rank-one slot lemma for every pair (m1, m2) of string lengths
+        that meet at one letter i of the word in a product f_x f'_y, with x
+        in B(lam) and y in B(lam') for (lam, lam') in weight_pairs: m1 is the
+        length of an i-string of B(lam) and m2 of one of B(lam').  Returns
+        (cases, whether all hold)."""
+        letters = set(self.word)
+        lengths = {}
+        for lam in {w for pair in weight_pairs for w in pair}:
+            crystal = highest_weight_crystal(self.datum, lam)
+            for i in letters:
+                lengths[lam, i] = {len(line) - 1 for line in strings(crystal, i)}
+        pairs = {
+            pair
+            for lam, lamp in weight_pairs
+            for i in letters
+            for pair in iter_product(lengths[lam, i], lengths[lamp, i])
+        }
+        checks = [self._rank_one(m1, m2) for m1, m2 in sorted(pairs)]
+        return sum(n for n, _ in checks), all(ok for _, ok in checks)
+
     def projection(self, colours: ColourSet, v: Vertex) -> OperatorElement:
         """P_v: the product over colours of v-generator times f-generator."""
         v = tuple(v)
@@ -245,9 +268,9 @@ class SoibelmanModel:
             out = out * self.pi0_generator(theta, b, "f")
         return out
 
-    @memo
     def path_operator(self, colours: ColourSet, e: GraphPath) -> OperatorElement:
-        """S_e = v-generator of the path element times P_{s(e)}."""
+        """S_e = v-generator of the path element times P_{s(e)}.  Not cached:
+        `verify_graph_algebra` builds each S_e once and holds it for its run."""
         lam = colours.weight_of(e.degree)
         return self.pi0_generator(lam, e.element, "v") * self.projection(colours, e.source)
 
@@ -277,23 +300,38 @@ class SoibelmanModel:
     ) -> VerificationReport:
         """Exact checks of the generator relations (R1)-(R4).
 
-        R3 and R4 are multiplied out in full.  R1 and R2 multiply out one
-        half of the cases that the adjoint pairs up and certify the other
-        half by this lemma: ``adjoint`` is an anti-involution ((xy)* = y* x*,
+        R3 and R4 are multiplied out in full.  R1 multiplies out none of its
+        cases and R2 half of them; each certifies the rest from premises
+        computed in the same run.  Two lemmas serve them.
+
+        Adjoint lemma: ``adjoint`` is an anti-involution ((xy)* = y* x*,
         x** = x), and x == y exactly when x* == y* (equality compares the
         expansions over the linearly independent shift monomials, which the
         adjoint permutes).
 
-        - R1 computes the f-products f_i f'_j = f_(i,j) over
-          B(lam) x B(lam'), where f_(i,j) is the image of (i, j) in the
-          component table of the Cartan component C, and 0 off C.  By the
-          lemma of `_component_table`, f_(i,j) is f_m for the element m of
-          B(lam+lam') that (i, j) maps to, so this is R1 as stated, with no
-          B(lam+lam') built.  The adjoints are the v-products
-          v'_j v_i = v_(i,j) (or 0).  Premises: R4 (v = f* on every B(lam) of
-          the list) and v = f* on the component tables of each pair whose
-          sum is not in the list; the latter are not counted as R4 cases.
-          (For a sum in the list the same lemma reads v = f* off R4.)
+        Rank-one slot lemma (`_rank_one`): the product of two nonzero slots
+        string_slot(m1, p1, t1) string_slot(m2, p2, t2) is
+        string_slot(J, P, T) when (p1, p2) and (t1, t2) lie on one string of
+        B(m1) x B(m2), J its length and P, T their positions on it, and 0
+        otherwise.
+
+        - R1: f_i f'_j = f_m for the image m in B(lam+lam') of (i, j) in the
+          Cartan component C of B(lam) x B(lam'), and 0 off C; the v-half
+          v'_j v_i = v_m (or 0) is its adjoint.  The stored terms of f_i are
+          `_sweep`'s sum over the paths that climb from i to the top, one
+          `string_slot` per letter, and ``__mul__`` is bilinear and acts
+          slot by slot.  By the rank-one lemma a pair of paths, one for i
+          and one for j, has a nonzero product only when at every letter the
+          pair steps along one string of B(lam) x B(lam'); the product is
+          then the key of that path of (i, j) in the sweep of
+          B(lam) x B(lam') from (1, 1), with the label lam+lam'.  That sweep
+          stays inside C, which the canonical isomorphism onto B(lam+lam')
+          carries string for string, position for position, so its image of
+          (i, j) is f_m term for term.  Premises: the rank-one lemma for
+          every pair of string lengths that meet at one letter (its cases
+          are counted on the split line only), and R4 (v = f* on every
+          B(lam) of the list; on B(lam+lam') the v-images are the adjoints
+          of the f-images by construction).
         - R2 computes R2(lam, lam')(i, j) only for lam before lam' in the
           list and, for lam' the same entry as lam, only for i <= j.  The
           adjoint of R2(lam, lam')(i, j) is R2(lam', lam)(j, i).  Premises:
@@ -317,13 +355,7 @@ class SoibelmanModel:
         halves = [(a, b) for a in range(len(lams)) for b in range(a, len(lams))]
 
         r4 = self._adjoint_pairing(lams)
-        table = self._component_table
-        sums_paired = all(
-            f.adjoint() == table(lam, lamp, "v")[x]
-            for lam, lamp in iter_product(lams, lams)
-            if add_weights(lam, lamp) not in lams
-            for x, f in table(lam, lamp, "f").items()
-        )
+        rank_one, rank_one_holds = self._rank_one_premise(list(iter_product(lams, lams)))
         inverse_braidings = all(
             _mutually_inverse(
                 pair_braiding(self.datum, lams[a], lams[b]),
@@ -331,16 +363,6 @@ class SoibelmanModel:
             )
             for a, b in halves
         )
-
-        def r1() -> Iterator[str]:
-            for a, b in iter_product(range(len(lams)), repeat=2):
-                lam, lamp = lams[a], lams[b]
-                images = table(lam, lamp, "f")
-                for i, j in iter_product(range(1, size[a] + 1), range(1, size[b] + 1)):
-                    if gen(lam, i, "f") * gen(lamp, j, "f") == images.get((i, j), self.zero):
-                        yield ""
-                    else:
-                        yield f"f-product at {lam},{lamp},({i},{j})"
 
         def r2() -> Iterator[str]:
             for a, b in halves:
@@ -368,10 +390,11 @@ class SoibelmanModel:
         _certified(
             report,
             "R1 products collapse through the Cartan component",
-            r1(),
-            sum(size) ** 2,
-            "adjoints under R4",
-            {"R4": not any(r4), "v = f* at the sums lam+lam'": sums_paired},
+            (),
+            2 * sum(size) ** 2,
+            f"the rank-one slot lemma ({rank_one} rank-one cases) and R4",
+            {"rank-one slot lemma": rank_one_holds, "R4": not any(r4)},
+            rank_one,
         )
         _certified(
             report,
@@ -391,11 +414,26 @@ class SoibelmanModel:
     ) -> VerificationReport:
         """Exact checks of the graph-algebra relations KP1-KP4 and the grading.
 
-        Two checks multiply out only part of their cases and certify the rest;
-        each fails by name, with no implied cases, when a premise fails.
+        Three checks multiply out only part of their cases and certify the
+        rest; each fails by name, with no implied cases, when a premise fails.
 
         - KP1 computes P_v P_w = 0 only for v before w.  P_w P_v is its
           adjoint, since each P_v is self-adjoint (computed in KP1 itself).
+        - KP2 computes both vertex-path halves, P_r(e) S_e = S_e (the range
+          half) and S_e P_s(e) = S_e.  Its composition half,
+          S_e' S_e = S_e'e for r(e) = s(e') with d(e) + d(e') within the
+          bound, multiplies nothing.  With x, x' the elements of e, e' and m
+          the image of (x, x') in the compose table,
+
+            S_e' S_e = v_x' P_s(e') v_x P_s(e) = v_x' v_x P_s(e)
+                     = v_m P_s(e) = S_e'e,
+
+          where S_e = v_x P_s(e) is how ``path_operator`` defines S_e, the
+          second step is the range half of e, and the third is the v-half
+          of R1 for (lam(d(e)), lam(d(e'))), which the rank-one slot lemma
+          of `verify_relations` implies.  Premises: that lemma for the string
+          lengths of those degree weights, the range half, and every
+          composable pair (x, x') being a key of the compose table.
         - KP3 (S_e* S_f = delta_{e,f} P_s(e) for paths e, f of one degree)
           computes only its diagonal S_e* S_e = P_s(e).  The off-diagonal
           follows from this lemma in B(H), where ``adjoint`` is the true
@@ -414,10 +452,6 @@ class SoibelmanModel:
           - Hence S_e* S_f = S_e* Q_e Q_f S_f = 0.
 
           Its premises are KP1, the range half of KP2 and KP4.
-
-        KP2 keeps both vertex-path halves computed: S_e P_s(e) = S_e holds
-        only by the way ``path_operator`` is built, which no certificate may
-        assume.
         """
         report = VerificationReport()
         colours = graph.colours
@@ -465,19 +499,25 @@ class SoibelmanModel:
             for d in degrees
         }
         in_range = {e: P[graph.range(e)] * s == s for e, s in S.items()}
+        # the composable pairs: e2 then e1, with r(e2) = s(e1)
+        composable = 0
+        in_table = True
+        weight_pairs = set()
+        for d1 in degrees:
+            for d2 in fits[d1]:
+                table = graph.compose_table(d2, d1)
+                weight_pairs.add((colours.weight_of(d2), colours.weight_of(d1)))
+                for e1 in graph.paths(d1):
+                    for e2 in ending.get((e1.source, d2), ()):
+                        composable += 1
+                        in_table = in_table and (e2.element, e1.element) in table
+        rank_one, rank_one_holds = self._rank_one_premise(sorted(weight_pairs))
 
         def kp2() -> Iterator[str]:
             for e, s in S.items():
                 fails = f"vertex-path relation fails at {e}"
                 yield "" if in_range[e] else fails
                 yield "" if s * P[e.source] == s else fails
-            for e1, s1 in S.items():
-                for d2 in fits[e1.degree]:
-                    for e2 in ending.get((e1.source, d2), ()):
-                        if s1 * S[e2] == self.path_operator(colours, graph.compose(e1, e2)):
-                            yield ""
-                        else:
-                            yield f"composition relation fails at {e1}, {e2}"
 
         def kp3_diagonal() -> Iterator[str]:
             for e, s in S.items():
@@ -509,7 +549,20 @@ class SoibelmanModel:
                     yield f"S_{e} is not homogeneous of degree {neg_weights(lam)}"
 
         kp4_results = list(kp4())  # a premise of KP3, reported after it
-        _certified(report, "KP2 path composition", kp2())
+        _certified(
+            report,
+            "KP2 path composition",
+            kp2(),
+            composable,
+            f"the rank-one slot lemma ({rank_one} rank-one cases), the range half"
+            " and the compose table",
+            {
+                "rank-one slot lemma": rank_one_holds,
+                "range half": all(in_range.values()),
+                "compose table": in_table,
+            },
+            rank_one,
+        )
         _certified(
             report,
             "KP3 orthogonal isometries",

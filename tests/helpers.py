@@ -6,8 +6,8 @@ oracle realizes shift operators as finite 0/1 matrices, the monomial
 product multiplies expanded normal forms T^a T*^b term by term, the
 slot-by-slot generator tensors one operator element per letter, the
 exhaustive R1/R2 multiplies out both halves of every relation the adjoint
-pairs up, and the exhaustive KP3 multiplies every pair of same-degree path
-operators.
+pairs up, the exhaustive KP2 multiplies every composable pair of path
+operators, and the exhaustive KP3 every pair of same-degree path operators.
 """
 
 import random
@@ -214,6 +214,50 @@ def restriction_limit(crystal, i, a, b):
     return sl2_limit(length, pos_a, pos_b, rank)
 
 
+def component_strings(first, second, i):
+    """The i-string reader of B(lam) x B(lam') that `SoibelmanModel._sweep`
+    takes, read off the string tables of the two factors by the tensor rule:
+    with eps/phi the distances to the top and bottom of each factor's
+    string, eps = eps1 + max(0, eps2 - phi1), and walking down the string
+    f_i acts max(0, phi1 - eps2) times on the first factor, then on the
+    second.  y -> (position of y from the top, string length, the string
+    from y down)."""
+    data1, lines1 = string_data(first, i), strings(first, i)
+    data2, lines2 = string_data(second, i), strings(second, i)
+
+    def below(y):
+        y1, y2 = y
+        sid1, eps1, length1 = data1[y1]
+        sid2, eps2, length2 = data2[y2]
+        phi1 = length1 - eps1
+        moves = max(0, phi1 - eps2)
+        top = eps1 + max(0, eps2 - phi1)
+        line1 = lines1[sid1][eps1 : eps1 + moves + 1]
+        low1 = line1[-1]
+        string = [(x1, y2) for x1 in line1] + [(low1, x2) for x2 in lines2[sid2][eps2 + 1 :]]
+        return top, top + len(string) - 1, string
+
+    return below
+
+
+def component_table(model, lam, lamp):
+    """The f-images of the Cartan component C of B(lam) x B(lam'), keyed by
+    its elements (i, j): the generator sweep run over C from (1, 1) with the
+    torus label lam+lam'.  Elements the sweep does not reach have no key.
+
+    By the rank-one slot lemma this is f_i f'_j term for term, so the R1
+    certificate rests on it equalling pi0_generator(lam+lam', m) for the
+    image m of (i, j) in B(lam+lam')."""
+    first = highest_weight_crystal(model.datum, lam)
+    second = highest_weight_crystal(model.datum, lamp)
+    reach = model._sweep(
+        (first.highest, second.highest),
+        add_weights(lam, lamp),
+        lambda i: component_strings(first, second, i),
+    )
+    return {x: OperatorElement(model.length, model.rank, terms) for x, terms in reach.items()}
+
+
 def exhaustive_relations(model, lams):
     """R1 and R2 over every ordered pair of weights in lams, with both the
     f- and the v-half of R1 and every (i, j) of R2 multiplied out.  Returns
@@ -259,11 +303,47 @@ def exhaustive_kp3(model, graph, bound):
     failures = []
     for degree in graph.nonzero_degrees(tuple(bound)):
         paths = graph.paths(degree)
+        S = {e: model.path_operator(colours, e) for e in paths}
         for e in paths:
-            adj = model.path_operator(colours, e).adjoint()
+            adj = S[e].adjoint()
             for f in paths:
                 expected = model.projection(colours, e.source) if e == f else model.zero
                 cases += 1
-                if adj * model.path_operator(colours, f) != expected:
+                if adj * S[f] != expected:
                     failures.append((e, f))
+    return cases, failures
+
+
+def exhaustive_kp2(model, graph, bound):
+    """KP2 case by case: for every path e of a nonzero degree within bound,
+    P_r(e) S_e = S_e and S_e P_s(e) = S_e; and for every composable pair
+    (e1 after e2, r(e2) = s(e1), degrees summing within bound),
+    S_e1 S_e2 = S_(e1 e2), the composite read through `graph.compose`.
+    Returns the case count and the failing cases."""
+    colours = graph.colours
+    bound = tuple(bound)
+    degrees = graph.nonzero_degrees(bound)
+    S = {e: model.path_operator(colours, e) for d in degrees for e in graph.paths(d)}
+    cases = 0
+    failures = []
+    for e, s in S.items():
+        for side in ("range", "source"):
+            cases += 1
+            if side == "range":
+                product = model.projection(colours, graph.range(e)) * s
+            else:
+                product = s * model.projection(colours, e.source)
+            if product != s:
+                failures.append((side, e))
+    ending = {}
+    for e in S:
+        ending.setdefault(graph.range(e), []).append(e)
+    for e1, s1 in S.items():
+        for e2 in ending.get(e1.source, ()):
+            if any(x + y > c for x, y, c in zip(e1.degree, e2.degree, bound)):
+                continue
+            s2 = S[e2]
+            cases += 1
+            if s1 * s2 != model.path_operator(colours, graph.compose(e1, e2)):
+                failures.append(("composition", e1, e2))
     return cases, failures

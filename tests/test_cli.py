@@ -187,14 +187,18 @@ def _kp_report(cases):
     ]
 
 
-def _kp_splits(r1, r2, kp1, kp3):
+def _kp_splits(r1, r2, kp1, kp2, kp3):
     """The split lines of the KP suite, given (computed, implied) of each
-    certified check, in the order they are popped: KP3, KP1, R2, R1."""
+    certified check, in the order they are popped: KP3, KP2, KP1, R2, R1.
+    R1 and KP2 also take the count of their rank-one cases."""
     return [
         f"  KP3 split: {kp3[0]} computed, {kp3[1]} implied by KP1+KP4",
+        f"  KP2 split: {kp2[0]} computed, {kp2[1]} implied by the rank-one slot lemma"
+        f" ({kp2[2]} rank-one cases), the range half and the compose table",
         f"  KP1 split: {kp1[0]} computed, {kp1[1]} implied by adjoints of self-adjoint P_v",
         f"  R2 split: {r2[0]} computed, {r2[1]} implied by adjoints under R4 and inverse braidings",
-        f"  R1 split: {r1[0]} computed, {r1[1]} implied by adjoints under R4",
+        f"  R1 split: {r1[0]} computed, {r1[1]} implied by the rank-one slot lemma"
+        f" ({r1[2]} rank-one cases) and R4",
     ]
 
 
@@ -202,8 +206,8 @@ def test_verify_kp_a3(capsys):
     code, out, _ = run(capsys, "verify", "--type", "A3", "--suite", "kp", "--bound", "1,1,1")
     assert code == 0
     lines = out.splitlines()
-    assert [lines.pop(k) for k in (10, 7, 3, 1)] == _kp_splits(
-        (6241, 6241), (3160, 3081), (325, 276), (1145, 284176)
+    assert [lines.pop(k) for k in (11, 9, 7, 3, 1)] == _kp_splits(
+        (0, 12482, 400), (3160, 3081), (325, 276), (2290, 3590, 64), (1145, 284176)
     )
     assert lines == _kp_report([12482, 6241, 5, 79, 601, 5880, 285321, 168, 1169])
 
@@ -212,10 +216,85 @@ def test_verify_kp_g2(capsys):
     code, out, _ = run(capsys, "verify", "--type", "G2", "--suite", "kp", "--bound", "1,1")
     assert code == 0
     lines = out.splitlines()
-    assert [lines.pop(k) for k in (10, 7, 3, 1)] == _kp_splits(
-        (7396, 7396), (3741, 3655), (435, 378), (699, 233834)
+    assert [lines.pop(k) for k in (11, 9, 7, 3, 1)] == _kp_splits(
+        (0, 14792, 3136), (3741, 3655), (435, 378), (1398, 898, 280), (699, 233834)
     )
     assert lines == _kp_report([14792, 7396, 4, 86, 813, 2296, 234533, 84, 727])
+
+
+def test_verify_kp_c2_at_bound_two_one(capsys):
+    # the kp-c2 benchmark workload: 9 PASS lines and 23856 cases in all
+    code, out, _ = run(capsys, "verify", "--type", "C2", "--suite", "kp", "--bound", "2,1")
+    assert code == 0
+    lines = out.splitlines()
+    assert [lines.pop(k) for k in (11, 9, 7, 3, 1)] == _kp_splits(
+        (0, 1352, 400), (351, 325), (66, 45), (548, 623, 160), (274, 19908)
+    )
+    cases = [1352, 676, 4, 26, 111, 1171, 20182, 50, 284]
+    assert lines == _kp_report(cases) and sum(cases) == 23856
+    # no split line may read as a case count
+    assert not any(line.endswith(" cases)") for line in out.splitlines() if "split:" in line)
+
+
+def _status_counts(out):
+    """(PASS lines, FAIL lines, total of the "(N cases)" counts) of a report."""
+    lines = out.splitlines()
+    cases = sum(
+        int(line[line.rindex("(") + 1 : -len(" cases)")])
+        for line in lines
+        if line.endswith(" cases)")
+    )
+    return (
+        sum(line.startswith("PASS ") for line in lines),
+        sum(line.startswith("FAIL ") for line in lines),
+        cases,
+    )
+
+
+@pytest.mark.parametrize(
+    "label, bound, counts", [("G2", "1,1", (23, 0, 283331)), ("A3", "1,1,1", (45, 0, 325309))]
+)
+def test_verify_all_g2_and_a3(capsys, label, bound, counts):
+    code, out, _ = run(capsys, "verify", "--type", label, "--suite", "all", "--bound", bound)
+    assert code == 0
+    assert _status_counts(out) == counts
+
+
+def test_a_tampered_slot_fails_r1_and_kp2_through_the_rank_one_premise(capsys, monkeypatch):
+    from crystalgraphs import soibelman
+
+    original = soibelman.string_slot
+
+    def tampered(m, i, j):
+        # the diagonal slot T P0 in place of T of a string of length 1
+        return (1, 0, 1) if (m, i, j) == (1, 1, 1) else original(m, i, j)
+
+    monkeypatch.setattr(soibelman, "string_slot", tampered)
+    code, out, _ = run(capsys, "verify", "--type", "C2", "--suite", "kp", "--bound", "2,1")
+    assert code == 1
+    for name in ("R1 products collapse through the Cartan component", "KP2 path composition"):
+        line = next(line for line in out.splitlines() if name in line)
+        assert line.startswith(f"FAIL {name}")
+        assert "premise rank-one slot lemma fails" in line
+    assert "R1 split" not in out and "KP2 split" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["braiding", "--type", "A2", "--pair", "1,0"], "--pair needs two weights separated by ';'"),
+        (["braiding", "--type", "A2", "--pair", "1,0;0,x"], "--pair"),
+        (["verify", "--type", "A2", "--bound", "1,x"], "--bound"),
+        (["verify", "--type", "A2", "--bound", "1"], "--bound"),
+        (["verify", "--type", "A2", "--word", "1,x"], "--word"),
+        (["verify", "--type", "A2", "--colours", "1,x"], "--colours"),
+    ],
+)
+def test_cli_errors_name_their_flag(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert "invalid literal" not in err and "unpack" not in err
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "C2", "A3"])
@@ -237,8 +316,17 @@ def test_kp_report_does_not_depend_on_the_reduced_word(capsys, label):
 def test_verify_json_splits_computed_and_implied(capsys):
     code, out, _ = run(capsys, "verify", "--type", "A2", "--suite", "all", "--emit", "json")
     assert code == 0
-    certified = {"R1": (225, 225), "R2": (120, 105), "KP1": (28, 15), "KP3": (47, 770)}
+    certified = {
+        "R1": (0, 450),
+        "R2": (120, 105),
+        "KP1": (28, 15),
+        "KP2": (94, 46),
+        "KP3": (47, 770),
+    }
+    # the rank-one cases of R1 and KP2 are not part of their case counts
+    lemma = {"R1": 100, "KP2": 16}
     for check in json.loads(out)["checks"]:
+        tag = check["name"].split()[0]
         assert check["computed"] + check["implied"] == check["cases"]
-        split = certified.get(check["name"].split()[0], (check["cases"], 0))
-        assert (check["computed"], check["implied"]) == split
+        assert (check["computed"], check["implied"]) == certified.get(tag, (check["cases"], 0))
+        assert check["lemma_cases"] == lemma.get(tag, 0)

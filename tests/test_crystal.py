@@ -294,3 +294,13 @@ def test_dimension_oracle_small_battery():
         datum = build_root_datum(label)
         for lam in iter_product(range(3), repeat=datum.rank):
             assert highest_weight_crystal(datum, lam).size == weyl_dim(datum, lam)
+
+
+@pytest.mark.parametrize("i", [0, 3])
+def test_crystals_and_tensor_products_reject_a_colour_outside_the_rank(i):
+    crystal = highest_weight_crystal(A2, (1, 0))
+    pair = tensor_of(A2, ((1, 0), (0, 1)))
+    for obj, element in [(crystal, 1), (pair, (1, 1))]:
+        for op in (obj.f, obj.e, obj.eps, obj.phi):
+            with pytest.raises(ValueError, match=f"invalid colour index {i} for A2"):
+                op(i, element)

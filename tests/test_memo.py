@@ -29,9 +29,8 @@ TABLES = {
     "crystalgraphs.soibelman.strings",
     "crystalgraphs.soibelman.string_data",
     "crystalgraphs.soibelman.SoibelmanModel._generator_table",
-    "crystalgraphs.soibelman.SoibelmanModel._component_table",
+    "crystalgraphs.soibelman.SoibelmanModel._rank_one",
     "crystalgraphs.soibelman.SoibelmanModel._projection",
-    "crystalgraphs.soibelman.SoibelmanModel.path_operator",
 }
 # Called once per run, or not at all, by `verify`.
 UNREUSED = {
@@ -99,8 +98,8 @@ def test_every_cache_goes_through_the_memo_layer():
 
 
 def test_kp_builds_no_crystal_for_a_weight_sum_only_r1_reads(capsys):
-    # R1 reads the Cartan components of B(lam) x B(lam') themselves, so of the
-    # sums it builds only those the graph at bound (2, 1) needs
+    # R1 multiplies no products and reads no B(lam+lam'), so of the sums the
+    # suite builds only those the graph at bound (2, 1) needs
     c2 = build_root_datum("C2")
     clear_caches()
     assert cli.main(["verify", "--type", "C2", "--suite", "kp", "--bound", "2,1"]) == 0

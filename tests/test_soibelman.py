@@ -6,11 +6,15 @@ from crystalgraphs.braiding import pair_braiding
 from crystalgraphs.crystal import cartan_project, highest_weight_crystal, tensor_of
 from crystalgraphs.hrgraph import GraphPath, HigherRankGraph, colour_set, graph_of
 from crystalgraphs.rootdata import add_weights, build_root_datum, weyl_group
-from crystalgraphs.soibelman import SoibelmanModel, _component_strings, string_data, strings
+from crystalgraphs.soibelman import SoibelmanModel, _slot_strings, string_data, strings
 from crystalgraphs.toeplitz import OperatorElement, projection_p0, sl2_limit
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     braid_moved_word,
+    component_strings,
+    component_table,
+    exhaustive_kp2,
     exhaustive_kp3,
     exhaustive_relations,
     operator_matrix,
@@ -142,23 +146,25 @@ def _default_pairs(datum):
 
 @pytest.mark.parametrize("label, word", WORDS)
 def test_component_tables_store_the_cartan_projected_terms(label, word):
-    # the oracle walks the Cartan component onto a path-model B(lam+lam')
+    # the step "C = B(lam+lam') preserves strings" of the R1 certificate: the
+    # sweep over the Cartan component C, walked onto a path-model
+    # B(lam+lam'), stores the images of B(lam+lam') term for term
     datum = build_root_datum(label)
     m = SoibelmanModel(datum, word)
     for lam, lamp in _default_pairs(datum):
         pair = tensor_of(datum, (lam, lamp))
         total = add_weights(lam, lamp)
-        tables = {kind: m._component_table(lam, lamp, kind) for kind in ("f", "v")}
+        table = component_table(m, lam, lamp)
         component = set()
         for t in pair.elements():
             eta, image = cartan_project(pair, t)
             if not eta:
                 continue
             component.add(t)
-            for kind, table in tables.items():
-                assert table.get(t, m.zero).terms == m.pi0_generator(total, image, kind).terms
-        for table in tables.values():
-            assert set(table) <= component
+            f = table.get(t, m.zero)
+            assert f.terms == m.pi0_generator(total, image, "f").terms
+            assert f.adjoint().terms == m.pi0_generator(total, image, "v").terms
+        assert set(table) <= component
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "C2", "G2", "A3"])
@@ -167,7 +173,7 @@ def test_component_strings_follow_the_tensor_rule(label):
     for lam, lamp in _default_pairs(datum):
         pair = tensor_of(datum, (lam, lamp))
         for i in datum.colours:
-            below = _component_strings(*pair.factors, i)
+            below = component_strings(*pair.factors, i)
             for t in pair.elements():
                 walk = [t]
                 while (lower := pair.f(i, walk[-1])) is not None:
@@ -394,7 +400,7 @@ def test_kp3_certificate_fails_through_the_diagonal_when_a_path_doubles(monkeypa
     assert kp3.detail.startswith(f"isometry relation fails at {e}, {e}")
 
 
-@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2"])
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2", "A3"])
 def test_relation_certificates_cover_the_exhaustive_oracle(label):
     datum = build_root_datum(label)
     m = SoibelmanModel(datum)
@@ -406,9 +412,91 @@ def test_relation_certificates_cover_the_exhaustive_oracle(label):
         check = _check(report, tag)
         assert failures == []
         assert check.passed and check.cases == cases
-        assert 0 < check.implied < cases
-    # R1 multiplies out exactly its f-half
-    assert _check(report, "R1").computed == _check(report, "R1").implied
+    assert 0 < _check(report, "R2").implied < _check(report, "R2").cases
+    # R1 multiplies out nothing: every case follows from the rank-one lemma
+    r1 = _check(report, "R1")
+    assert r1.computed == 0 and r1.implied == r1.cases
+    assert r1.lemma_cases > 0
+
+
+@pytest.mark.parametrize(
+    "label, bound",
+    [("A1", (1,)), ("A2", (1, 1)), ("B2", (1, 1)), ("C2", (1, 1)), ("C2", (2, 1)),
+     ("G2", (1, 1)), ("A3", (1, 1, 1))],
+)
+def test_kp2_certificate_covers_the_exhaustive_oracle(label, bound):
+    datum = build_root_datum(label)
+    m = SoibelmanModel(datum)
+    graph = graph_of(colour_set(datum, datum.fundamental_weights))
+    cases, failures = exhaustive_kp2(m, graph, bound)
+    assert failures == []
+    kp2 = _check(m.verify_graph_algebra(graph, bound), "KP2")
+    assert kp2.passed and kp2.cases == cases
+    # only the two vertex-path halves are multiplied out, one pair per path
+    paths = sum(len(graph.paths(d)) for d in graph.nonzero_degrees(bound))
+    assert kp2.computed == 2 * paths
+    assert kp2.implied == cases - 2 * paths
+    assert (kp2.lemma_cases > 0) == (kp2.implied > 0)
+
+
+def test_kp2_certificate_fails_when_a_composable_pair_leaves_the_compose_table(monkeypatch):
+    original = HigherRankGraph.compose_table
+
+    def short(self, degree, degree_p):
+        table = original(self, degree, degree_p)
+        return dict(list(table.items())[1:])
+
+    monkeypatch.setattr(HigherRankGraph, "compose_table", short)
+    m = SoibelmanModel(C2)
+    graph = graph_of(colour_set(C2, C2.fundamental_weights))
+    kp2 = _check(m.verify_graph_algebra(graph, (1, 1)), "KP2")
+    assert not kp2.passed and kp2.implied == 0
+    # every vertex-path case still holds: KP2 fails only through its premise
+    assert kp2.detail.startswith("premise compose table fails")
+
+
+def _slot_oracle(m1, m2, p1, t1, p2, t2):
+    """The slot the rank-one lemma predicts for string_slot(m1, p1, t1) times
+    string_slot(m2, p2, t2), with the strings of B(m1) x B(m2) read off the
+    A1 tensor crystal (element b of B(m) sits at position b - 1)."""
+    data = string_data(tensor_of(A1, ((m1,), (m2,))), 1)
+    sid, pos, length = data[p1 + 1, p2 + 1]
+    sid_t, top, _ = data[t1 + 1, t2 + 1]
+    return sl2_limit(length, pos, top) if sid == sid_t else OperatorElement.zero(1, 0)
+
+
+def test_slot_strings_follow_the_a1_tensor_crystal():
+    for m1, m2 in iter_product(range(10), repeat=2):
+        data = string_data(tensor_of(A1, ((m1,), (m2,))), 1)
+        shifted = {(b1 - 1, b2 - 1): entry for (b1, b2), entry in data.items()}
+        assert _slot_strings(m1, m2) == shifted
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rank_one_slot_lemma_against_truncated_matrices(data):
+    m1, m2 = data.draw(st.integers(0, 9)), data.draw(st.integers(0, 9))
+    p1, t1 = data.draw(st.integers(0, m1)), data.draw(st.integers(0, m1))
+    p2, t2 = data.draw(st.integers(0, m2)), data.draw(st.integers(0, m2))
+    # every slot moves a basis index up by at most 9, so on the columns below
+    # cutoff - 9 the product of truncations is the truncated product
+    cutoff = 24
+    left = operator_matrix(sl2_limit(m1, p1, t1), cutoff)
+    right = operator_matrix(sl2_limit(m2, p2, t2), cutoff)
+    expected = operator_matrix(_slot_oracle(m1, m2, p1, t1, p2, t2), cutoff)
+    for col in range(cutoff - 9):
+        for row in range(cutoff):
+            entry = sum(left[row][k] * right[k][col] for k in range(cutoff))
+            assert entry == expected[row][col], (m1, m2, p1, t1, p2, t2)
+
+
+def test_rank_one_cases_cover_the_nonzero_slots_of_each_length_pair():
+    m = SoibelmanModel(C2)
+    # (m + 1)(m + 2) / 2 nonzero slots of a string of length m
+    assert m._rank_one(2, 3) == (6 * 10, True)
+    lams = m._default_lambdas(colour_set(C2, C2.fundamental_weights))
+    # C2's default weights have strings of lengths 0 to 3 in both colours
+    assert m._rank_one_premise(list(iter_product(lams, lams))) == ((1 + 3 + 6 + 10) ** 2, True)
 
 
 def _mutated_relations(monkeypatch, **patches):
