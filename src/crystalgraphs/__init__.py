@@ -14,11 +14,10 @@ from .braiding import (
 from .crystal import (
     Crystal,
     TensorCrystal,
-    apply_kashiwara,
     canonical_morphism,
-    cartan_project,
     highest_weight_crystal,
-    tensor_crystal,
+    string_data,
+    strings,
     tensor_of,
 )
 from .hrgraph import (
@@ -42,8 +41,8 @@ from .rootdata import (
     weyl_dim,
     weyl_group,
 )
-from .soibelman import SoibelmanModel, string_data, strings
-from .toeplitz import OperatorElement, projection_p0, sl2_limit
+from .soibelman import SoibelmanModel
+from .toeplitz import OperatorElement, projection_p0
 
 __version__ = "0.1.0"
 
@@ -61,14 +60,12 @@ __all__ = [
     "VerificationReport",
     "WeylGroup",
     "WeylSizeError",
-    "apply_kashiwara",
     "bilinear_form",
     "build_graph",
     "build_root_datum",
     "cache_stats",
     "canonical_morphism",
     "cartan_braiding",
-    "cartan_project",
     "clear_caches",
     "colour_set",
     "graph_tables_from_json",
@@ -81,10 +78,8 @@ __all__ = [
     "right_end",
     "right_ends",
     "sigma_word",
-    "sl2_limit",
     "string_data",
     "strings",
-    "tensor_crystal",
     "tensor_of",
     "weyl_dim",
     "weyl_group",

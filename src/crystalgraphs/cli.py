@@ -2,7 +2,8 @@
 graphs, and the verification suites.
 
 Output is deterministic for fixed flags.  Exit codes: 0 success, 1 a
-verification suite failed, 2 usage errors.
+verification suite failed, 2 usage errors, including an --out file that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -114,20 +115,22 @@ def _braiding_table(datum, lam, lamp) -> str:
 def _run_verify(args, datum, colours) -> tuple[VerificationReport, str]:
     cs = colour_set(datum, colours)
     bound = args.bound or (1,) * cs.n
+    # built whenever --word is given, so every suite rejects a word that is
+    # not reduced for w0; only then do suites other than kp need W
+    kp = args.suite in ("kp", "all")
+    model = SoibelmanModel(datum, args.word) if kp or args.word else None
     report = VerificationReport()
     if args.suite in ("crystal", "all"):
         report.extend(_crystal_suite(datum, cs))
     if args.suite in ("braiding", "all"):
         report.extend(_braiding_suite(datum, cs))
-    graph = graph_of(cs) if args.suite in ("graph", "kp", "all") else None
     if args.suite in ("graph", "all"):
+        graph = graph_of(cs)
         for m, n in _degree_splits(bound):
             report.extend(graph.check_factorization(m, n))
         report.extend(graph.degree_counts_and_sources(bound))
-    if args.suite in ("kp", "all"):
-        model = SoibelmanModel(datum, args.word)
-        report.extend(model.verify_relations(cs))
-        report.extend(model.verify_graph_algebra(graph, bound))
+    if kp:
+        report.extend(model.verify_suite(cs, bound))
     if args.emit == "json":
         return report, report.to_json() + "\n"
     return report, str(report) + "\n"
@@ -307,7 +310,7 @@ def main(argv=None) -> int:
             ]
             _emit("\n".join(lines) + "\n", args.out)
             return 0
-    except (CartanTypeError, WeylSizeError, ValueError) as err:
+    except (CartanTypeError, WeylSizeError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except argparse.ArgumentTypeError as err:

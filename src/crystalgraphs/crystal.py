@@ -1,10 +1,13 @@
-"""Crystals of highest-weight modules via piecewise-linear paths, and their
-tensor products under the Kashiwara two-factor rule.
+"""Crystals of highest-weight modules, and their tensor products under the
+Kashiwara two-factor rule.
 
-A path is stored as its chain of turning points (the origin is implicit), with
-exact rational coordinates in the fundamental-weight basis.  Chains are kept
-in a canonical form - no zero steps, no two consecutive steps along the same
-ray - so equality of elements is equality of tuples.
+B(lam) is generated by Littelmann's path model, which only draws its
+f-edges.  A path is stored as its chain of turning points (the origin is
+implicit), with exact rational coordinates in the fundamental-weight basis.
+Chains are kept in a canonical form - no zero steps, no two consecutive steps
+along the same ray - so equality of elements is equality of tuples.  Once
+built, a crystal keeps per colour only the table of its strings, which
+f, e, eps, phi and the tensor rule all read.
 
 The absorbing value 0 of crystal combinatorics is represented by ``None`` and
 propagates through every operation.
@@ -21,6 +24,7 @@ from .rootdata import (
     Coords,
     RootDatum,
     add_weights,
+    sub_weights,
     weyl_dim,
 )
 
@@ -67,39 +71,6 @@ def _breakpoints(chain: Chain, rank: int) -> tuple[QVec, ...]:
     return (origin,) + chain
 
 
-def _min_level(chain: Chain, i: int) -> Fraction:
-    m = Fraction(0)
-    for p in chain:
-        if p[i - 1] < m:
-            m = p[i - 1]
-    return m
-
-
-def path_weight(chain: Chain, rank: int) -> Coords:
-    if not chain:
-        return (0,) * rank
-    end = chain[-1]
-    if any(x.denominator != 1 for x in end):
-        raise ValueError(f"path ends at the non-integral weight {end}")
-    return tuple(int(x) for x in end)
-
-
-def eps_path(chain: Chain, i: int) -> int:
-    m = _min_level(chain, i)
-    if m.denominator != 1:
-        raise ValueError(f"path has the non-integral minimum {m} in colour {i}")
-    return -int(m)
-
-
-def phi_path(chain: Chain, i: int) -> int:
-    m = _min_level(chain, i)
-    last = chain[-1][i - 1] if chain else Fraction(0)
-    val = last - m
-    if val.denominator != 1:
-        raise ValueError(f"path has the non-integral rise {val} in colour {i}")
-    return int(val)
-
-
 def _rebuild(datum: RootDatum, pts, reflected, after, i: int) -> Chain:
     """Assemble a chain from three runs of breakpoints; steps into the middle
     run are reflected by s_i (the tail translation is implicit)."""
@@ -132,33 +103,54 @@ def f_path(datum: RootDatum, i: int, chain: Chain) -> Chain | None:
     return _rebuild(datum, pts[: k0 + 1], list(pts[k0 + 1 : kk]) + [cut], pts[kk:], i)
 
 
+# per colour i: the i-strings, each from its top down, and per element its
+# (string id, position from the top, string length)
+StringTable = tuple[list[list], dict]
+
+
+def _string_table(elements: Iterable, lower, is_top) -> StringTable:
+    """The strings of one colour, walked down by `lower` (None below the
+    bottom) from the elements where `is_top` holds, taken in element order."""
+    lines: list[list] = []
+    data: dict = {}
+    for top in elements:
+        if not is_top(top):
+            continue
+        line = [top]
+        while (b := lower(line[-1])) is not None:
+            line.append(b)
+        for pos, b in enumerate(line):
+            data[b] = (len(lines), pos, len(line) - 1)
+        lines.append(line)
+    return lines, data
+
+
 class Crystal:
     """The crystal of an irreducible highest-weight module.
 
     Elements are integers 1..size, with 1 the highest-weight element; the
     indexing is the breadth-first discovery order from the highest-weight
-    path, exploring colours in increasing order.
+    path, exploring colours in increasing order.  The crystal keeps its
+    weights and, per colour, its string table, which f, e, eps and phi read.
     """
 
-    def __init__(self, datum: RootDatum, highest_weight: Coords, chains: list[Chain],
-                 f_edges: dict, e_edges: dict):
+    def __init__(self, datum: RootDatum, highest_weight: Coords, weights: list[Coords],
+                 f_edges: dict[tuple[int, int], int]):
         self.datum = datum
         self.highest_weight = highest_weight
-        self._chains = chains
-        self._f = f_edges
-        self._e = e_edges
-        self._weights = [path_weight(c, datum.rank) for c in chains]
-        self._eps = {}
-        self._phi = {}
-        for i in datum.colours:
-            for b, chain in enumerate(chains, start=1):
-                self._eps[i, b] = eps_path(chain, i)
-                self._phi[i, b] = phi_path(chain, i)
+        self._weights = weights
+        lowered = {(i, j) for (i, _), j in f_edges.items()}
+        self._strings = {
+            i: _string_table(
+                self.elements(), lambda b: f_edges.get((i, b)), lambda b: (i, b) not in lowered
+            )
+            for i in datum.colours
+        }
         self._lowest = None
 
     @property
     def size(self) -> int:
-        return len(self._chains)
+        return len(self._weights)
 
     def __len__(self) -> int:
         return self.size
@@ -173,7 +165,7 @@ class Crystal:
             lows = [
                 b
                 for b in self.elements()
-                if all(self._phi[i, b] == 0 for i in self.datum.colours)
+                if all(self.phi(i, b) == 0 for i in self.datum.colours)
             ]
             if len(lows) != 1:
                 raise RuntimeError(f"{self!r} has {len(lows)} lowest-weight elements")
@@ -183,9 +175,6 @@ class Crystal:
     def elements(self) -> range:
         return range(1, self.size + 1)
 
-    def chain(self, b: int) -> Chain:
-        return self._chains[b - 1]
-
     def weight(self, b: int) -> Coords:
         return self._weights[b - 1]
 
@@ -193,25 +182,32 @@ class Crystal:
         if not 1 <= i <= self.datum.rank:
             raise ValueError(f"invalid colour index {i} for {self.datum.label}")
 
-    def f(self, i: int, b: int | None) -> int | None:
+    def string_table(self, i: int) -> StringTable:
+        """The i-string table, built with the crystal."""
         self._check_colour(i)
+        return self._strings[i]
+
+    def f(self, i: int, b: int | None) -> int | None:
+        lines, data = self.string_table(i)
         if b is None:
             return None
-        return self._f.get((i, b))
+        sid, pos, length = data[b]
+        return lines[sid][pos + 1] if pos < length else None
 
     def e(self, i: int, b: int | None) -> int | None:
-        self._check_colour(i)
+        lines, data = self.string_table(i)
         if b is None:
             return None
-        return self._e.get((i, b))
+        sid, pos, _ = data[b]
+        return lines[sid][pos - 1] if pos else None
 
     def eps(self, i: int, b: int) -> int:
-        self._check_colour(i)
-        return self._eps[i, b]
+        _, pos, _ = self.string_table(i)[1][b]
+        return pos
 
     def phi(self, i: int, b: int) -> int:
-        self._check_colour(i)
-        return self._phi[i, b]
+        _, pos, length = self.string_table(i)[1][b]
+        return length - pos
 
     def __repr__(self) -> str:
         return f"Crystal({self.datum.label}, {self.highest_weight}, size={self.size})"
@@ -230,11 +226,13 @@ def highest_weight_crystal(
 
 @memo
 def _build_crystal(datum: RootDatum, lam: Coords, dim: int) -> Crystal:
+    """B(lam) from the f-edges of the path model: each element found is its
+    parent's weight minus alpha_i, and no path outlives the build."""
     seed = _chain_from_steps([_to_q(lam)])
     chains = [seed]
     index = {seed: 1}
+    weights = [lam]
     f_edges: dict[tuple[int, int], int] = {}
-    e_edges: dict[tuple[int, int], int] = {}
     pos = 0
     while pos < len(chains):
         b = pos + 1
@@ -246,16 +244,16 @@ def _build_crystal(datum: RootDatum, lam: Coords, dim: int) -> Crystal:
             j = index.get(nxt)
             if j is None:
                 chains.append(nxt)
+                weights.append(sub_weights(weights[pos], datum.simple_root(i)))
                 j = len(chains)
                 index[nxt] = j
             f_edges[i, b] = j
-            e_edges[i, j] = b
         pos += 1
     if len(chains) != dim:
         raise RuntimeError(
             f"path model generated {len(chains)} elements for {lam}, expected {dim}"
         )
-    return Crystal(datum, lam, chains, f_edges, e_edges)
+    return Crystal(datum, lam, weights, f_edges)
 
 
 TensorElement = Union[tuple, None]
@@ -282,6 +280,8 @@ class TensorCrystal:
         for c in factors:
             hw = add_weights(hw, c.highest_weight)
         self.highest_weight = hw
+        # per colour, the string table of each factor, which the tensor rule reads
+        self._tables = {i: tuple(c.string_table(i) for c in factors) for i in datum.colours}
 
     @property
     def size(self) -> int:
@@ -310,10 +310,10 @@ class TensorCrystal:
         n = len(t)
         eps_suf = [0] * (n + 1)
         phi_suf = [0] * (n + 1)
+        tables = self._tables[i]
         for k in range(n - 1, -1, -1):
-            factor = self.factors[k]
-            ex = factor._eps[i, t[k]]
-            px = factor._phi[i, t[k]]
+            _, ex, length = tables[k][1][t[k]]
+            px = length - ex
             eps_suf[k] = ex + max(0, eps_suf[k + 1] - px)
             phi_suf[k] = phi_suf[k + 1] + max(0, px - eps_suf[k + 1])
         return eps_suf, phi_suf
@@ -334,12 +334,12 @@ class TensorCrystal:
         if phi_suf[0] == 0:
             return None
         last = len(t) - 1
-        for k, factor in enumerate(self.factors):
-            if k == last or factor._phi[i, t[k]] > eps_suf[k + 1]:
-                moved = factor._f.get((i, t[k]))
-                if moved is None:
+        for k, (lines, data) in enumerate(self._tables[i]):
+            sid, pos, length = data[t[k]]
+            if k == last or length - pos > eps_suf[k + 1]:
+                if pos == length:
                     raise RuntimeError(f"tensor rule lowers factor {k} of {t}, which is lowest")
-                return t[:k] + (moved,) + t[k + 1 :]
+                return t[:k] + (lines[sid][pos + 1],) + t[k + 1 :]
         raise AssertionError("unreachable")
 
     def e(self, i: int, t: TensorElement) -> TensorElement:
@@ -350,13 +350,20 @@ class TensorCrystal:
         if eps_suf[0] == 0:
             return None
         last = len(t) - 1
-        for k, factor in enumerate(self.factors):
-            if k == last or factor._phi[i, t[k]] >= eps_suf[k + 1]:
-                moved = factor._e.get((i, t[k]))
-                if moved is None:
+        for k, (lines, data) in enumerate(self._tables[i]):
+            sid, pos, length = data[t[k]]
+            if k == last or length - pos >= eps_suf[k + 1]:
+                if pos == 0:
                     raise RuntimeError(f"tensor rule raises factor {k} of {t}, which is highest")
-                return t[:k] + (moved,) + t[k + 1 :]
+                return t[:k] + (lines[sid][pos - 1],) + t[k + 1 :]
         raise AssertionError("unreachable")
+
+    @memo
+    def string_table(self, i: int) -> StringTable:
+        """The i-string table, walked once off f and e like a crystal's."""
+        return _string_table(
+            self.elements(), lambda t: self.f(i, t), lambda t: self.e(i, t) is None
+        )
 
     def eta(self, t: TensorElement) -> int:
         """Indicator of the Cartan component (0 on the absorbing value)."""
@@ -367,12 +374,6 @@ class TensorCrystal:
         return f"TensorCrystal({self.datum.label}, {hw})"
 
 
-def tensor_crystal(factors: Iterable[Crystal]) -> TensorCrystal:
-    """Tensor product of crystals over one root datum (cached by weights)."""
-    factors = tuple(factors)
-    return tensor_of(_common_datum(factors), (c.highest_weight for c in factors))
-
-
 def tensor_of(datum: RootDatum, weights: Iterable[Coords]) -> TensorCrystal:
     return _tensor_of(datum, tuple(map(tuple, weights)))
 
@@ -380,6 +381,17 @@ def tensor_of(datum: RootDatum, weights: Iterable[Coords]) -> TensorCrystal:
 @memo
 def _tensor_of(datum: RootDatum, weights: tuple[Coords, ...]) -> TensorCrystal:
     return TensorCrystal(highest_weight_crystal(datum, w) for w in weights)
+
+
+def strings(crystal_like, i: int) -> list[list]:
+    """The i-strings of a crystal or a tensor product of crystals, each listed
+    from its top element down; the tops come in element order."""
+    return crystal_like.string_table(i)[0]
+
+
+def string_data(crystal_like, i: int) -> dict:
+    """Per element: (string id, position from the top, string length)."""
+    return crystal_like.string_table(i)[1]
 
 
 def raise_to_top(crystal_like, x):
@@ -433,21 +445,3 @@ def _walk(source, top, target) -> dict:
                 walk[fx] = fy
                 queue.append(fx)
     return walk
-
-
-def cartan_project(tc: TensorCrystal, t: TensorElement) -> tuple[int, object]:
-    """Indicator of the Cartan component together with the image under the
-    unique surjective morphism onto the crystal of the total highest weight."""
-    image = canonical_morphism(
-        tc, highest_weight_crystal(tc.datum, tc.highest_weight)
-    ).get(t)
-    return (0, None) if image is None else (1, image)
-
-
-def apply_kashiwara(crystal_like, direction: str, i: int, b):
-    """Apply a Kashiwara operator ('lower' for F, 'raise' for E); None propagates."""
-    if direction == "lower":
-        return crystal_like.f(i, b)
-    if direction == "raise":
-        return crystal_like.e(i, b)
-    raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")

@@ -98,9 +98,6 @@ class HigherRankGraph:
     def __init__(self, colours: ColourSet):
         self.colours = colours
         self.datum = colours.datum
-        self.factor_crystals = tuple(
-            highest_weight_crystal(self.datum, c) for c in colours.colours
-        )
         rho_crystal = highest_weight_crystal(self.datum, colours.rho)
         verts = {
             right_ends(rho_crystal, b, colours.colours)
@@ -108,10 +105,6 @@ class HigherRankGraph:
         }
         self.vertices: tuple[Vertex, ...] = tuple(sorted(verts))
         self.vertex_ids = {v: k for k, v in enumerate(self.vertices)}
-
-    @property
-    def zero_degree(self) -> Degree:
-        return (0,) * self.colours.n
 
     @memo
     def _slice(self, degree: Degree) -> dict[GraphPath, Vertex]:
@@ -188,9 +181,6 @@ class HigherRankGraph:
         top = highest_weight_crystal(self.datum, pair.highest_weight)
         return canonical_morphism(pair, top), total
 
-    def identity_path(self, v: Vertex) -> GraphPath:
-        return GraphPath(v, 1, self.zero_degree)
-
     def check_factorization(self, m: Degree, n: Degree) -> VerificationReport:
         """Existence and uniqueness of degree-(m, n) factorizations."""
         m, n = tuple(m), tuple(n)
@@ -231,38 +221,6 @@ class HigherRankGraph:
                 detail=f"vertex {missing[0]} has no path" if missing else "",
             )
         return report
-
-    @memo
-    def _descendant_table(self, i: int) -> dict[int, frozenset[int]]:
-        factor = self.factor_crystals[i]
-        table = {}
-        for b in factor.elements():
-            seen = {b}
-            queue = [b]
-            while queue:
-                x = queue.pop()
-                for col in self.datum.colours:
-                    y = factor.f(col, x)
-                    if y is not None and y not in seen:
-                        seen.add(y)
-                        queue.append(y)
-            table[b] = frozenset(seen)
-        return table
-
-    def vertex_leq(self, v: Vertex, w: Vertex) -> bool:
-        """Componentwise lowering-reachability order: v <= w iff each v_i is
-        reachable from w_i by lowering operators."""
-        return all(
-            v[i] in self._descendant_table(i)[w[i]] for i in range(self.colours.n)
-        )
-
-    @property
-    def vertex_max(self) -> Vertex:
-        return (1,) * self.colours.n
-
-    @property
-    def vertex_min(self) -> Vertex:
-        return tuple(c.lowest for c in self.factor_crystals)
 
     def nonzero_degrees(self, bound: Degree) -> list[Degree]:
         out = [

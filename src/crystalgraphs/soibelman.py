@@ -10,71 +10,15 @@ tensor slot per letter, with the torus slot pinning the final index.
 from __future__ import annotations
 
 from itertools import product as iter_product
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .braiding import pair_braiding
-from .crystal import Crystal, highest_weight_crystal
+from .crystal import highest_weight_crystal, string_data, strings, tensor_of
 from .hrgraph import ColourSet, Degree, GraphPath, HigherRankGraph, Vertex, graph_of
 from .memo import memo
 from .report import Check, VerificationReport
-from .rootdata import Coords, RootDatum, neg_weights, weyl_group
+from .rootdata import Coords, RootDatum, build_root_datum, neg_weights, weyl_group
 from .toeplitz import OperatorElement, string_slot
-
-
-@memo
-def strings(crystal: Crystal, i: int) -> list[list[int]]:
-    """The i-strings of a crystal, each listed from its top element down."""
-    out: list[list[int]] = []
-    for b in crystal.elements():
-        if crystal.eps(i, b) == 0:
-            string = [b]
-            cur = b
-            while (cur := crystal.f(i, cur)) is not None:
-                string.append(cur)
-            out.append(string)
-    return out
-
-
-@memo
-def string_data(crystal: Crystal, i: int) -> dict[int, tuple[int, int, int]]:
-    """Per element: (string id, position from the top, string length)."""
-    return {
-        b: (sid, pos, len(string) - 1)
-        for sid, string in enumerate(strings(crystal, i))
-        for pos, b in enumerate(string)
-    }
-
-
-def _irreducible_strings(crystal: Crystal, i: int) -> Callable[[int], tuple[int, int, list[int]]]:
-    """The i-string reader of B(lam), from its own string tables: y -> (the
-    position of y on its i-string from the top, the string's length, the
-    string from y down: y, f_i y, f_i^2 y, ...)."""
-    data = string_data(crystal, i)
-    lines = strings(crystal, i)
-
-    def below(y: int) -> tuple[int, int, list[int]]:
-        sid, top, length = data[y]
-        return top, length, lines[sid][top:]
-
-    return below
-
-
-def _slot_strings(m1: int, m2: int) -> dict[tuple[int, int], tuple[int, int, int]]:
-    """The strings of B(m1) x B(m2), the tensor square of two strings of
-    lengths m1 and m2 with elements named by their positions from the top:
-    per pair of positions, (string id, position from the top, string length).
-
-    The tensor rule is that of `crystal.TensorCrystal`: walking down from a
-    top (0, p2), f acts on the first factor while its distance to the bottom
-    exceeds the second factor's distance to the top, then on the second.
-    """
-    out: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for sid in range(min(m1, m2) + 1):
-        line = [(p1, sid) for p1 in range(m1 - sid + 1)]
-        line += [(m1 - sid, p2) for p2 in range(sid + 1, m2 + 1)]
-        for pos, x in enumerate(line):
-            out[x] = (sid, pos, len(line) - 1)
-    return out
 
 
 def _mutually_inverse(table: dict, back: dict) -> bool:
@@ -165,17 +109,16 @@ class SoibelmanModel:
         crystal = highest_weight_crystal(self.datum, lam)
         if kind == "v":
             return tuple(self.pi0_generator(lam, a, "f").adjoint() for a in crystal.elements())
-        reach = self._sweep(crystal.highest, lam, lambda i: _irreducible_strings(crystal, i))
+        reach = self._sweep(crystal, lam)
         return tuple(
             OperatorElement(self.length, self.rank, reach[a]) if a in reach else self.zero
             for a in crystal.elements()
         )
 
-    def _sweep(
-        self, highest: Hashable, label: Coords, reader: Callable[[int], Callable]
-    ) -> dict[Hashable, dict[tuple[int, ...], int]]:
-        """The f-image terms of a highest-weight crystal whose i-strings
-        `reader(i)` reads, keyed by every element with a nonzero image.
+    def _sweep(self, crystal_like, label: Coords) -> dict[Hashable, dict[tuple[int, ...], int]]:
+        """The f-image terms of the component of the highest element of a
+        crystal or tensor product, read off its string tables and keyed by
+        every element with a nonzero image.
 
         The f-image of x sums, over the paths that climb from x to the
         highest element one letter of the word at a time (at letter i, from
@@ -185,14 +128,14 @@ class SoibelmanModel:
         only paths that reach it are ever built.
         """
         # element -> {slot triples of the letters still to read, then label: coefficient}
-        reach: dict[Hashable, dict[tuple[int, ...], int]] = {highest: {label: 1}}
+        reach: dict[Hashable, dict[tuple[int, ...], int]] = {crystal_like.highest: {label: 1}}
         for i in reversed(self.word):
-            below = reader(i)
+            lines, data = strings(crystal_like, i), string_data(crystal_like, i)
             fresh: dict[Hashable, dict[tuple[int, ...], int]] = {}
             for y, suffixes in reach.items():
-                top, length, string = below(y)
+                sid, top, length = data[y]
                 # on or below the diagonal: never 0
-                for pos, x in enumerate(string, top):
+                for pos, x in enumerate(lines[sid][top:], top):
                     slot = string_slot(length, pos, top)
                     out = fresh.setdefault(x, {})
                     for key, c in suffixes.items():
@@ -210,8 +153,9 @@ class SoibelmanModel:
         and string_slot(m2, p2, t2) with p1 >= t1 and p2 >= t2.  Their
         product by `__mul__` must be string_slot(J, P, T) when (p1, p2) and
         (t1, t2) lie on one string of B(m1) x B(m2), of length J and at
-        positions P and T (so 0 when P < T), and 0 otherwise.  Stored terms
-        are compared, which is stronger than operator equality.
+        positions P and T (so 0 when P < T), and 0 otherwise; the strings are
+        those of the A1 tensor crystal.  Stored terms are compared, which is
+        stronger than operator equality.
         """
 
         def slots(m: int) -> list[tuple[int, int, OperatorElement]]:
@@ -221,13 +165,16 @@ class SoibelmanModel:
                 for t in range(p + 1)
             ]
 
-        lines = _slot_strings(m1, m2)
+        pair = tensor_of(build_root_datum("A1"), ((m1,), (m2,)))
+        # each factor is one string; its elements by position from the top
+        (one,), (two,) = (strings(c, 1) for c in pair.factors)
+        data = string_data(pair, 1)
         first, second = slots(m1), slots(m2)
         holds = True
         for p1, t1, x in first:
             for p2, t2, y in second:
-                sid, pos, length = lines[p1, p2]
-                sid_t, top, _ = lines[t1, t2]
+                sid, pos, length = data[one[p1], two[p2]]
+                sid_t, top, _ = data[one[t1], two[t2]]
                 slot = string_slot(length, pos, top) if sid == sid_t else None
                 holds = holds and (x * y).terms == ({} if slot is None else {slot: 1})
         return len(first) * len(second), holds

@@ -116,13 +116,6 @@ class OperatorElement:
         stray = {key: c for key, c in self.terms.items() if key[cut:] not in allowed}
         return not OperatorElement(self.slots, self.rank, stray)
 
-    def homogeneous_degree(self) -> tuple[int, ...] | None:
-        """The torus weight when the element is homogeneous, else None."""
-        degs = self.degrees()
-        if len(degs) == 1:
-            return next(iter(degs))
-        return None
-
     # arithmetic -------------------------------------------------------
 
     def _check_compatible(self, other: "OperatorElement") -> None:
@@ -296,9 +289,3 @@ def string_slot(m: int, i: int, j: int) -> tuple[int, int, int] | None:
         return (i, m - i, 0)
     return (j, m - i, 1)
 
-
-def sl2_limit(m: int, i: int, j: int, rank: int = 0) -> OperatorElement:
-    """The one-slot element with the string coefficient `string_slot(m, i, j)`."""
-    slot = string_slot(m, i, j)
-    terms = {} if slot is None else {slot + (0,) * rank: 1}
-    return OperatorElement(1, rank, terms)

@@ -1,24 +1,141 @@
 """Shared independent oracles for the test suite.
 
-These deliberately avoid the library's own lockstep-morphism and normal-form
-code paths: transport replays an explicit lowering word, the truncation
-oracle realizes shift operators as finite 0/1 matrices, the monomial
-product multiplies expanded normal forms T^a T*^b term by term, the
-slot-by-slot generator tensors one operator element per letter, the
-exhaustive R1/R2 multiplies out both halves of every relation the adjoint
-pairs up, the exhaustive KP2 multiplies every composable pair of path
-operators, and the exhaustive KP3 every pair of same-degree path operators.
+These deliberately avoid the library's own string-table, lockstep-morphism
+and normal-form code paths: the path-model reads take eps, phi and weights
+from Littelmann paths, the string readers apply the tensor rule in closed
+form, transport replays an explicit lowering word, the truncation oracle
+realizes shift operators as finite 0/1 matrices, the monomial product
+multiplies expanded normal forms T^a T*^b term by term, the slot-by-slot
+generator tensors one operator element per letter, the exhaustive R1/R2
+multiplies out both halves of every relation the adjoint pairs up, the
+exhaustive KP2 multiplies every composable pair of path operators, and the
+exhaustive KP3 every pair of same-degree path operators.
 """
 
 import random
 from collections import deque
+from fractions import Fraction
 from itertools import permutations, product as iter_product
 
 from crystalgraphs.braiding import pair_braiding
-from crystalgraphs.crystal import cartan_project, highest_weight_crystal, tensor_of
+from crystalgraphs.crystal import (
+    _chain_from_steps,
+    canonical_morphism,
+    f_path,
+    highest_weight_crystal,
+    string_data,
+    strings,
+    tensor_of,
+)
 from crystalgraphs.rootdata import add_weights
-from crystalgraphs.soibelman import string_data, strings
-from crystalgraphs.toeplitz import OperatorElement, sl2_limit
+from crystalgraphs.toeplitz import OperatorElement, string_slot
+
+
+def _min_level(chain, i):
+    m = Fraction(0)
+    for p in chain:
+        if p[i - 1] < m:
+            m = p[i - 1]
+    return m
+
+
+def path_weight(chain, rank):
+    """The endpoint of a path, which must be integral."""
+    if not chain:
+        return (0,) * rank
+    end = chain[-1]
+    if any(x.denominator != 1 for x in end):
+        raise ValueError(f"path ends at the non-integral weight {end}")
+    return tuple(int(x) for x in end)
+
+
+def eps_path(chain, i):
+    """Minus the lowest level the path reaches in colour i."""
+    m = _min_level(chain, i)
+    if m.denominator != 1:
+        raise ValueError(f"path has the non-integral minimum {m} in colour {i}")
+    return -int(m)
+
+
+def phi_path(chain, i):
+    """How far the path ends above its lowest level in colour i."""
+    m = _min_level(chain, i)
+    last = chain[-1][i - 1] if chain else Fraction(0)
+    val = last - m
+    if val.denominator != 1:
+        raise ValueError(f"path has the non-integral rise {val} in colour {i}")
+    return int(val)
+
+
+def path_model_reads(datum, lam):
+    """B(lam) read off Littelmann paths alone, numbered in breadth-first
+    order from the straight-line path with colours in increasing order:
+    {"f": {(i, b): f_i b}, "weight": [...], "eps"/"phi": {(i, b): value},
+    "strings"/"string_data": {i: value as `crystal.strings`/`string_data`
+    return it}}.  Every endpoint and every eps/phi must be integral."""
+    seed = _chain_from_steps([tuple(Fraction(x) for x in lam)])
+    chains, index, f = [seed], {seed: 1}, {}
+    for b, chain in enumerate(chains, start=1):  # chains grows as it is read
+        for i in datum.colours:
+            lower = f_path(datum, i, chain)
+            if lower is not None:
+                if lower not in index:
+                    chains.append(lower)
+                    index[lower] = len(chains)
+                f[i, b] = index[lower]
+    elements = range(1, len(chains) + 1)
+    eps = {(i, b): eps_path(chains[b - 1], i) for i in datum.colours for b in elements}
+    phi = {(i, b): phi_path(chains[b - 1], i) for i in datum.colours for b in elements}
+    lines, data = {}, {}
+    for i in datum.colours:
+        lines[i], data[i] = [], {}
+        for top in elements:
+            if eps[i, top] == 0:
+                line = [top]
+                while (i, line[-1]) in f:
+                    line.append(f[i, line[-1]])
+                for pos, b in enumerate(line):
+                    data[i][b] = (len(lines[i]), eps[i, b], eps[i, b] + phi[i, b])
+                lines[i].append(line)
+    return {
+        "f": f,
+        "weight": [path_weight(chain, datum.rank) for chain in chains],
+        "eps": eps,
+        "phi": phi,
+        "strings": lines,
+        "string_data": data,
+    }
+
+
+def cartan_project(tc, t):
+    """Indicator of the Cartan component of a tensor product together with
+    the image under the unique surjective morphism onto the crystal of the
+    total highest weight; (0, None) off it and on None."""
+    image = canonical_morphism(tc, highest_weight_crystal(tc.datum, tc.highest_weight)).get(t)
+    return (0, None) if image is None else (1, image)
+
+
+def sl2_limit(m, i, j, rank=0):
+    """The one-slot element with the string coefficient `string_slot(m, i, j)`."""
+    slot = string_slot(m, i, j)
+    terms = {} if slot is None else {slot + (0,) * rank: 1}
+    return OperatorElement(1, rank, terms)
+
+
+def slot_strings(m1, m2):
+    """The strings of B(m1) x B(m2), the tensor square of two strings of
+    lengths m1 and m2 with elements named by their positions from the top,
+    in closed form: per pair of positions, (string id, position from the top,
+    string length).  Walking down from a top (0, p2), f acts on the first
+    factor while its distance to the bottom exceeds the second factor's
+    distance to the top, then on the second."""
+    out = {}
+    for sid in range(min(m1, m2) + 1):
+        line = [(p1, sid) for p1 in range(m1 - sid + 1)]
+        line += [(m1 - sid, p2) for p2 in range(sid + 1, m2 + 1)]
+        for pos, x in enumerate(line):
+            out[x] = (sid, pos, len(line) - 1)
+    return out
 
 
 def transport(src, src_hw, dst, dst_hw, x):
@@ -215,8 +332,8 @@ def restriction_limit(crystal, i, a, b):
 
 
 def component_strings(first, second, i):
-    """The i-string reader of B(lam) x B(lam') that `SoibelmanModel._sweep`
-    takes, read off the string tables of the two factors by the tensor rule:
+    """The i-string reader of B(lam) x B(lam'), read off the string tables
+    of the two factors by the tensor rule in closed form:
     with eps/phi the distances to the top and bottom of each factor's
     string, eps = eps1 + max(0, eps2 - phi1), and walking down the string
     f_i acts max(0, phi1 - eps2) times on the first factor, then on the
@@ -242,19 +359,15 @@ def component_strings(first, second, i):
 
 def component_table(model, lam, lamp):
     """The f-images of the Cartan component C of B(lam) x B(lam'), keyed by
-    its elements (i, j): the generator sweep run over C from (1, 1) with the
-    torus label lam+lam'.  Elements the sweep does not reach have no key.
+    its elements (i, j): the generator sweep over B(lam) x B(lam') from
+    (1, 1), which stays inside C, with the torus label lam+lam'.  Elements
+    the sweep does not reach have no key.
 
     By the rank-one slot lemma this is f_i f'_j term for term, so the R1
     certificate rests on it equalling pi0_generator(lam+lam', m) for the
     image m of (i, j) in B(lam+lam')."""
-    first = highest_weight_crystal(model.datum, lam)
-    second = highest_weight_crystal(model.datum, lamp)
-    reach = model._sweep(
-        (first.highest, second.highest),
-        add_weights(lam, lamp),
-        lambda i: component_strings(first, second, i),
-    )
+    pair = tensor_of(model.datum, (lam, lamp))
+    reach = model._sweep(pair, add_weights(lam, lamp))
     return {x: OperatorElement(model.length, model.rank, terms) for x, terms in reach.items()}
 
 

@@ -140,6 +140,46 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["type"] == "A2"
 
 
+def test_output_file_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "info", "--type", "A2", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite", ["crystal", "braiding", "graph", "kp", "all"])
+def test_an_invalid_word_is_rejected_by_every_suite(capsys, suite):
+    argv = ["verify", "--type", "A2", "--suite", suite, "--bound", "1,1", "--word", "9,9"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: (9, 9) is not a reduced word for the longest element of W(A2)\n"
+
+
+def test_suites_without_a_word_need_no_weyl_group(capsys):
+    # |W(A8)| is above the enumeration cap; the crystal suite never reads W
+    argv = ["verify", "--type", "A8", "--suite", "crystal", "--colours", "1,0,0,0,0,0,0,0"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith("PASS crystal: sizes and axioms")
+    code, _, err = run(capsys, *argv, "--word", "1")
+    assert code == 2 and "exceeds the cap" in err
+
+
+def test_a_tampered_string_table_fails_the_crystal_suite(capsys, monkeypatch):
+    # eps and phi are read off the string table, weights are not, so the
+    # check phi - eps = <wt, alpha_i^vee> must see one wrong string length
+    from crystalgraphs.crystal import highest_weight_crystal
+
+    rho = highest_weight_crystal(build_root_datum("A2"), (1, 1))
+    _, data = rho.string_table(1)
+    assert data[1] == (0, 0, 1)
+    monkeypatch.setitem(data, 1, (0, 0, 2))
+    code, out, _ = run(capsys, "verify", "--type", "A2", "--suite", "crystal")
+    assert code == 1
+    assert out.startswith("FAIL crystal: sizes and axioms")
+    assert "phi-eps mismatch at (1, 1), 1, colour 1" in out
+
+
 def test_verify_identical_under_optimize_flag():
     # python -O strips assert statements, so invariants must not rely on them
     env = dict(os.environ)

@@ -3,17 +3,17 @@ from itertools import product as iter_product
 import pytest
 
 from crystalgraphs.crystal import (
-    apply_kashiwara,
+    TensorCrystal,
     canonical_morphism,
-    cartan_project,
     highest_weight_crystal,
     raise_to_top,
-    tensor_crystal,
+    string_data,
+    strings,
     tensor_of,
 )
 from crystalgraphs.rootdata import build_root_datum, weyl_dim, weyl_group
 
-from helpers import component_sizes, transport
+from helpers import cartan_project, component_sizes, path_model_reads, transport
 
 A2 = build_root_datum("A2")
 C2 = build_root_datum("C2")
@@ -70,12 +70,10 @@ def test_errors():
         highest_weight_crystal(A2, (1, 0)).f(3, 1)
     # the cache key of a mixed tuple would match this product over A2
     tensor_of(A2, ((1, 0), (1, 0)))
-    with pytest.raises(ValueError):
-        tensor_crystal(
+    with pytest.raises(ValueError, match="different root data"):
+        TensorCrystal(
             [highest_weight_crystal(A2, (1, 0)), highest_weight_crystal(C2, (1, 0))]
         )
-    with pytest.raises(ValueError):
-        apply_kashiwara(highest_weight_crystal(A2, (1, 0)), "sideways", 1, 1)
 
 
 def test_size_cap_is_checked_on_a_cache_hit():
@@ -96,8 +94,8 @@ def test_tensor_rule_examples():
     tt = tensor_of(A2, ((1, 0), (1, 0)))
     # second factor moves: phi_1(a2) = 0 is not greater than eps_1(a1) = 0
     assert tt.f(1, (2, 1)) == (2, 2)
-    assert apply_kashiwara(tt, "lower", 1, None) is None
-    assert apply_kashiwara(tt, "raise", 1, (1, 1)) is None
+    assert tt.f(1, None) is None
+    assert tt.e(1, (1, 1)) is None
 
 
 def test_tensor_crystal_axiom():
@@ -112,6 +110,38 @@ def test_tensor_crystal_axiom():
                 if pre is not None:
                     assert t.f(i, pre) == x
                 assert t.phi(i, x) - t.eps(i, x) == datum.pairing(t.weight(x), i)
+
+
+# every B(lam) with |lam| <= 3 in rank two; the fundamentals and rho in rank three
+PATH_MODEL_CASES = [
+    (label, lam)
+    for label in ("A2", "B2", "C2", "G2")
+    for lam in iter_product(range(4), repeat=2)
+    if sum(lam) <= 3
+] + [
+    (label, lam)
+    for label in ("A3", "B3", "C3")
+    for datum in [build_root_datum(label)]
+    for lam in datum.fundamental_weights + (datum.rho,)
+]
+
+
+@pytest.mark.parametrize("label, lam", PATH_MODEL_CASES)
+def test_string_tables_match_the_path_model(label, lam):
+    # the oracle numbers the paths itself and reads eps, phi and the weight
+    # off each path, raising on any non-integral value
+    datum = build_root_datum(label)
+    crystal = highest_weight_crystal(datum, lam)
+    oracle = path_model_reads(datum, lam)
+    assert crystal.size == len(oracle["weight"])
+    assert [crystal.weight(b) for b in crystal.elements()] == oracle["weight"]
+    for i in datum.colours:
+        for b in crystal.elements():
+            assert crystal.f(i, b) == oracle["f"].get((i, b))
+            assert crystal.eps(i, b) == oracle["eps"][i, b]
+            assert crystal.phi(i, b) == oracle["phi"][i, b]
+        assert strings(crystal, i) == oracle["strings"][i]
+        assert string_data(crystal, i) == oracle["string_data"][i]
 
 
 BATTERY = [
@@ -304,3 +334,6 @@ def test_crystals_and_tensor_products_reject_a_colour_outside_the_rank(i):
         for op in (obj.f, obj.e, obj.eps, obj.phi):
             with pytest.raises(ValueError, match=f"invalid colour index {i} for A2"):
                 op(i, element)
+        for read in (strings, string_data):
+            with pytest.raises(ValueError, match=f"invalid colour index {i} for A2"):
+                read(obj, i)

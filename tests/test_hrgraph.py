@@ -185,8 +185,8 @@ def test_range_rejects_paths_off_the_cartan_component():
 def test_compose_identity_and_degree_additivity():
     g = a2_graph()
     e = g.paths((1, 0))[0]
-    ident_source = g.identity_path(e.source)
-    ident_range = g.identity_path(g.range(e))
+    ident_source = GraphPath(e.source, 1, (0, 0))
+    ident_range = GraphPath(g.range(e), 1, (0, 0))
     assert g.compose(e, ident_source) == e
     assert g.compose(ident_range, e) == e
     loops = [e for e in g.paths((1, 0)) if g.range(e) == e.source == g.vertices[0]]
@@ -240,16 +240,40 @@ def test_c2_loopless_vertices_still_have_paths():
             assert any(e.source == v for e in g.paths(degree))
 
 
+def _below(g):
+    """The componentwise lowering-reachability order on vertices: v <= w iff
+    each v_i is reachable from w_i by lowering operators in B(theta_i)."""
+    reach = []
+    for theta in g.colours.colours:
+        crystal = highest_weight_crystal(g.datum, theta)
+        table = {}
+        for b in crystal.elements():
+            seen, queue = {b}, [b]
+            while queue:
+                x = queue.pop()
+                for i in g.datum.colours:
+                    y = crystal.f(i, x)
+                    if y is not None and y not in seen:
+                        seen.add(y)
+                        queue.append(y)
+            table[b] = seen
+        reach.append(table)
+    return lambda v, w: all(x in table[y] for x, y, table in zip(v, w, reach))
+
+
 def test_source_below_range_and_extreme_vertices():
     for g in (a2_graph(), c2_graph()):
+        leq = _below(g)
+        top = (1,) * g.colours.n
+        bottom = tuple(highest_weight_crystal(g.datum, c).lowest for c in g.colours.colours)
         for degree in [(1, 0), (0, 1), (1, 1)]:
             for e in g.paths(degree):
-                assert g.vertex_leq(e.source, g.range(e))
-        assert g.vertex_max in g.vertices
-        assert g.vertex_min in g.vertices
+                assert leq(e.source, g.range(e))
+        assert top in g.vertices
+        assert bottom in g.vertices
         for v in g.vertices:
-            assert g.vertex_leq(v, g.vertex_max)
-            assert g.vertex_leq(g.vertex_min, v)
+            assert leq(v, top)
+            assert leq(bottom, v)
 
 
 def test_weyl_vertex_map_a2_bijection():
@@ -258,7 +282,7 @@ def test_weyl_vertex_map_a2_bijection():
     group = weyl_group(A2)
     assert len(table) == group.order == 6
     assert set(table.values()) == set(g.vertices)
-    assert table[0] == g.vertex_max  # identity hits the top tuple
+    assert table[0] == (1, 1)  # identity hits the top tuple
 
 
 def test_weyl_vertex_map_c2_image():

@@ -20,14 +20,12 @@ TABLES = {
     "crystalgraphs.crystal._build_crystal",
     "crystalgraphs.crystal._tensor_of",
     "crystalgraphs.crystal._walk",
+    "crystalgraphs.crystal.TensorCrystal.string_table",
     "crystalgraphs.braiding._pair_braiding",
     "crystalgraphs.hrgraph.ColourSet._weight_of",
     "crystalgraphs.hrgraph.HigherRankGraph._slice",
     "crystalgraphs.hrgraph.HigherRankGraph._composition",
-    "crystalgraphs.hrgraph.HigherRankGraph._descendant_table",
     "crystalgraphs.hrgraph.graph_of",
-    "crystalgraphs.soibelman.strings",
-    "crystalgraphs.soibelman.string_data",
     "crystalgraphs.soibelman.SoibelmanModel._generator_table",
     "crystalgraphs.soibelman.SoibelmanModel._rank_one",
     "crystalgraphs.soibelman.SoibelmanModel._projection",
@@ -36,7 +34,7 @@ TABLES = {
 UNREUSED = {
     "crystalgraphs.rootdata.build_root_datum",
     "crystalgraphs.rootdata.weyl_group",
-    "crystalgraphs.hrgraph.HigherRankGraph._descendant_table",
+    "crystalgraphs.crystal.TensorCrystal.string_table",
     "crystalgraphs.hrgraph.graph_of",
 }
 
@@ -105,9 +103,13 @@ def test_kp_builds_no_crystal_for_a_weight_sum_only_r1_reads(capsys):
     assert cli.main(["verify", "--type", "C2", "--suite", "kp", "--bound", "2,1"]) == 0
     capsys.readouterr()
     built = cache_stats()["crystalgraphs.crystal._build_crystal"]
-    assert built[2] == 6
-    # the six are 0, varpi1, varpi2, rho, 2 varpi1 and 2 varpi1 + varpi2
+    assert built[2] == 10
+    # six over C2: 0, varpi1, varpi2, rho, 2 varpi1 and 2 varpi1 + varpi2;
+    # four over A1: the strings B(0)..B(3) whose tensor products the rank-one
+    # slot lemma reads its strings from
     for lam in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 1)]:
         highest_weight_crystal(c2, lam)
+    for m in range(4):
+        highest_weight_crystal(build_root_datum("A1"), (m,))
     hits, misses, entries = cache_stats()["crystalgraphs.crystal._build_crystal"]
-    assert (hits, misses, entries) == (built[0] + 6, built[1], 6)
+    assert (hits, misses, entries) == (built[0] + 10, built[1], 10)

@@ -3,15 +3,16 @@ from itertools import product as iter_product
 import pytest
 
 from crystalgraphs.braiding import pair_braiding
-from crystalgraphs.crystal import cartan_project, highest_weight_crystal, tensor_of
+from crystalgraphs.crystal import highest_weight_crystal, string_data, strings, tensor_of
 from crystalgraphs.hrgraph import GraphPath, HigherRankGraph, colour_set, graph_of
 from crystalgraphs.rootdata import add_weights, build_root_datum, weyl_group
-from crystalgraphs.soibelman import SoibelmanModel, _slot_strings, string_data, strings
-from crystalgraphs.toeplitz import OperatorElement, projection_p0, sl2_limit
+from crystalgraphs.soibelman import SoibelmanModel
+from crystalgraphs.toeplitz import OperatorElement, projection_p0
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
     braid_moved_word,
+    cartan_project,
     component_strings,
     component_table,
     exhaustive_kp2,
@@ -19,6 +20,8 @@ from helpers import (
     exhaustive_relations,
     operator_matrix,
     restriction_limit,
+    sl2_limit,
+    slot_strings,
     slotwise_generator,
 )
 
@@ -169,17 +172,23 @@ def test_component_tables_store_the_cartan_projected_terms(label, word):
 
 @pytest.mark.parametrize("label", ["A2", "B2", "C2", "G2", "A3"])
 def test_component_strings_follow_the_tensor_rule(label):
+    # the string table of B(lam) x B(lam'), walked off its f and e, against
+    # the closed-form two-factor rule and a walk down f_i from each element
     datum = build_root_datum(label)
     for lam, lamp in _default_pairs(datum):
         pair = tensor_of(datum, (lam, lamp))
         for i in datum.colours:
             below = component_strings(*pair.factors, i)
+            lines, data = strings(pair, i), string_data(pair, i)
+            assert sorted(data) == sorted(pair.elements())
             for t in pair.elements():
                 walk = [t]
                 while (lower := pair.f(i, walk[-1])) is not None:
                     walk.append(lower)
                 top, length, string = below(t)
                 assert (top, length - top, string) == (pair.eps(i, t), pair.phi(i, t), walk)
+                sid, pos, size = data[t]
+                assert (pos, size, lines[sid][pos:]) == (top, length, string)
 
 
 def test_projection_examples():
@@ -211,7 +220,7 @@ def test_path_operator_examples():
     cs = colour_set(A2, A2.fundamental_weights)
     graph = HigherRankGraph(cs)
     v1 = graph.vertices[0]
-    ident = graph.identity_path(v1)
+    ident = GraphPath(v1, 1, (0, 0))
     assert m.path_operator(cs, ident) == m.projection(cs, v1)
     loop = next(
         e for e in graph.paths((1, 0)) if e.source == v1 and graph.range(e) == v1
@@ -466,10 +475,12 @@ def _slot_oracle(m1, m2, p1, t1, p2, t2):
 
 
 def test_slot_strings_follow_the_a1_tensor_crystal():
+    # the strings _rank_one reads off the A1 tensor crystal, against the
+    # closed form (element b of B(m) sits at position b - 1)
     for m1, m2 in iter_product(range(10), repeat=2):
         data = string_data(tensor_of(A1, ((m1,), (m2,))), 1)
         shifted = {(b1 - 1, b2 - 1): entry for (b1, b2), entry in data.items()}
-        assert _slot_strings(m1, m2) == shifted
+        assert shifted == slot_strings(m1, m2)
 
 
 @settings(max_examples=150, deadline=None)
