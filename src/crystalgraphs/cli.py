@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from itertools import product as iter_product
+from typing import Iterator
 
 from .braiding import longest_permutation_word, pair_braiding, sigma_word
 from .crystal import highest_weight_crystal, tensor_of
@@ -64,10 +65,16 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _numbered(crystal_like) -> tuple[list, dict]:
+    """The elements in order, and each one's row number from 1, shared by
+    the DOT and text outputs."""
+    elements = list(crystal_like.elements())
+    return elements, {b: k for k, b in enumerate(elements, start=1)}
+
+
 def _crystal_dot(crystal_like, name: str) -> str:
     lines = [f"digraph {name} {{"]
-    elements = list(crystal_like.elements())
-    labels = {b: str(k) for k, b in enumerate(elements, start=1)}
+    elements, labels = _numbered(crystal_like)
     for b in elements:
         weight = ",".join(str(x) for x in crystal_like.weight(b))
         lines.append(f'  n{labels[b]} [label="{labels[b]}: ({weight})"];')
@@ -85,14 +92,15 @@ def _crystal_dot(crystal_like, name: str) -> str:
 
 def _crystal_text(crystal_like) -> str:
     lines = []
-    for k, b in enumerate(crystal_like.elements(), start=1):
+    elements, labels = _numbered(crystal_like)
+    for b in elements:
         weight = ",".join(str(x) for x in crystal_like.weight(b))
         edges = []
         for i in crystal_like.datum.colours:
             image = crystal_like.f(i, b)
             if image is not None:
-                edges.append(f"-{i}-> {image}")
-        lines.append(f"{k} ({weight}) " + " ".join(edges))
+                edges.append(f"-{i}-> {labels[image]}")
+        lines.append(f"{labels[b]} ({weight}) " + " ".join(edges))
     return "\n".join(lines) + "\n"
 
 
@@ -121,9 +129,9 @@ def _run_verify(args, datum, colours) -> tuple[VerificationReport, str]:
     model = SoibelmanModel(datum, args.word) if kp or args.word else None
     report = VerificationReport()
     if args.suite in ("crystal", "all"):
-        report.extend(_crystal_suite(datum, cs))
+        report.certify("crystal: sizes and axioms", _crystal_suite(datum, cs))
     if args.suite in ("braiding", "all"):
-        report.extend(_braiding_suite(datum, cs))
+        report.certify("braiding: morphism, braid, longest-word", _braiding_suite(datum, cs))
     if args.suite in ("graph", "all"):
         graph = graph_of(cs)
         for m, n in _degree_splits(bound):
@@ -147,34 +155,28 @@ def _degree_splits(bound):
     return out
 
 
-def _crystal_suite(datum, cs) -> VerificationReport:
-    report = VerificationReport()
-    weights = list(cs.colours) + [cs.rho]
-    bad = ""
-    cases = 0
-    for lam in weights:
+def _crystal_suite(datum, cs) -> Iterator[str]:
+    """One result per case: the size of each B(lam), then each (b, i)."""
+    for lam in list(cs.colours) + [cs.rho]:
         crystal = highest_weight_crystal(datum, lam)
-        cases += 1
-        if crystal.size != weyl_dim(datum, lam):
-            bad = bad or f"size of B({lam})"
+        yield "" if crystal.size == weyl_dim(datum, lam) else f"size of B({lam})"
         for b in crystal.elements():
             for i in datum.colours:
-                cases += 1
                 image = crystal.f(i, b)
                 if image is not None and crystal.e(i, image) != b:
-                    bad = bad or f"crystal axiom at {lam}, {b}, colour {i}"
-                if crystal.phi(i, b) - crystal.eps(i, b) != datum.pairing(
+                    yield f"crystal axiom at {lam}, {b}, colour {i}"
+                elif crystal.phi(i, b) - crystal.eps(i, b) != datum.pairing(
                     crystal.weight(b), i
                 ):
-                    bad = bad or f"phi-eps mismatch at {lam}, {b}, colour {i}"
-    report.add("crystal: sizes and axioms", not bad, cases, bad)
-    return report
+                    yield f"phi-eps mismatch at {lam}, {b}, colour {i}"
+                else:
+                    yield ""
 
 
-def _braiding_suite(datum, cs) -> VerificationReport:
-    report = VerificationReport()
-    bad = ""
-    cases = 0
+def _braiding_suite(datum, cs) -> Iterator[str]:
+    """One result per case: the morphism property at each (t, i) of every
+    pair table, then the braid relation and the longest-word criterion at
+    each element of every triple."""
     for lam, lamp in iter_product(cs.colours, cs.colours):
         source = tensor_of(datum, (lam, lamp))
         target = tensor_of(datum, (lamp, lam))
@@ -185,25 +187,18 @@ def _braiding_suite(datum, cs) -> VerificationReport:
                 lhs = None if lhs is None else target.f(i, lhs)
                 moved = source.f(i, t)
                 rhs = None if moved is None else table[moved]
-                cases += 1
-                if lhs != rhs:
-                    bad = bad or f"morphism property at {lam},{lamp},{t},{i}"
-    triples = list(iter_product(cs.colours, repeat=3))
-    for weights in triples:
+                yield "" if lhs == rhs else f"morphism property at {lam},{lamp},{t},{i}"
+    word_a = longest_permutation_word(3)
+    for weights in iter_product(cs.colours, repeat=3):
         tc = tensor_of(datum, weights)
-        word_a = longest_permutation_word(3)
         for t in tc.elements():
-            cases += 1
             lhs = sigma_word(tc, word_a, t)
             rhs = sigma_word(tc, (2, 1, 2), t)
-            if lhs != rhs:
-                bad = bad or f"braid relation at {weights}, {t}"
-            eta = tc.eta(t)
-            cases += 1
-            if (lhs is not None) != bool(eta):
-                bad = bad or f"longest-word criterion at {weights}, {t}"
-    report.add("braiding: morphism, braid, longest-word", not bad, cases, bad)
-    return report
+            yield "" if lhs == rhs else f"braid relation at {weights}, {t}"
+            if (lhs is not None) != bool(tc.eta(t)):
+                yield f"longest-word criterion at {weights}, {t}"
+            else:
+                yield ""
 
 
 def main(argv=None) -> int:

@@ -192,34 +192,28 @@ class HigherRankGraph:
         for e2 in self.paths(n):
             for e1 in by_source.get(self.range(e2), ()):
                 counts[self.compose(e1, e2)] += 1
-        bad = [e for e, c in counts.items() if c != 1]
         report = VerificationReport()
-        report.add(
+        report.certify(
             f"factorization {m}+{n}",
-            not bad,
-            cases=len(counts),
-            detail=f"path {bad[0]} has {counts[bad[0]]} factorizations" if bad else "",
+            ("" if c == 1 else f"path {e} has {c} factorizations" for e, c in counts.items()),
         )
         return report
 
     def degree_counts_and_sources(self, bound: Degree) -> VerificationReport:
-        """Row-finiteness and absence of sources/sinks up to a degree bound."""
+        """Row-finiteness and absence of sources/sinks up to a degree bound:
+        one case per path of each degree, and a failed case for each vertex
+        that is not both a range and a source there."""
         report = VerificationReport()
         for degree in iter_product(*(range(b + 1) for b in bound)):
             paths = self.paths(degree)
             with_range = {self.range(e) for e in paths}
             with_source = {e.source for e in paths}
             missing = [
-                v
+                f"vertex {v} has no path"
                 for v in self.vertices
                 if v not in with_range or v not in with_source
             ]
-            report.add(
-                f"no sources/sinks at degree {degree}",
-                not missing,
-                cases=len(paths),
-                detail=f"vertex {missing[0]} has no path" if missing else "",
-            )
+            report.certify(f"no sources/sinks at degree {degree}", [""] * len(paths) + missing)
         return report
 
     def nonzero_degrees(self, bound: Degree) -> list[Degree]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class Check(NamedTuple):
@@ -52,17 +52,42 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(
+    def certify(
         self,
         name: str,
-        passed: bool,
-        cases: int = 0,
-        detail: str = "",
+        results: Iterable[str],
         implied: int = 0,
         implied_by: str = "",
+        premises: dict[str, bool] | None = None,
         lemma_cases: int = 0,
     ) -> Check:
-        check = Check(name, bool(passed), cases, detail, implied, implied_by, lemma_cases)
+        """Record check `name` from its computed cases and its certificate, if
+        any; the only way a check enters a report.
+
+        `results` yields one entry per computed case: empty when the case
+        holds, else why it fails; the first failure is the detail.  `implied`
+        further cases follow from `premises` (name -> held) by the lemma
+        `implied_by`, whose own `lemma_cases` checked cases are recorded but
+        never counted.  The check passes with computed + implied cases only
+        when every computed case and every premise holds.  Otherwise it fails
+        with the computed count alone and names the first failed case and
+        each failed premise.
+        """
+        computed = 0
+        failure = ""
+        for result in results:
+            computed += 1
+            failure = failure or result
+        reasons = [failure] if failure else []
+        reasons += [
+            f"premise {premise} fails, so {implied} implied cases are not certified"
+            for premise, held in (premises or {}).items()
+            if not held
+        ]
+        if reasons:
+            check = Check(name, False, computed, "; ".join(reasons), lemma_cases=lemma_cases)
+        else:
+            check = Check(name, True, computed + implied, "", implied, implied_by, lemma_cases)
         self.checks.append(check)
         return check
 

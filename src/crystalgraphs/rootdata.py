@@ -91,31 +91,12 @@ def _cartan_data(family: str, rank: int) -> tuple[list[list[int]], list[int]]:
     return a, d
 
 
-def invert_rational(matrix: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Invert a square matrix by Gaussian elimination over Fraction."""
-    n = len(matrix)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def rational_rank(rows: list[tuple[Fraction, ...]]) -> int:
-    """Rank of a matrix given as a list of rows, over the rationals."""
+def _row_reduce(rows) -> tuple[list[list[Fraction]], int]:
+    """Gauss-Jordan elimination over Fraction: the reduced row echelon form
+    and the rank."""
     work = [list(map(Fraction, row)) for row in rows]
     rank = 0
-    cols = len(work[0]) if work else 0
-    for col in range(cols):
+    for col in range(len(work[0]) if work else 0):
         pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
         if pivot is None:
             continue
@@ -127,7 +108,24 @@ def rational_rank(rows: list[tuple[Fraction, ...]]) -> int:
                 factor = work[r][col]
                 work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
         rank += 1
-    return rank
+    return work, rank
+
+
+def invert_rational(matrix: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
+    """Invert a square matrix by row reducing (matrix | identity)."""
+    n = len(matrix)
+    reduced, _ = _row_reduce(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    )
+    # a singular matrix leaves a pivot in the identity half
+    if any(row[i] != 1 for i, row in enumerate(reduced)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in reduced)
+
+
+def rational_rank(rows: list[tuple[Fraction, ...]]) -> int:
+    """Rank of a matrix given as a list of rows, over the rationals."""
+    return _row_reduce(rows)[1]
 
 
 def _positive_roots(a: list[list[int]], rank: int) -> list[Coords]:

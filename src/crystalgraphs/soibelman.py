@@ -16,7 +16,7 @@ from .braiding import pair_braiding
 from .crystal import highest_weight_crystal, string_data, strings, tensor_of
 from .hrgraph import ColourSet, Degree, GraphPath, HigherRankGraph, Vertex, graph_of
 from .memo import memo
-from .report import Check, VerificationReport
+from .report import VerificationReport
 from .rootdata import Coords, RootDatum, build_root_datum, neg_weights, weyl_group
 from .toeplitz import OperatorElement, string_slot
 
@@ -28,41 +28,6 @@ def _mutually_inverse(table: dict, back: dict) -> bool:
     return all(y is None or back[y] == x for x, y in table.items()) and all(
         x is None or table[x] == y for y, x in back.items()
     )
-
-
-def _certified(
-    report: VerificationReport,
-    name: str,
-    results: Iterable[str],
-    implied: int = 0,
-    implied_by: str = "",
-    premises: dict[str, bool] | None = None,
-    lemma_cases: int = 0,
-) -> Check:
-    """Add check `name` from its computed cases and its certificate, if any.
-
-    `results` yields one entry per computed case: empty when the case holds,
-    else why it fails; the first failure is the detail.  `implied` further
-    cases follow from `premises` (name -> held) by the lemma `implied_by`,
-    whose own `lemma_cases` checked cases are recorded but never counted.
-    The check passes with computed + implied cases only when every computed
-    case and every premise holds.  Otherwise it fails with the computed count
-    alone and names the first failed case and each failed premise.
-    """
-    computed = 0
-    failure = ""
-    for result in results:
-        computed += 1
-        failure = failure or result
-    reasons = [failure] if failure else []
-    reasons += [
-        f"premise {premise} fails, so {implied} implied cases are not certified"
-        for premise, held in (premises or {}).items()
-        if not held
-    ]
-    if reasons:
-        return report.add(name, False, computed, "; ".join(reasons), lemma_cases=lemma_cases)
-    return report.add(name, True, computed + implied, "", implied, implied_by, lemma_cases)
 
 
 class SoibelmanModel:
@@ -334,8 +299,7 @@ class SoibelmanModel:
                     total = total + gen(lam, i, "v") * gen(lam, i, "f")
                 yield "" if total == self.one else f"sum over B({lam})"
 
-        _certified(
-            report,
+        report.certify(
             "R1 products collapse through the Cartan component",
             (),
             2 * sum(size) ** 2,
@@ -343,8 +307,7 @@ class SoibelmanModel:
             {"rank-one slot lemma": rank_one_holds, "R4": not any(r4)},
             rank_one,
         )
-        _certified(
-            report,
+        report.certify(
             "R2 cross relations through the braiding",
             r2(),
             sum(size[a] * size[b] for a, b in halves if a != b)
@@ -352,8 +315,8 @@ class SoibelmanModel:
             "adjoints under R4 and inverse braidings",
             {"R4": not any(r4), "inverse braidings": inverse_braidings},
         )
-        _certified(report, "R3 unitality", r3())
-        _certified(report, "R4 adjoint pairing", r4)
+        report.certify("R3 unitality", r3())
+        report.certify("R4 adjoint pairing", r4)
         return report
 
     def verify_graph_algebra(
@@ -420,8 +383,7 @@ class SoibelmanModel:
                 total = total + p
             yield "" if total == self.one else "sum of vertex projections is not 1"
 
-        kp1_check = _certified(
-            report,
+        kp1_check = report.certify(
             "KP1 vertex projections",
             kp1(),
             len(vertices) * (len(vertices) - 1) // 2,
@@ -496,8 +458,7 @@ class SoibelmanModel:
                     yield f"S_{e} is not homogeneous of degree {neg_weights(lam)}"
 
         kp4_results = list(kp4())  # a premise of KP3, reported after it
-        _certified(
-            report,
+        report.certify(
             "KP2 path composition",
             kp2(),
             composable,
@@ -510,8 +471,7 @@ class SoibelmanModel:
             },
             rank_one,
         )
-        _certified(
-            report,
+        report.certify(
             "KP3 orthogonal isometries",
             kp3_diagonal(),
             sum(len(graph.paths(d)) * (len(graph.paths(d)) - 1) for d in degrees),
@@ -522,8 +482,8 @@ class SoibelmanModel:
                 "KP4": not any(kp4_results),
             },
         )
-        _certified(report, "KP4 range decomposition", kp4_results)
-        _certified(report, "grading: P_v invariant, S_e of degree -d(e)", grading())
+        report.certify("KP4 range decomposition", kp4_results)
+        report.certify("grading: P_v invariant, S_e of degree -d(e)", grading())
         return report
 
     def verify_suite(

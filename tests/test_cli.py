@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -123,7 +124,7 @@ def test_verify_exit_one_on_failure(capsys, monkeypatch):
     from crystalgraphs.report import VerificationReport
 
     failing = VerificationReport()
-    failing.add("synthetic", False, 1, "forced failure")
+    failing.certify("synthetic", ["forced failure"])
     monkeypatch.setattr(cli, "_run_verify", lambda *a: (failing, str(failing) + "\n"))
     code, out, _ = run(capsys, "verify", "--type", "A1")
     assert code == 1
@@ -370,3 +371,110 @@ def test_verify_json_splits_computed_and_implied(capsys):
         assert check["computed"] + check["implied"] == check["cases"]
         assert (check["computed"], check["implied"]) == certified.get(tag, (check["cases"], 0))
         assert check["lemma_cases"] == lemma.get(tag, 0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--type", "A2", "--colours", "1,0;0,1"],
+        ["--type", "C2", "--colours", "1,0;0,1;1,0"],
+        ["--type", "G2"],
+    ],
+)
+def test_crystal_text_numbers_edge_targets_like_the_dot_output(capsys, argv):
+    code, text, _ = run(capsys, "crystal", *argv, "--emit", "text")
+    assert code == 0
+    text_edges = set()
+    for row, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        assert fields[0] == str(row)
+        for arrow, target in zip(fields[2::2], fields[3::2]):
+            assert target.isdigit(), line
+            text_edges.add((row, int(arrow.strip("->")), int(target)))
+    code, dot, _ = run(capsys, "crystal", *argv, "--emit", "dot")
+    assert code == 0
+    dot_edges = {
+        (int(a), int(i), int(b))
+        for a, b, i in re.findall(r'n(\d+) -> n(\d+) \[color="\w+", label="(\d+)"\]', dot)
+    }
+    assert dot_edges and text_edges == dot_edges
+
+
+def test_a_changed_braiding_entry_fails_the_braiding_suite_at_its_first_case(capsys, monkeypatch):
+    from crystalgraphs import cli
+
+    argv = ["verify", "--type", "A2", "--suite", "braiding"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    cases = out.split("(")[1].split()[0]
+    original = cli.pair_braiding
+
+    def changed(datum, lam, lamp):
+        table = original(datum, lam, lamp)
+        if (lam, lamp) != ((1, 0), (1, 0)):
+            return table
+        # f_1 of the top (1, 1) is (2, 1), so the first failing case is the
+        # top at colour 1; (2, 1) at colour 2 fails too, later
+        assert table[(2, 1)] == (2, 1)
+        return {**table, (2, 1): None}
+
+    monkeypatch.setattr(cli, "pair_braiding", changed)
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    assert out == (
+        f"FAIL braiding: morphism, braid, longest-word ({cases} cases): "
+        "morphism property at (1, 0),(1, 0),(1, 1),1\n"
+    )
+
+
+def test_a_redirected_composite_fails_its_factorization_split(capsys, monkeypatch):
+    from crystalgraphs.hrgraph import HigherRankGraph, colour_set, graph_of
+
+    a2 = build_root_datum("A2")
+    paths = graph_of(colour_set(a2, a2.fundamental_weights)).paths((1, 1))
+    # the pair that composes to paths[2] now lands on paths[1], so paths[1]
+    # (first in order) has two factorizations and paths[2] none
+    original = HigherRankGraph.compose
+
+    def redirected(self, eprime, e):
+        out = original(self, eprime, e)
+        return paths[1] if (eprime.degree, out) == ((1, 0), paths[2]) else out
+
+    monkeypatch.setattr(HigherRankGraph, "compose", redirected)
+    code, out, _ = run(capsys, "verify", "--type", "A2", "--suite", "graph", "--bound", "1,1")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        f"FAIL factorization (1, 0)+(0, 1) ({len(paths)} cases): "
+        f"path {paths[1]} has 2 factorizations"
+    ]
+
+
+def test_a_thinned_slice_fails_no_sources_at_its_first_uncovered_vertex(capsys, monkeypatch):
+    from crystalgraphs.hrgraph import HigherRankGraph, colour_set, graph_of
+
+    a2 = build_root_datum("A2")
+    graph = graph_of(colour_set(a2, a2.fundamental_weights))
+    first = graph.vertices[0]
+    original = HigherRankGraph.paths
+
+    def thinned(self, degree):
+        paths = original(self, degree)
+        if tuple(degree) != (1, 0):
+            return paths
+        return tuple(e for e in paths if first not in (e.source, self.range(e)))
+
+    monkeypatch.setattr(HigherRankGraph, "paths", thinned)
+    kept = graph.paths((1, 0))
+    uncovered = [
+        v
+        for v in graph.vertices
+        if v not in {e.source for e in kept} or v not in {graph.range(e) for e in kept}
+    ]
+    assert uncovered[0] == first
+    code, out, _ = run(capsys, "verify", "--type", "A2", "--suite", "graph", "--bound", "1,1")
+    assert code == 1
+    # a failed line counts the uncovered vertices on top of the paths
+    assert (
+        f"FAIL no sources/sinks at degree (1, 0) ({len(kept) + len(uncovered)} cases): "
+        f"vertex {first} has no path"
+    ) in out.splitlines()

@@ -1,0 +1,34 @@
+import re
+from pathlib import Path
+
+from crystalgraphs.report import Check, VerificationReport
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "crystalgraphs"
+
+
+def test_only_the_report_module_records_checks():
+    pattern = re.compile(r"\bCheck\(|\breport\w*\.add\(")
+    assert (PACKAGE / "report.py").is_file()
+    offenders = [
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if path.name != "report.py" and pattern.search(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+    assert not hasattr(VerificationReport, "add")
+
+
+def test_certify_counts_cases_and_keeps_the_first_failure():
+    report = VerificationReport()
+    held = report.certify("held", ["", ""], 3, "a lemma", {"premise": True}, 7)
+    assert held == Check("held", True, 5, "", 3, "a lemma", 7)
+    failed = report.certify("failed", iter(["", "first", "second"]), 3, "a lemma", {"p": False})
+    assert failed == Check(
+        "failed", False, 3, "first; premise p fails, so 3 implied cases are not certified"
+    )
+    assert report.checks == [held, failed] and not report.passed
+    assert report.lines() == [
+        "PASS held (5 cases)",
+        "  held split: 2 computed, 3 implied by a lemma",
+        "FAIL failed (3 cases): first; premise p fails, so 3 implied cases are not certified",
+    ]

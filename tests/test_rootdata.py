@@ -8,6 +8,8 @@ from crystalgraphs.rootdata import (
     WeylSizeError,
     build_root_datum,
     bilinear_form,
+    invert_rational,
+    rational_rank,
     weyl_dim,
     weyl_group,
 )
@@ -162,3 +164,33 @@ def test_equal_data_hash_alike_and_stay_apart_as_keys():
     assert data[build_root_datum("C2")] == "C2"
     assert data[build_root_datum("G2")] == "G2"
     assert build_root_datum("C2") != build_root_datum("B2")
+
+
+
+# every finite type of rank at most 8
+LABELS_TO_E8 = [
+    f"{family}{rank}"
+    for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+    for rank in range(low, 9)
+] + ["E6", "E7", "E8", "F4", "G2"]
+
+
+@pytest.mark.parametrize("label", LABELS_TO_E8)
+def test_cartan_matrix_times_its_inverse_is_the_identity(label):
+    d = build_root_datum(label)
+    n = d.rank
+    product = [
+        [sum(d.cartan_matrix[i][k] * d.cartan_inverse[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_rational_rank_sees_dependent_rows():
+    rows = [(1, 2, 3), (2, 4, 6), (0, 1, 1)]
+    assert rational_rank(rows) == 2 < len(rows)
+    assert rational_rank([(1, 0), (0, 1), (1, 1)]) == 2
+    assert rational_rank([(0, 0)]) == 0
+    assert rational_rank([(1, 1, 0), (0, 1, 1), (1, 0, 1)]) == 3
+    with pytest.raises(ValueError):
+        invert_rational([[1, 2], [2, 4]])
