@@ -1,7 +1,8 @@
 """Command-line front end: crystal graphs, braiding tables, higher-rank
 graphs, and the verification suites.
 
-Output is deterministic for fixed flags.  Exit codes: 0 success, 1 a
+Output is deterministic for fixed flags, apart from the per-check
+``elapsed_s`` timings of ``verify --emit json``.  Exit codes: 0 success, 1 a
 verification suite failed, 2 usage errors, including an --out file that
 cannot be written.
 """
@@ -95,12 +96,12 @@ def _crystal_text(crystal_like) -> str:
     elements, labels = _numbered(crystal_like)
     for b in elements:
         weight = ",".join(str(x) for x in crystal_like.weight(b))
-        edges = []
+        fields = [f"{labels[b]} ({weight})"]
         for i in crystal_like.datum.colours:
             image = crystal_like.f(i, b)
             if image is not None:
-                edges.append(f"-{i}-> {labels[image]}")
-        lines.append(f"{labels[b]} ({weight}) " + " ".join(edges))
+                fields.append(f"-{i}-> {labels[image]}")
+        lines.append(" ".join(fields))
     return "\n".join(lines) + "\n"
 
 

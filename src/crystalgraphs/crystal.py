@@ -306,57 +306,66 @@ class TensorCrystal:
     # one colour check per call; the factor tables are then read directly
     _check_colour = Crystal._check_colour
 
-    def _suffix_tables(self, i: int, t: tuple) -> tuple[list[int], list[int]]:
-        n = len(t)
-        eps_suf = [0] * (n + 1)
-        phi_suf = [0] * (n + 1)
+    def _lowering(self, i: int, t: tuple) -> tuple[int, int]:
+        """(eps_i of t, the factor f_i acts on, or -1 when f_i t = 0), in one
+        backward pass of the signature rule: factor k reads as eps_k minus
+        signs then phi_k plus signs, adjacent (+, -) pairs cancel, and f_i
+        lowers the factor of the leftmost plus left over, the leftmost k with
+        phi_k above the eps of the factors after it."""
+        eps = 0
+        acts = -1
         tables = self._tables[i]
-        for k in range(n - 1, -1, -1):
+        for k in range(len(t) - 1, -1, -1):
             _, ex, length = tables[k][1][t[k]]
             px = length - ex
-            eps_suf[k] = ex + max(0, eps_suf[k + 1] - px)
-            phi_suf[k] = phi_suf[k + 1] + max(0, px - eps_suf[k + 1])
-        return eps_suf, phi_suf
+            if px > eps:
+                eps, acts = ex, k
+            else:
+                eps += ex - px
+        return eps, acts
+
+    def _raising(self, i: int, t: tuple) -> tuple[int, int]:
+        """(phi_i of t, the factor e_i acts on, or -1 when e_i t = 0), in one
+        forward pass of the signature rule: e_i raises the factor of the
+        rightmost minus left over, the rightmost k with eps_k above the phi
+        of the factors before it."""
+        phi = 0
+        acts = -1
+        for k, (_, data) in enumerate(self._tables[i]):
+            _, ex, length = data[t[k]]
+            if ex > phi:
+                phi, acts = length - ex, k
+            else:
+                phi += length - 2 * ex
+        return phi, acts
 
     def eps(self, i: int, t: tuple) -> int:
         self._check_colour(i)
-        return self._suffix_tables(i, t)[0][0]
+        return self._lowering(i, t)[0]
 
     def phi(self, i: int, t: tuple) -> int:
         self._check_colour(i)
-        return self._suffix_tables(i, t)[1][0]
+        return self._raising(i, t)[0]
 
     def f(self, i: int, t: TensorElement) -> TensorElement:
         if t is None:
             return None
         self._check_colour(i)
-        eps_suf, phi_suf = self._suffix_tables(i, t)
-        if phi_suf[0] == 0:
-            return None
-        last = len(t) - 1
-        for k, (lines, data) in enumerate(self._tables[i]):
-            sid, pos, length = data[t[k]]
-            if k == last or length - pos > eps_suf[k + 1]:
-                if pos == length:
-                    raise RuntimeError(f"tensor rule lowers factor {k} of {t}, which is lowest")
-                return t[:k] + (lines[sid][pos + 1],) + t[k + 1 :]
-        raise AssertionError("unreachable")
+        return self._move(i, t, self._lowering(i, t)[1], 1)
 
     def e(self, i: int, t: TensorElement) -> TensorElement:
         if t is None:
             return None
         self._check_colour(i)
-        eps_suf, _ = self._suffix_tables(i, t)
-        if eps_suf[0] == 0:
+        return self._move(i, t, self._raising(i, t)[1], -1)
+
+    def _move(self, i: int, t: tuple, k: int, step: int) -> TensorElement:
+        """t with factor k moved step places down its i-string; None if k < 0."""
+        if k < 0:
             return None
-        last = len(t) - 1
-        for k, (lines, data) in enumerate(self._tables[i]):
-            sid, pos, length = data[t[k]]
-            if k == last or length - pos >= eps_suf[k + 1]:
-                if pos == 0:
-                    raise RuntimeError(f"tensor rule raises factor {k} of {t}, which is highest")
-                return t[:k] + (lines[sid][pos - 1],) + t[k + 1 :]
-        raise AssertionError("unreachable")
+        lines, data = self._tables[i][k]
+        sid, pos, _ = data[t[k]]
+        return t[:k] + (lines[sid][pos + step],) + t[k + 1 :]
 
     @memo
     def string_table(self, i: int) -> StringTable:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from typing import Iterable, NamedTuple
 
 
@@ -47,6 +48,8 @@ class Check(NamedTuple):
 class VerificationReport:
     def __init__(self) -> None:
         self.checks: list[Check] = []
+        # seconds each check took, in the order of checks
+        self.elapsed: list[float] = []
 
     @property
     def passed(self) -> bool:
@@ -60,6 +63,7 @@ class VerificationReport:
         implied_by: str = "",
         premises: dict[str, bool] | None = None,
         lemma_cases: int = 0,
+        spent: float = 0.0,
     ) -> Check:
         """Record check `name` from its computed cases and its certificate, if
         any; the only way a check enters a report.
@@ -72,7 +76,11 @@ class VerificationReport:
         when every computed case and every premise holds.  Otherwise it fails
         with the computed count alone and names the first failed case and
         each failed premise.
+
+        The check's elapsed seconds are the time spent reading `results`,
+        plus `spent` seconds already spent computing them before the call.
         """
+        clock = time.perf_counter()
         computed = 0
         failure = ""
         for result in results:
@@ -89,10 +97,12 @@ class VerificationReport:
         else:
             check = Check(name, True, computed + implied, "", implied, implied_by, lemma_cases)
         self.checks.append(check)
+        self.elapsed.append(spent + time.perf_counter() - clock)
         return check
 
     def extend(self, other: "VerificationReport") -> None:
         self.checks.extend(other.checks)
+        self.elapsed.extend(other.elapsed)
 
     def lines(self) -> list[str]:
         return [line for c in self.checks for line in c.lines()]
@@ -115,8 +125,9 @@ class VerificationReport:
                         "implied": c.implied,
                         "lemma_cases": c.lemma_cases,
                         "detail": c.detail,
+                        "elapsed_s": round(seconds, 6),
                     }
-                    for c in self.checks
+                    for c, seconds in zip(self.checks, self.elapsed)
                 ],
             }
         )

@@ -8,10 +8,17 @@ basis vector.  A term is stored as one flat integer tuple
 and t is the torus weight.  The product of two basis tensors is one basis
 tensor or zero, slot by slot, so multiplication never cancels.
 
-The basis is linearly dependent, T^a P0 T*^b = T^a T*^b - T^(a+1) T*^(b+1),
-so equality, zero tests, degrees and rendering read the expansion into
-shift monomials T^a T*^b, which are linearly independent.  The expansion is
-computed once per element; arithmetic never expands.
+The stored basis is linearly dependent, T^a T*^b = T^(a-1) T*^(b-1) -
+T^(a-1) P0 T*^(b-1), so equality, zero tests and degrees read a normal form
+over the per-slot basis {T^n, T*^n} ∪ {E_ab = T^a P0 T*^b}, which is
+linearly independent (a nonzero combination of the T^n and T*^n is not of
+finite rank, and the E_ab are the matrix units).  With c = min(a, b),
+
+    T^a T*^b = T^(a-c) T*^(b-c) - sum_{k<c} E_(a-c+k, b-c+k),
+
+so a P0 slot, or a slot with c = 0, stays one term; normal-form keys keep
+the stored layout.  The normal form is computed once per element;
+arithmetic never rewrites.
 """
 
 from __future__ import annotations
@@ -23,13 +30,13 @@ class OperatorElement:
     """Integer combination of pure tensors over the per-slot basis
     {T^a T*^b} ∪ {T^a P0 T*^b}, with a torus label."""
 
-    __slots__ = ("slots", "rank", "terms", "_expanded")
+    __slots__ = ("slots", "rank", "terms", "_normal")
 
     def __init__(self, slots: int, rank: int, terms: dict[tuple[int, ...], int]):
         self.slots = slots
         self.rank = rank
         self.terms = terms
-        self._expanded: dict[tuple[int, ...], int] | None = None
+        self._normal: dict[tuple[int, ...], int] | None = None
 
     # construction -----------------------------------------------------
 
@@ -62,54 +69,58 @@ class OperatorElement:
 
     # structure --------------------------------------------------------
 
-    def expanded(self) -> dict[tuple[int, ...], int]:
-        """Normal form over shift monomials: keys (a_1, b_1, ..., a_l, b_l,
-        t_1, ..., t_r), zero coefficients dropped.  Computed once and
-        shared, so callers must not mutate it."""
-        if self._expanded is not None:
-            return self._expanded
-        cut = 3 * self.slots
+    def normal_form(self) -> dict[tuple[int, ...], int]:
+        """Normal form over the per-slot basis {T^n, T*^n} ∪ {T^a P0 T*^b}:
+        keys in the stored layout with no slot (a, b, 0) where a, b > 0, zero
+        coefficients dropped.  Computed once and shared, so callers must not
+        mutate it."""
+        if self._normal is not None:
+            return self._normal
+        starts = range(0, 3 * self.slots, 3)
         out: dict[tuple[int, ...], int] = {}
         for key, c in self.terms.items():
-            partial: list[tuple[tuple[int, ...], int]] = [((), c)]
-            for s in range(0, cut, 3):
+            partial = [((), c)]
+            done = 0  # key[:done] is spliced into partial
+            for s in starts:
                 a, b = key[s], key[s + 1]
-                if key[s + 2]:  # T^a P0 T*^b = T^a T*^b - T^(a+1) T*^(b+1)
-                    partial = [(m + (a, b), x) for m, x in partial] + [
-                        (m + (a + 1, b + 1), -x) for m, x in partial
-                    ]
-                else:
-                    partial = [(m + (a, b), x) for m, x in partial]
-            tau = key[cut:]
+                if key[s + 2] or not (a and b):
+                    continue
+                k = min(a, b)
+                a, b = a - k, b - k
+                head = key[done:s]
+                forms = [((a, b, 0), 1)] + [((a + j, b + j, 1), -1) for j in range(k)]
+                partial = [(m + head + f, x * sign) for m, x in partial for f, sign in forms]
+                done = s + 3
+            tail = key[done:]
             for m, x in partial:
-                mono = m + tau
-                acc = out.get(mono, 0) + x
+                key = m + tail
+                acc = out.get(key, 0) + x
                 if acc:
-                    out[mono] = acc
+                    out[key] = acc
                 else:
-                    del out[mono]
-        self._expanded = out
+                    del out[key]
+        self._normal = out
         return out
 
     @property
     def is_zero(self) -> bool:
-        return not self.expanded()
+        return not self.normal_form()
 
     def __bool__(self) -> bool:
-        return bool(self.expanded())
+        return bool(self.normal_form())
 
     def degrees(self) -> set[tuple[int, ...]]:
         """Set of torus weights appearing in the support."""
-        cut = 2 * self.slots
-        return {key[cut:] for key in self.expanded()}
+        cut = 3 * self.slots
+        return {key[cut:] for key in self.normal_form()}
 
     def supported_in(self, degrees: Iterable[tuple[int, ...]]) -> bool:
         """Whether every torus weight of the support lies in degrees, that is
         ``self.degrees() <= set(degrees)``.
 
-        Expansion keeps each term's torus label, and expanded terms of
-        different labels never cancel, so only the stored terms labelled
-        outside degrees are expanded: the answer is whether they sum to 0.
+        The normal form keeps each term's torus label, and terms of different
+        labels never cancel, so only the stored terms labelled outside
+        degrees are rewritten: the answer is whether they sum to 0.
         """
         allowed = set(degrees)
         cut = 3 * self.slots
@@ -221,15 +232,33 @@ class OperatorElement:
             isinstance(other, OperatorElement)
             and self.slots == other.slots
             and self.rank == other.rank
-            and (self.terms == other.terms or self.expanded() == other.expanded())
+            and (self.terms == other.terms or self.normal_form() == other.normal_form())
         )
 
     __hash__ = None
 
     # rendering --------------------------------------------------------
 
+    def _monomials(self) -> dict[tuple[int, ...], int]:
+        """The expansion into shift monomials, keys (a_1, b_1, ..., a_l, b_l,
+        t_1, ..., t_r), by T^a P0 T*^b = T^a T*^b - T^(a+1) T*^(b+1); only
+        `render` reads it, so it is not cached."""
+        cut = 3 * self.slots
+        out: dict[tuple[int, ...], int] = {}
+        for key, c in self.terms.items():
+            partial: list[tuple[tuple[int, ...], int]] = [((), c)]
+            for s in range(0, cut, 3):
+                a, b = key[s], key[s + 1]
+                partial = [(m + (a, b), x) for m, x in partial]
+                if key[s + 2]:
+                    partial += [(m[:-2] + (a + 1, b + 1), -x) for m, x in partial]
+            for m, x in partial:
+                mono = m + key[cut:]
+                out[mono] = out.get(mono, 0) + x
+        return {mono: c for mono, c in out.items() if c}
+
     def render(self) -> str:
-        terms = self.expanded()
+        terms = self._monomials()
         if not terms:
             return "0"
         cut = 2 * self.slots

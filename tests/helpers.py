@@ -3,9 +3,10 @@
 These deliberately avoid the library's own string-table, lockstep-morphism
 and normal-form code paths: the path-model reads take eps, phi and weights
 from Littelmann paths, the string readers apply the tensor rule in closed
-form, transport replays an explicit lowering word, the truncation oracle
-realizes shift operators as finite 0/1 matrices, the monomial product
-multiplies expanded normal forms T^a T*^b term by term, the slot-by-slot
+form, the signature rule writes the tensor rule out sign by sign,
+transport replays an explicit lowering word, the truncation oracle realizes
+shift operators as finite 0/1 matrices, the monomial expansion and product
+rewrite operators into shift monomials T^a T*^b, the slot-by-slot
 generator tensors one operator element per letter, the exhaustive R1/R2
 multiplies out both halves of every relation the adjoint pairs up, the
 exhaustive KP2 multiplies every composable pair of path operators, and the
@@ -199,6 +200,53 @@ def component_sizes(tc):
     return sorted(out)
 
 
+def signature_rule(tc, i, t):
+    """(eps_i, phi_i, f_i t, e_i t) of an element t of a tensor product, by
+    the signature rule written out sign by sign: factor k contributes
+    eps_i minus signs then phi_i plus signs, read off its own crystal; every
+    adjacent (+, -) pair cancels; f_i lowers the factor of the leftmost
+    plus left over and e_i raises the factor of the rightmost minus."""
+    left = []  # the signs left over, always minuses then pluses
+    for k, (c, b) in enumerate(zip(tc.factors, t)):
+        for sign in "-" * c.eps(i, b) + "+" * c.phi(i, b):
+            if sign == "-" and left and left[-1][0] == "+":
+                left.pop()
+            else:
+                left.append((sign, k))
+    minus = [k for sign, k in left if sign == "-"]
+    plus = [k for sign, k in left if sign == "+"]
+
+    def moved(k, step):
+        return t[:k] + (step(i, t[k]),) + t[k + 1 :]
+
+    f = moved(plus[0], tc.factors[plus[0]].f) if plus else None
+    e = moved(minus[-1], tc.factors[minus[-1]].e) if minus else None
+    return len(minus), len(plus), f, e
+
+
+def expanded(op):
+    """The monomial normal form of an OperatorElement: keys (a_1, b_1, ...,
+    a_l, b_l, t_1, ..., t_r) over the linearly independent shift monomials
+    T^a T*^b, by T^a P0 T*^b = T^a T*^b - T^(a+1) T*^(b+1); zero
+    coefficients dropped.  Each P0 slot doubles the terms."""
+    cut = 3 * op.slots
+    out = {}
+    for key, c in op.terms.items():
+        partial = [((), c)]
+        for s in range(0, cut, 3):
+            a, b = key[s], key[s + 1]
+            if key[s + 2]:
+                partial = [(m + (a, b), x) for m, x in partial] + [
+                    (m + (a + 1, b + 1), -x) for m, x in partial
+                ]
+            else:
+                partial = [(m + (a, b), x) for m, x in partial]
+        for m, x in partial:
+            mono = m + key[cut:]
+            out[mono] = out.get(mono, 0) + x
+    return {mono: c for mono, c in out.items() if c}
+
+
 def shift_product(x, y):
     """(T^a T*^b)(T^c T*^d) = T^(a+max(c-b,0)) T*^(d+max(b-c,0))."""
     a, b = x
@@ -214,8 +262,7 @@ def shift_adjoint(x):
 
 def monomial_product(x, y, slots):
     """Product of two shift-monomial normal forms, dicts keyed by
-    (a_1, b_1, ..., a_l, b_l, t_1, ..., t_r) as OperatorElement.expanded()
-    returns them; torus labels add and zero coefficients are dropped."""
+    (a_1, b_1, ..., a_l, b_l, t_1, ..., t_r) as `expanded` returns them; torus labels add and zero coefficients are dropped."""
     cut = 2 * slots
     out = {}
     for k1, c1 in x.items():

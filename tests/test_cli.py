@@ -235,7 +235,7 @@ def _kp_splits(r1, r2, kp1, kp2, kp3):
     return [
         f"  KP3 split: {kp3[0]} computed, {kp3[1]} implied by KP1+KP4",
         f"  KP2 split: {kp2[0]} computed, {kp2[1]} implied by the rank-one slot lemma"
-        f" ({kp2[2]} rank-one cases), the range half and the compose table",
+        f" ({kp2[2]} rank-one cases), the range half, idempotent P_v and the compose table",
         f"  KP1 split: {kp1[0]} computed, {kp1[1]} implied by adjoints of self-adjoint P_v",
         f"  R2 split: {r2[0]} computed, {r2[1]} implied by adjoints under R4 and inverse braidings",
         f"  R1 split: {r1[0]} computed, {r1[1]} implied by the rank-one slot lemma"
@@ -248,7 +248,7 @@ def test_verify_kp_a3(capsys):
     assert code == 0
     lines = out.splitlines()
     assert [lines.pop(k) for k in (11, 9, 7, 3, 1)] == _kp_splits(
-        (0, 12482, 400), (3160, 3081), (325, 276), (2290, 3590, 64), (1145, 284176)
+        (0, 12482, 400), (3160, 3081), (325, 276), (1145, 4735, 64), (1145, 284176)
     )
     assert lines == _kp_report([12482, 6241, 5, 79, 601, 5880, 285321, 168, 1169])
 
@@ -258,7 +258,7 @@ def test_verify_kp_g2(capsys):
     assert code == 0
     lines = out.splitlines()
     assert [lines.pop(k) for k in (11, 9, 7, 3, 1)] == _kp_splits(
-        (0, 14792, 3136), (3741, 3655), (435, 378), (1398, 898, 280), (699, 233834)
+        (0, 14792, 3136), (3741, 3655), (435, 378), (699, 1597, 280), (699, 233834)
     )
     assert lines == _kp_report([14792, 7396, 4, 86, 813, 2296, 234533, 84, 727])
 
@@ -269,7 +269,7 @@ def test_verify_kp_c2_at_bound_two_one(capsys):
     assert code == 0
     lines = out.splitlines()
     assert [lines.pop(k) for k in (11, 9, 7, 3, 1)] == _kp_splits(
-        (0, 1352, 400), (351, 325), (66, 45), (548, 623, 160), (274, 19908)
+        (0, 1352, 400), (351, 325), (66, 45), (274, 897, 160), (274, 19908)
     )
     cases = [1352, 676, 4, 26, 111, 1171, 20182, 50, 284]
     assert lines == _kp_report(cases) and sum(cases) == 23856
@@ -361,7 +361,7 @@ def test_verify_json_splits_computed_and_implied(capsys):
         "R1": (0, 450),
         "R2": (120, 105),
         "KP1": (28, 15),
-        "KP2": (94, 46),
+        "KP2": (47, 93),
         "KP3": (47, 770),
     }
     # the rank-one cases of R1 and KP2 are not part of their case counts
@@ -398,6 +398,26 @@ def test_crystal_text_numbers_edge_targets_like_the_dot_output(capsys, argv):
         for a, b, i in re.findall(r'n(\d+) -> n(\d+) \[color="\w+", label="(\d+)"\]', dot)
     }
     assert dot_edges and text_edges == dot_edges
+
+
+@pytest.mark.parametrize("argv", [["--type", "A2", "--colours", "1,0;0,1"], ["--type", "G2"]])
+def test_crystal_text_rows_end_without_a_space(capsys, argv):
+    # rows with no f-edge, such as "3 (0,0)" on A2, once ended in a space
+    code, text, _ = run(capsys, "crystal", *argv, "--emit", "text")
+    assert code == 0 and text.endswith("\n")
+    assert not any(line.endswith(" ") for line in text.splitlines())
+
+
+def test_verify_json_records_each_checks_elapsed_seconds(capsys):
+    argv = ["verify", "--type", "A2", "--suite", "kp"]
+    code, out, _ = run(capsys, *argv, "--emit", "json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 9
+    assert all(isinstance(c["elapsed_s"], float) and c["elapsed_s"] >= 0 for c in checks)
+    # the text report carries no timings
+    code, text, _ = run(capsys, *argv)
+    assert code == 0 and "elapsed" not in text and len(text.splitlines()) == 14
 
 
 def test_a_changed_braiding_entry_fails_the_braiding_suite_at_its_first_case(capsys, monkeypatch):

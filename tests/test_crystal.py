@@ -13,7 +13,13 @@ from crystalgraphs.crystal import (
 )
 from crystalgraphs.rootdata import build_root_datum, weyl_dim, weyl_group
 
-from helpers import cartan_project, component_sizes, path_model_reads, transport
+from helpers import (
+    cartan_project,
+    component_sizes,
+    path_model_reads,
+    signature_rule,
+    transport,
+)
 
 A2 = build_root_datum("A2")
 C2 = build_root_datum("C2")
@@ -96,6 +102,23 @@ def test_tensor_rule_examples():
     assert tt.f(1, (2, 1)) == (2, 2)
     assert tt.f(1, None) is None
     assert tt.e(1, (1, 1)) is None
+
+
+@pytest.mark.parametrize("datum", [A2, C2, G2], ids=lambda d: d.label)
+@pytest.mark.parametrize("factors", [2, 3])
+def test_tensor_rule_matches_the_signature_rule(datum, factors):
+    # pairs of fundamentals and rho, triples of fundamentals
+    weights = datum.fundamental_weights + ((datum.rho,) if factors == 2 else ())
+    for combo in iter_product(weights, repeat=factors):
+        tc = tensor_of(datum, combo)
+        for t in tc.elements():
+            for i in datum.colours:
+                expected = signature_rule(tc, i, t)
+                assert (tc.eps(i, t), tc.phi(i, t), tc.f(i, t), tc.e(i, t)) == expected, (
+                    combo,
+                    t,
+                    i,
+                )
 
 
 def test_tensor_crystal_axiom():

@@ -32,3 +32,16 @@ def test_certify_counts_cases_and_keeps_the_first_failure():
         "  held split: 2 computed, 3 implied by a lemma",
         "FAIL failed (3 cases): first; premise p fails, so 3 implied cases are not certified",
     ]
+
+
+def test_certify_records_elapsed_seconds_per_check():
+    report = VerificationReport()
+    report.certify("quick", ["", ""])
+    report.certify("precomputed", [""], spent=5.0)
+    other = VerificationReport()
+    other.certify("merged", [])
+    report.extend(other)
+    assert len(report.elapsed) == len(report.checks) == 3
+    assert all(seconds >= 0 for seconds in report.elapsed)
+    # seconds spent computing the results before the call are added
+    assert 5.0 <= report.elapsed[1] < 6.0

@@ -441,11 +441,12 @@ def test_kp2_certificate_covers_the_exhaustive_oracle(label, bound):
     assert failures == []
     kp2 = _check(m.verify_graph_algebra(graph, bound), "KP2")
     assert kp2.passed and kp2.cases == cases
-    # only the two vertex-path halves are multiplied out, one pair per path
+    # only the range half is multiplied out, one product per path; the
+    # source half follows from idempotent P_v, the compositions from the lemma
     paths = sum(len(graph.paths(d)) for d in graph.nonzero_degrees(bound))
-    assert kp2.computed == 2 * paths
-    assert kp2.implied == cases - 2 * paths
-    assert (kp2.lemma_cases > 0) == (kp2.implied > 0)
+    assert kp2.computed == paths
+    assert kp2.implied == cases - paths
+    assert (kp2.lemma_cases > 0) == (kp2.implied > paths)
 
 
 def test_kp2_certificate_fails_when_a_composable_pair_leaves_the_compose_table(monkeypatch):
@@ -462,6 +463,27 @@ def test_kp2_certificate_fails_when_a_composable_pair_leaves_the_compose_table(m
     assert not kp2.passed and kp2.implied == 0
     # every vertex-path case still holds: KP2 fails only through its premise
     assert kp2.detail.startswith("premise compose table fails")
+
+
+def test_kp2_certificate_fails_through_its_premise_when_a_projection_is_not_idempotent(
+    monkeypatch,
+):
+    graph = graph_of(colour_set(C2, C2.fundamental_weights))
+    v = graph.vertices[0]
+    original = SoibelmanModel.projection
+
+    def doubled(self, colours, w):
+        p = original(self, colours, w)
+        return p.scale(2) if tuple(w) == v else p
+
+    monkeypatch.setattr(SoibelmanModel, "projection", doubled)
+    m = SoibelmanModel(C2)
+    _, failures = exhaustive_kp2(m, graph, (1, 1))
+    # S_e P_v = 2 S_e for the paths e from v: the oracle sees the source half fail
+    assert any(failure[0] == "source" and failure[1].source == v for failure in failures)
+    kp2 = _check(m.verify_graph_algebra(graph, (1, 1)), "KP2")
+    assert not kp2.passed and kp2.implied == 0
+    assert "premise P_v idempotent fails" in kp2.detail
 
 
 def _slot_oracle(m1, m2, p1, t1, p2, t2):

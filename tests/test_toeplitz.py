@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from crystalgraphs.toeplitz import OperatorElement, projection_p0
 
 from helpers import (
+    expanded,
     monomial_matrix,
     monomial_product,
     operator_matrix,
@@ -57,12 +58,12 @@ def test_monomial_products_stay_monomial():
         product = x * y
         assert len(product.terms) <= 1
         assert all(c == 1 for c in product.terms.values())
-        assert product.expanded() == monomial_product(x.expanded(), y.expanded(), 1)
+        assert expanded(product) == monomial_product(expanded(x), expanded(y), 1)
 
 
 def test_expansion_normal_form():
     x = OperatorElement.monomial(((1, 2, 1), (0, 0, 1)), (1,))
-    assert x.expanded() == {
+    assert expanded(x) == {
         (1, 2, 0, 0, 1): 1,
         (2, 3, 0, 0, 1): -1,
         (1, 2, 1, 1, 1): -1,
@@ -74,6 +75,23 @@ def test_expansion_normal_form():
     assert total == OperatorElement.unit(1, 0)
     assert not (total - OperatorElement.unit(1, 0))
     assert (total - OperatorElement.unit(1, 0)).is_zero
+
+
+def test_triangular_normal_form():
+    # T^2 T*^3 = T* - T^1 P0 T*^2 - P0 T*: c = min(a, b) = 2 adds c P0 terms
+    assert mono(2, 3).normal_form() == {(0, 1, 0): 1, (0, 1, 1): -1, (1, 2, 1): -1}
+    # a P0 slot, and a slot with a or b zero, stays one term
+    x = OperatorElement.monomial(((1, 2, 1), (3, 0), (0, 2)), (1,))
+    assert x.normal_form() == x.terms
+    # T T* + P0 = 1 in the first slot; T^2 T*^2 = 1 - P0 - T P0 T* in the second
+    y = OperatorElement.monomial(((1, 1), (2, 2)), (0, 4)) + OperatorElement.monomial(
+        ((0, 0, 1), (2, 2)), (0, 4)
+    )
+    assert y.normal_form() == {
+        (0, 0, 0, 0, 0, 0, 0, 4): 1,
+        (0, 0, 0, 0, 0, 1, 0, 4): -1,
+        (0, 0, 0, 1, 1, 1, 0, 4): -1,
+    }
 
 
 def test_tau_additive_and_adjoint_negates():
@@ -157,7 +175,7 @@ def test_adjoint_is_an_anti_involution(x, y):
 @settings(max_examples=60, deadline=None)
 @given(_random_elements(2, 1), _random_elements(2, 1))
 def test_product_expansion_matches_monomial_oracle(x, y):
-    assert (x * y).expanded() == monomial_product(x.expanded(), y.expanded(), 2)
+    assert expanded(x * y) == monomial_product(expanded(x), expanded(y), 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -253,3 +271,39 @@ def test_supported_in_expands_the_stray_labels():
     x = OperatorElement(1, 1, {**unit, **stray})
     assert not x.supported_in({(0,)})
     assert x.supported_in([(0,), (5,)])
+
+
+def _rewritten(x, z, equal):
+    """x stored otherwise (x times the split unit), plus z unless equal."""
+    y = x * _split_unit(x.slots, x.rank)
+    return y if equal else y + z
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda slots: st.tuples(*[_random_elements(slots, 2)] * 2)
+    ),
+    st.booleans(),
+)
+def test_normal_form_equality_agrees_with_the_monomial_expansion(pair, equal):
+    x, z = pair
+    y = _rewritten(x, z, equal)
+    assert (x == y) == (expanded(x) == expanded(y))
+    assert (x - y).is_zero == (expanded(x - y) == {})
+    assert bool(y) == bool(expanded(y))
+    cut = 2 * x.slots
+    assert y.degrees() == {key[cut:] for key in expanded(y)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_elements(1, 0), _random_elements(1, 0), st.booleans())
+def test_normal_form_equality_agrees_with_truncated_matrices(x, z, equal):
+    # exponents stay at most 4 through the rewrite, so in the normal form the
+    # P0 terms are matrix units inside a 10 x 10 window and column 5 tells
+    # every T^n and T*^n (n <= 4) apart: operators are equal exactly when
+    # their truncations are
+    y = _rewritten(x, z, equal)
+    cutoff = 10
+    assert (x == y) == (operator_matrix(x, cutoff) == operator_matrix(y, cutoff))
+    assert bool(y) == any(map(any, operator_matrix(y, cutoff)))
