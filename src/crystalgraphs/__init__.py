@@ -2,12 +2,8 @@
 a shift-operator model of the q=0 quantized coordinate ring."""
 
 from .braiding import (
-    cartan_braiding,
-    left_end,
-    left_ends,
     longest_permutation_word,
     pair_braiding,
-    right_end,
     right_ends,
     sigma_word,
 )
@@ -36,13 +32,12 @@ from .rootdata import (
     RootDatum,
     WeylGroup,
     WeylSizeError,
-    bilinear_form,
     build_root_datum,
     weyl_dim,
     weyl_group,
 )
 from .soibelman import SoibelmanModel
-from .toeplitz import OperatorElement, projection_p0
+from .toeplitz import OperatorElement
 
 __version__ = "0.1.0"
 
@@ -60,22 +55,16 @@ __all__ = [
     "VerificationReport",
     "WeylGroup",
     "WeylSizeError",
-    "bilinear_form",
     "build_graph",
     "build_root_datum",
     "cache_stats",
     "canonical_morphism",
-    "cartan_braiding",
     "clear_caches",
     "colour_set",
     "graph_tables_from_json",
     "highest_weight_crystal",
-    "left_end",
-    "left_ends",
     "longest_permutation_word",
     "pair_braiding",
-    "projection_p0",
-    "right_end",
     "right_ends",
     "sigma_word",
     "string_data",

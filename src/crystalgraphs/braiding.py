@@ -1,5 +1,5 @@
-"""The Cartan braiding on tensor products of crystals, the induced partial
-symmetric-group action, and the left/right ends."""
+"""The Cartan braiding on pairs of irreducible crystals, the induced partial
+symmetric-group action, and the right ends."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from .crystal import (
     TensorCrystal,
     canonical_morphism,
     highest_weight_crystal,
-    raise_to_top,
     tensor_of,
 )
 from .memo import memo
@@ -31,56 +30,6 @@ def _pair_braiding(datum: RootDatum, lam: Coords, lamp: Coords) -> dict:
     source = tensor_of(datum, (lam, lamp))
     match = canonical_morphism(source, tensor_of(datum, (lamp, lam)))
     return {t: match.get(t) for t in source.elements()}
-
-
-def _standardize(crystal_like, element):
-    """Locate an element inside its component, identified with the standalone
-    crystal of the component's highest weight.
-
-    Returns (component weight, standardized element, the element map into the
-    standalone crystal, or None if the ambient object is already irreducible)."""
-    if isinstance(crystal_like, Crystal):
-        return crystal_like.highest_weight, element, None
-    top = raise_to_top(crystal_like, element)
-    mu = crystal_like.weight(top)
-    to_std = canonical_morphism(
-        crystal_like, highest_weight_crystal(crystal_like.datum, mu), top
-    )
-    return mu, to_std[element], to_std
-
-
-def _restore(to_std, element) -> tuple:
-    if to_std is None:
-        return (element,)
-    return next(x for x, y in to_std.items() if y == element)
-
-
-def cartan_braiding(B, Bp, b, bp):
-    """Braiding of products of irreducibles, evaluated at b (x) bp.
-
-    The result is a flat tuple over the factors of Bp followed by those of B,
-    or None.  Writing (lam, lamp) for the highest weights of B and Bp and
-    (mu, mup) for those of the components containing b and bp, the value is
-    zero unless the bilinear pairings (mu, mup) and (lam, lamp) agree, and is
-    otherwise the canonical matching of the Cartan components of
-    B(mu) (x) B(mup) and B(mup) (x) B(mu) transported along the component
-    identifications.
-    """
-    if b is None or bp is None:
-        return None
-    datum = B.datum
-    if Bp.datum != datum:
-        raise ValueError("braiding operands live over different root data")
-    lam, lamp = B.highest_weight, Bp.highest_weight
-    mu, x, back = _standardize(B, b)
-    mup, xp, backp = _standardize(Bp, bp)
-    if datum.bilinear(mu, mup) != datum.bilinear(lam, lamp):
-        return None
-    image = pair_braiding(datum, mu, mup)[(x, xp)]
-    if image is None:
-        return None
-    yp, y = image
-    return _restore(backp, yp) + _restore(back, y)
 
 
 def sigma_word(tc: TensorCrystal, word: Sequence[int], b):
@@ -109,10 +58,10 @@ def longest_permutation_word(n: int) -> tuple[int, ...]:
     return tuple(word)
 
 
-def _ends(crystal_like, b, weights: Iterable[Coords], side: int):
+def right_ends(crystal_like, b, weights: Iterable[Coords]):
     """For each mu in weights, the B(mu)-factor of b under the embedding of
-    B(lam) into B(lam-mu) (x) B(mu) (side 1) or B(mu) (x) B(lam-mu) (side 0);
-    None off the Cartan component of the ambient product."""
+    B(lam) into B(lam-mu) (x) B(mu); None off the Cartan component of the
+    ambient product."""
     if b is None:
         return None
     datum = crystal_like.datum
@@ -129,28 +78,5 @@ def _ends(crystal_like, b, weights: Iterable[Coords], side: int):
         nu = sub_weights(lam, mu)
         if not datum.is_dominant(nu):
             raise ValueError(f"difference {nu} of {lam} and {mu} is not dominant")
-        pair = (nu, mu) if side else (mu, nu)
-        ends.append(canonical_morphism(source, tensor_of(datum, pair))[b][side])
+        ends.append(canonical_morphism(source, tensor_of(datum, (nu, mu)))[b][1])
     return tuple(ends)
-
-
-def right_end(crystal_like, b, mu: Coords):
-    """The B(mu)-factor of b under the embedding into B(lam-mu) (x) B(mu)."""
-    ends = _ends(crystal_like, b, (mu,), 1)
-    return None if ends is None else ends[0]
-
-
-def left_end(crystal_like, b, mu: Coords):
-    """The B(mu)-factor of b under the embedding into B(mu) (x) B(lam-mu)."""
-    ends = _ends(crystal_like, b, (mu,), 0)
-    return None if ends is None else ends[0]
-
-
-def right_ends(crystal_like, b, weights: Iterable[Coords]):
-    """Tuple of right ends over a family of weights; None off the Cartan
-    component of the ambient product."""
-    return _ends(crystal_like, b, weights, 1)
-
-
-def left_ends(crystal_like, b, weights: Iterable[Coords]):
-    return _ends(crystal_like, b, weights, 0)

@@ -16,7 +16,7 @@ from typing import Iterator
 
 from .braiding import longest_permutation_word, pair_braiding, sigma_word
 from .crystal import highest_weight_crystal, tensor_of
-from .hrgraph import _DOT_PALETTE, build_graph, colour_set, graph_of
+from .hrgraph import build_graph, colour_set, dot_colour, graph_of
 from .report import VerificationReport
 from .rootdata import (
     CartanTypeError,
@@ -80,7 +80,7 @@ def _crystal_dot(crystal_like, name: str) -> str:
         weight = ",".join(str(x) for x in crystal_like.weight(b))
         lines.append(f'  n{labels[b]} [label="{labels[b]}: ({weight})"];')
     for i in crystal_like.datum.colours:
-        colour = _DOT_PALETTE[(i - 1) % len(_DOT_PALETTE)]
+        colour = dot_colour(i)
         for b in elements:
             image = crystal_like.f(i, b)
             if image is not None:

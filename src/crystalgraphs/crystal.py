@@ -31,7 +31,7 @@ from .rootdata import (
 QVec = tuple[Fraction, ...]
 Chain = tuple[QVec, ...]
 
-DEFAULT_SIZE_CAP = 100_000
+SIZE_CAP = 100_000  # the most elements highest_weight_crystal builds
 
 
 def _to_q(v) -> QVec:
@@ -146,7 +146,6 @@ class Crystal:
             )
             for i in datum.colours
         }
-        self._lowest = None
 
     @property
     def size(self) -> int:
@@ -158,19 +157,6 @@ class Crystal:
     @property
     def highest(self) -> int:
         return 1
-
-    @property
-    def lowest(self) -> int:
-        if self._lowest is None:
-            lows = [
-                b
-                for b in self.elements()
-                if all(self.phi(i, b) == 0 for i in self.datum.colours)
-            ]
-            if len(lows) != 1:
-                raise RuntimeError(f"{self!r} has {len(lows)} lowest-weight elements")
-            self._lowest = lows[0]
-        return self._lowest
 
     def elements(self) -> range:
         return range(1, self.size + 1)
@@ -213,14 +199,13 @@ class Crystal:
         return f"Crystal({self.datum.label}, {self.highest_weight}, size={self.size})"
 
 
-def highest_weight_crystal(
-    datum: RootDatum, lam: Coords, size_cap: int = DEFAULT_SIZE_CAP
-) -> Crystal:
-    """Generate B(lam) by closing the straight-line path under root operators."""
+def highest_weight_crystal(datum: RootDatum, lam: Coords) -> Crystal:
+    """Generate B(lam) by closing the straight-line path under root operators;
+    the size cap is checked before anything is built."""
     lam = tuple(lam)
     dim = weyl_dim(datum, lam)
-    if dim > size_cap:
-        raise ValueError(f"crystal of weight {lam} has {dim} elements, above cap {size_cap}")
+    if dim > SIZE_CAP:
+        raise ValueError(f"crystal of weight {lam} has {dim} elements, above cap {SIZE_CAP}")
     return _build_crystal(datum, lam, dim)
 
 
@@ -401,20 +386,6 @@ def strings(crystal_like, i: int) -> list[list]:
 def string_data(crystal_like, i: int) -> dict:
     """Per element: (string id, position from the top, string length)."""
     return crystal_like.string_table(i)[1]
-
-
-def raise_to_top(crystal_like, x):
-    """The highest-weight element of the component of x: apply raising
-    operators until none applies."""
-    colours = crystal_like.datum.colours
-    while True:
-        for i in colours:
-            y = crystal_like.e(i, x)
-            if y is not None:
-                x = y
-                break
-        else:
-            return x
 
 
 def canonical_morphism(source, target, top=None) -> dict:

@@ -43,6 +43,11 @@ _DOT_PALETTE = (
 )
 
 
+def dot_colour(i: int) -> str:
+    """The DOT edge colour of colour index i, counted from 1."""
+    return _DOT_PALETTE[(i - 1) % len(_DOT_PALETTE)]
+
+
 class ColourSet(NamedTuple):
     """An ordered tuple of linearly independent dominant weights."""
 
@@ -254,7 +259,7 @@ class HigherRankGraph:
             if bound[i] < 1:
                 continue
             delta = tuple(int(j == i) for j in range(self.colours.n))
-            colour = _DOT_PALETTE[i % len(_DOT_PALETTE)]
+            colour = dot_colour(i + 1)
             for e in self.paths(delta):
                 s = self.vertex_ids[e.source]
                 r = self.vertex_ids[self.range(e)]
@@ -274,13 +279,11 @@ def graph_of(colours: ColourSet) -> HigherRankGraph:
     return HigherRankGraph(colours)
 
 
-def weyl_vertex_map(
-    graph: HigherRankGraph, cap: int | None = None
-) -> dict[int, Vertex]:
+def weyl_vertex_map(graph: HigherRankGraph) -> dict[int, Vertex]:
     """Map each Weyl group element w to the right-end tuple of the extremal
     element of weight w(rho_C); injective on cosets of the stabilizer."""
     datum = graph.datum
-    group = weyl_group(datum) if cap is None else weyl_group(datum, cap)
+    group = weyl_group(datum)
     rho = graph.colours.rho
     crystal = highest_weight_crystal(datum, rho)
     out: dict[int, Vertex] = {}

@@ -2,8 +2,8 @@
 
 Weights are integer coordinate tuples in the fundamental-weight basis, so the
 natural pairing with a simple coroot is a coordinate lookup.  Everything
-derived from the Cartan matrix (bilinear form, dominance tests, Weyl
-dimensions) is computed over `fractions.Fraction`; no floating point enters.
+derived from the Cartan matrix (bilinear form, Weyl dimensions) is computed
+over `fractions.Fraction`; no floating point enters.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .memo import memo
 
 Coords = tuple[int, ...]
 
-DEFAULT_WEYL_CAP = 51840
+WEYL_CAP = 51840  # the most elements weyl_group enumerates
 
 
 class CartanTypeError(ValueError):
@@ -161,7 +161,6 @@ class RootDatum(NamedTuple):
     positive_roots: tuple[Coords, ...]  # fundamental-weight coordinates
     positive_root_coeffs: tuple[Coords, ...]  # simple-root coordinates
     rho: Coords
-    cartan_inverse: tuple[tuple[Fraction, ...], ...]
     gram: tuple[tuple[Fraction, ...], ...]  # (varpi_i, varpi_j)
 
     def __hash__(self) -> int:
@@ -196,19 +195,9 @@ class RootDatum(NamedTuple):
     def is_dominant(self, weight: Coords) -> bool:
         return all(x >= 0 for x in weight)
 
-    def root_coefficients(self, weight: Coords) -> tuple[Fraction, ...]:
-        """Coefficients c with weight = sum c_j alpha_j."""
-        return tuple(
-            sum(m * w for m, w in zip(row, weight)) for row in self.cartan_inverse
-        )
-
-    def dominates(self, lam: Coords, mu: Coords) -> bool:
-        """Dominance order: lam >= mu iff lam - mu is a nonnegative rational
-        combination of simple roots."""
-        diff = tuple(a - b for a, b in zip(lam, mu))
-        return all(c >= 0 for c in self.root_coefficients(diff))
-
     def bilinear(self, mu: Coords, nu: Coords) -> Fraction:
+        """Invariant bilinear form normalized so short roots have
+        (alpha, alpha) = 2."""
         g = self.gram
         return sum(
             mu[i] * nu[j] * g[i][j]
@@ -260,14 +249,8 @@ def build_root_datum(label: str) -> RootDatum:
         positive_roots=tuple(root_weight(c) for c in pos_coeffs),
         positive_root_coeffs=tuple(pos_coeffs),
         rho=(1,) * rank,
-        cartan_inverse=ainv,
         gram=gram,
     )
-
-
-def bilinear_form(datum: RootDatum, mu: Coords, nu: Coords) -> Fraction:
-    """Invariant bilinear form normalized so short roots have (alpha, alpha) = 2."""
-    return datum.bilinear(mu, nu)
 
 
 def weyl_dim(datum: RootDatum, lam: Coords) -> int:
@@ -302,7 +285,6 @@ class WeylGroup:
     def __init__(self, datum: RootDatum, elements: list[WeylElement]):
         self.datum = datum
         self.elements = tuple(elements)
-        self.index = {el.images: k for k, el in enumerate(elements)}
         self.longest = len(elements) - 1
 
     @property
@@ -319,9 +301,6 @@ class WeylGroup:
         return tuple(
             sum(weight[j] * images[j][i] for j in range(rank)) for i in range(rank)
         )
-
-    def length(self, k: int) -> int:
-        return len(self.elements[k].word)
 
     def word_action(self, word: tuple[int, ...]) -> tuple[Coords, ...]:
         """Images of the fundamental weights under s_{i_1} ... s_{i_k}."""
@@ -342,7 +321,7 @@ class WeylGroup:
 
 
 @memo
-def weyl_group(datum: RootDatum, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
+def weyl_group(datum: RootDatum) -> WeylGroup:
     """Enumerate the Weyl group by breadth-first closure of simple reflections.
 
     The stored word of each element is the lexicographically smallest among its
@@ -369,9 +348,9 @@ def weyl_group(datum: RootDatum, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
                 images[i - 1] = sub_weights(images[i - 1], w_alpha)
                 images = tuple(images)
                 if images not in seen:
-                    if len(elements) >= cap:
+                    if len(elements) >= WEYL_CAP:
                         raise WeylSizeError(
-                            f"Weyl group of {datum.label} exceeds the cap {cap}"
+                            f"Weyl group of {datum.label} exceeds the cap {WEYL_CAP}"
                         )
                     seen[images] = len(elements)
                     elements.append(WeylElement(images, el.word + (i,)))

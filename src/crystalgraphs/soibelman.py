@@ -189,7 +189,8 @@ class SoibelmanModel:
 
     # verification -------------------------------------------------------
 
-    def _default_lambdas(self, colours: ColourSet) -> list[Coords]:
+    def _relation_weights(self, colours: ColourSet) -> list[Coords]:
+        """The weights the relation checks read: 0, the colours, rho_C."""
         out = [self.datum.zero]
         for theta in colours.colours:
             if theta not in out:
@@ -208,10 +209,9 @@ class SoibelmanModel:
             for a in range(1, highest_weight_crystal(self.datum, lam).size + 1)
         ]
 
-    def verify_relations(
-        self, colours: ColourSet, lambdas: Sequence[Coords] | None = None
-    ) -> VerificationReport:
-        """Exact checks of the generator relations (R1)-(R4).
+    def verify_relations(self, colours: ColourSet) -> VerificationReport:
+        """Exact checks of the generator relations (R1)-(R4) over the weights
+        0, the colours and their sum rho_C.
 
         R3 and R4 are multiplied out in full.  R1 multiplies out none of its
         cases and R2 half of them; each certifies the rest from premises
@@ -256,11 +256,7 @@ class SoibelmanModel:
         by name with no implied cases; nothing falls back to multiplying
         every case out.
         """
-        if lambdas is None:
-            lambdas = self._default_lambdas(colours)
-        lams = [tuple(l) for l in lambdas]
-        if not lams:
-            raise ValueError("verify_relations needs at least one weight")
+        lams = self._relation_weights(colours)
         report = VerificationReport()
         gen = self.pi0_generator
         size = [highest_weight_crystal(self.datum, lam).size for lam in lams]
@@ -352,6 +348,7 @@ class SoibelmanModel:
           lemma of `verify_relations` implies.  Premises: that lemma for the
           string lengths of those degree weights, every P_v idempotent, and
           every composable pair (x, x') being a key of the compose table.
+          Where no pair composes, the only premise is idempotent P_v.
         - KP3 (S_e* S_f = delta_{e,f} P_s(e) for paths e, f of one degree)
           computes only its diagonal S_e* S_e = P_s(e).  The off-diagonal
           follows from this lemma in B(H), where ``adjoint`` is the true
@@ -430,7 +427,6 @@ class SoibelmanModel:
                     for e2 in ending.get((e1.source, d2), ()):
                         composable += 1
                         in_table = in_table and (e2.element, e1.element) in table
-        rank_one, rank_one_holds = self._rank_one_premise(sorted(weight_pairs))
 
         def kp2() -> Iterator[str]:
             for e, s in S.items():
@@ -466,18 +462,24 @@ class SoibelmanModel:
                 else:
                     yield f"S_{e} is not homogeneous of degree {neg_weights(lam)}"
 
-        report.certify(
-            "KP2 path composition",
-            kp2(),
-            len(S) + composable,
-            f"the rank-one slot lemma ({rank_one} rank-one cases), the range half,"
-            " idempotent P_v and the compose table",
-            {
+        # the source half rests on idempotent P_v alone; the composition
+        # half, where there is one, also on the lemma and the compose table
+        kp2_by = "idempotent P_v"
+        kp2_premises = {"P_v idempotent": all(idempotent.values())}
+        rank_one = 0
+        if composable:
+            rank_one, rank_one_holds = self._rank_one_premise(sorted(weight_pairs))
+            kp2_by = (
+                f"the rank-one slot lemma ({rank_one} rank-one cases), the range half,"
+                f" {kp2_by} and the compose table"
+            )
+            kp2_premises = {
                 "rank-one slot lemma": rank_one_holds,
-                "P_v idempotent": all(idempotent.values()),
+                **kp2_premises,
                 "compose table": in_table,
-            },
-            rank_one,
+            }
+        report.certify(
+            "KP2 path composition", kp2(), len(S) + composable, kp2_by, kp2_premises, rank_one
         )
         clock = perf_counter()
         kp4_results = list(kp4())  # a premise of KP3, reported after it
@@ -497,13 +499,8 @@ class SoibelmanModel:
         report.certify("grading: P_v invariant, S_e of degree -d(e)", grading())
         return report
 
-    def verify_suite(
-        self,
-        colours: ColourSet,
-        bound: Sequence[int],
-        lambdas: Sequence[Coords] | None = None,
-    ) -> VerificationReport:
+    def verify_suite(self, colours: ColourSet, bound: Sequence[int]) -> VerificationReport:
         """Relation checks (R1)-(R4) plus KP1-KP4 and the grading."""
-        report = self.verify_relations(colours, lambdas)
+        report = self.verify_relations(colours)
         report.extend(self.verify_graph_algebra(graph_of(colours), bound))
         return report

@@ -102,10 +102,6 @@ class OperatorElement:
         self._normal = out
         return out
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.normal_form()
-
     def __bool__(self) -> bool:
         return bool(self.normal_form())
 
@@ -146,21 +142,6 @@ class OperatorElement:
             else:
                 terms.pop(key, None)
         return OperatorElement(self.slots, self.rank, terms)
-
-    def __neg__(self) -> "OperatorElement":
-        return OperatorElement(
-            self.slots, self.rank, {key: -c for key, c in self.terms.items()}
-        )
-
-    def __sub__(self, other: "OperatorElement") -> "OperatorElement":
-        return self + (-other)
-
-    def scale(self, factor: int) -> "OperatorElement":
-        if factor == 0:
-            return OperatorElement.zero(self.slots, self.rank)
-        return OperatorElement(
-            self.slots, self.rank, {key: factor * c for key, c in self.terms.items()}
-        )
 
     def __mul__(self, other: "OperatorElement") -> "OperatorElement":
         """Slot by slot, (a, b, p)(c, d, r) is (a + c - b, d, p | r) when
@@ -205,27 +186,6 @@ class OperatorElement:
                 parts += (key[s + 1], key[s], key[s + 2])
             out[tuple(parts) + tuple(-x for x in key[cut:])] = c
         return OperatorElement(self.slots, self.rank, out)
-
-    def tensor(self, other: "OperatorElement") -> "OperatorElement":
-        """Concatenate tensor slots; torus labels add."""
-        if self.rank != other.rank:
-            raise ValueError("tensor factors carry different torus ranks")
-        cut1 = 3 * self.slots
-        cut2 = 3 * other.slots
-        out: dict[tuple[int, ...], int] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = (
-                    k1[:cut1]
-                    + k2[:cut2]
-                    + tuple(x + y for x, y in zip(k1[cut1:], k2[cut2:]))
-                )
-                acc = out.get(key, 0) + c1 * c2
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        return OperatorElement(self.slots + other.slots, self.rank, out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -296,11 +256,6 @@ class OperatorElement:
 
     def __repr__(self) -> str:
         return f"OperatorElement({self.render()})"
-
-
-def projection_p0(rank: int = 0) -> OperatorElement:
-    """P0 = 1 - T T*, the rank-one projection onto the bottom basis vector."""
-    return OperatorElement.monomial(((0, 0, 1),), (0,) * rank)
 
 
 def string_slot(m: int, i: int, j: int) -> tuple[int, int, int] | None:

@@ -10,7 +10,10 @@ rewrite operators into shift monomials T^a T*^b, the slot-by-slot
 generator tensors one operator element per letter, the exhaustive R1/R2
 multiplies out both halves of every relation the adjoint pairs up, the
 exhaustive KP2 multiplies every composable pair of path operators, and the
-exhaustive KP3 every pair of same-degree path operators.
+exhaustive KP3 every pair of same-degree path operators.  The Cartan
+braiding on products of irreducibles is the hexagon oracle: it moves each
+operand into the standalone crystal of its component, braids there and
+moves back, where the library composes adjacent pair tables.
 """
 
 import random
@@ -20,6 +23,7 @@ from itertools import permutations, product as iter_product
 
 from crystalgraphs.braiding import pair_braiding
 from crystalgraphs.crystal import (
+    Crystal,
     _chain_from_steps,
     canonical_morphism,
     f_path,
@@ -28,7 +32,7 @@ from crystalgraphs.crystal import (
     strings,
     tensor_of,
 )
-from crystalgraphs.rootdata import add_weights
+from crystalgraphs.rootdata import add_weights, sub_weights
 from crystalgraphs.toeplitz import OperatorElement, string_slot
 
 
@@ -200,6 +204,80 @@ def component_sizes(tc):
     return sorted(out)
 
 
+def raise_to_top(crystal_like, x):
+    """The highest-weight element of the component of x: apply raising
+    operators until none applies."""
+    colours = crystal_like.datum.colours
+    while True:
+        for i in colours:
+            y = crystal_like.e(i, x)
+            if y is not None:
+                x = y
+                break
+        else:
+            return x
+
+
+def lowest(crystal):
+    """The one element of an irreducible crystal with every phi_i zero."""
+    lows = [
+        b for b in crystal.elements() if all(crystal.phi(i, b) == 0 for i in crystal.datum.colours)
+    ]
+    assert len(lows) == 1, f"{crystal!r} has {len(lows)} lowest-weight elements"
+    return lows[0]
+
+
+def _standardize(crystal_like, element):
+    """(weight of the component of element, element in the standalone crystal
+    of that weight, the map into it or None for an irreducible)."""
+    if isinstance(crystal_like, Crystal):
+        return crystal_like.highest_weight, element, None
+    top = raise_to_top(crystal_like, element)
+    mu = crystal_like.weight(top)
+    to_std = canonical_morphism(
+        crystal_like, highest_weight_crystal(crystal_like.datum, mu), top
+    )
+    return mu, to_std[element], to_std
+
+
+def _restore(to_std, element):
+    """The flat tuple of factors that the map to_std sends to element."""
+    if to_std is None:
+        return (element,)
+    return next(x for x, y in to_std.items() if y == element)
+
+
+def cartan_braiding(B, Bp, b, bp):
+    """Braiding of products of irreducibles, evaluated at b (x) bp: a flat
+    tuple over the factors of Bp followed by those of B, or None.  With
+    (lam, lamp) the highest weights of B and Bp and (mu, mup) those of the
+    components of b and bp, the value is zero unless (mu, mup) and
+    (lam, lamp) pair alike, and otherwise the pair table of (mu, mup)
+    transported along the component identifications."""
+    if b is None or bp is None:
+        return None
+    datum = B.datum
+    if Bp.datum != datum:
+        raise ValueError("braiding operands live over different root data")
+    mu, x, back = _standardize(B, b)
+    mup, xp, backp = _standardize(Bp, bp)
+    if datum.bilinear(mu, mup) != datum.bilinear(B.highest_weight, Bp.highest_weight):
+        return None
+    image = pair_braiding(datum, mu, mup)[(x, xp)]
+    if image is None:
+        return None
+    yp, y = image
+    return _restore(backp, yp) + _restore(back, y)
+
+
+def left_end(crystal, b, mu):
+    """The B(mu)-factor of b under the embedding of B(lam) into
+    B(mu) (x) B(lam-mu), for an irreducible crystal B(lam)."""
+    datum = crystal.datum
+    pair = tensor_of(datum, (mu, sub_weights(crystal.highest_weight, mu)))
+    return canonical_morphism(crystal, pair)[b][0]
+
+
 def signature_rule(tc, i, t):
     """(eps_i, phi_i, f_i t, e_i t) of an element t of a tensor product, by
     the signature rule written out sign by sign: factor k contributes
@@ -222,6 +300,29 @@ def signature_rule(tc, i, t):
     f = moved(plus[0], tc.factors[plus[0]].f) if plus else None
     e = moved(minus[-1], tc.factors[minus[-1]].e) if minus else None
     return len(minus), len(plus), f, e
+
+
+def projection_p0(rank=0):
+    """P0 = 1 - T T*, the rank-one projection onto the bottom basis vector."""
+    return OperatorElement.monomial(((0, 0, 1),), (0,) * rank)
+
+
+def negative(op):
+    """-op, its stored terms negated."""
+    return OperatorElement(op.slots, op.rank, {key: -c for key, c in op.terms.items()})
+
+
+def tensor(x, y):
+    """x (x) y: the slots of x, then those of y; torus labels add."""
+    if x.rank != y.rank:
+        raise ValueError("tensor factors carry different torus ranks")
+    cut1, cut2 = 3 * x.slots, 3 * y.slots
+    out = {}
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            key = k1[:cut1] + k2[:cut2] + tuple(p + q for p, q in zip(k1[cut1:], k2[cut2:]))
+            out[key] = out.get(key, 0) + c1 * c2
+    return OperatorElement(x.slots + y.slots, x.rank, {key: c for key, c in out.items() if c})
 
 
 def expanded(op):
@@ -333,7 +434,7 @@ def slotwise_generator(model, lam, a):
             sid, pos, length = data[k]
             for new_pos in range(pos + 1):
                 target = lines[sid][new_pos]
-                term = acc.tensor(sl2_limit(length, pos, new_pos, model.rank))
+                term = tensor(acc, sl2_limit(length, pos, new_pos, model.rank))
                 fresh[target] = fresh[target] + term if target in fresh else term
         frontier = fresh
     value = frontier.get(crystal.highest, OperatorElement.zero(model.length, model.rank))

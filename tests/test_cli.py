@@ -52,6 +52,15 @@ def test_graph_dot(capsys):
     assert out.count("->") == 24
 
 
+def test_graph_and_crystal_dot_colour_each_index_alike(capsys):
+    # one palette rule for both writers: colour index 1 is red, 2 is blue
+    for argv in (["graph", "--type", "A2", "--bound", "1,1"], ["crystal", "--type", "A2"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        colours = set(re.findall(r'color="(\w+)", label="(\d+)"', out))
+        assert colours == {("red", "1"), ("blue", "2")}
+
+
 def test_braiding_table(capsys):
     code, out, _ = run(capsys, "braiding", "--type", "A2", "--pair", "1,0;0,1")
     assert code == 0
@@ -166,6 +175,13 @@ def test_suites_without_a_word_need_no_weyl_group(capsys):
     assert code == 2 and "exceeds the cap" in err
 
 
+def test_a_crystal_above_the_size_cap_is_a_usage_error(capsys):
+    # B(60,60) of A2 has 226,981 elements; the cap is checked before any build
+    code, out, err = run(capsys, "crystal", "--type", "A2", "--colours", "60,60")
+    assert (code, out) == (2, "")
+    assert err == "error: crystal of weight (60, 60) has 226981 elements, above cap 100000\n"
+
+
 def test_a_tampered_string_table_fails_the_crystal_suite(capsys, monkeypatch):
     # eps and phi are read off the string table, weights are not, so the
     # check phi - eps = <wt, alpha_i^vee> must see one wrong string length
@@ -275,6 +291,16 @@ def test_verify_kp_c2_at_bound_two_one(capsys):
     assert lines == _kp_report(cases) and sum(cases) == 23856
     # no split line may read as a case count
     assert not any(line.endswith(" cases)") for line in out.splitlines() if "split:" in line)
+
+
+def test_kp2_split_names_only_the_premises_that_apply(capsys):
+    # bound 1 composes no pair of A1 paths, so KP2 implies only its source
+    # half; the C2 (2, 1) line, which names every premise, is pinned in
+    # test_verify_kp_c2_at_bound_two_one
+    code, out, _ = run(capsys, "verify", "--type", "A1", "--suite", "kp", "--bound", "1")
+    assert code == 0
+    splits = [line for line in out.splitlines() if line.startswith("  KP2 split:")]
+    assert splits == ["  KP2 split: 3 computed, 3 implied by idempotent P_v"]
 
 
 def _status_counts(out):

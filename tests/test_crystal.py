@@ -6,7 +6,6 @@ from crystalgraphs.crystal import (
     TensorCrystal,
     canonical_morphism,
     highest_weight_crystal,
-    raise_to_top,
     string_data,
     strings,
     tensor_of,
@@ -17,6 +16,7 @@ from helpers import (
     cartan_project,
     component_sizes,
     path_model_reads,
+    raise_to_top,
     signature_rule,
     transport,
 )
@@ -70,8 +70,9 @@ def test_raising_kills_highest_weight():
 def test_errors():
     with pytest.raises(ValueError):
         highest_weight_crystal(A2, (-1, 0))
-    with pytest.raises(ValueError):
-        highest_weight_crystal(A2, (30, 30), size_cap=100)
+    # 226,981 elements, above the cap: refused before anything is built
+    with pytest.raises(ValueError, match="226981 elements, above cap 100000"):
+        highest_weight_crystal(A2, (60, 60))
     with pytest.raises(ValueError):
         highest_weight_crystal(A2, (1, 0)).f(3, 1)
     # the cache key of a mixed tuple would match this product over A2
@@ -82,10 +83,11 @@ def test_errors():
         )
 
 
-def test_size_cap_is_checked_on_a_cache_hit():
+def test_size_cap_is_checked_on_a_cache_hit(monkeypatch):
     assert highest_weight_crystal(A2, (2, 2)).size == 27
-    with pytest.raises(ValueError):
-        highest_weight_crystal(A2, (2, 2), size_cap=10)
+    monkeypatch.setattr("crystalgraphs.crystal.SIZE_CAP", 10)
+    with pytest.raises(ValueError, match="27 elements, above cap 10"):
+        highest_weight_crystal(A2, (2, 2))
 
 
 def test_tensor_sizes():

@@ -10,7 +10,7 @@ from crystalgraphs.hrgraph import (
 )
 from crystalgraphs.rootdata import build_root_datum, weyl_group
 
-from helpers import transport
+from helpers import lowest, transport
 
 A2 = build_root_datum("A2")
 C2 = build_root_datum("C2")
@@ -265,7 +265,7 @@ def test_source_below_range_and_extreme_vertices():
     for g in (a2_graph(), c2_graph()):
         leq = _below(g)
         top = (1,) * g.colours.n
-        bottom = tuple(highest_weight_crystal(g.datum, c).lowest for c in g.colours.colours)
+        bottom = tuple(lowest(highest_weight_crystal(g.datum, c)) for c in g.colours.colours)
         for degree in [(1, 0), (0, 1), (1, 1)]:
             for e in g.paths(degree):
                 assert leq(e.source, g.range(e))

@@ -4,16 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crystalgraphs.toeplitz import OperatorElement, projection_p0
+from crystalgraphs.toeplitz import OperatorElement
 
 from helpers import (
     expanded,
     monomial_matrix,
     monomial_product,
+    negative,
     operator_matrix,
+    projection_p0,
     shift_adjoint,
     shift_product,
     sl2_limit,
+    tensor,
 )
 
 
@@ -34,7 +37,7 @@ def test_unit_and_p0():
     t = mono(1, 0)
     tstar = mono(0, 1)
     assert tstar * t == one
-    assert t * tstar == one - projection_p0(0)
+    assert t * tstar + projection_p0(0) == one
     p0 = projection_p0(0)
     assert p0 * t == OperatorElement.zero(1, 0)  # P0 T = 0
     assert p0 * p0 == p0
@@ -73,8 +76,7 @@ def test_expansion_normal_form():
     total = projection_p0(0) + mono(1, 1)
     assert total.terms != OperatorElement.unit(1, 0).terms
     assert total == OperatorElement.unit(1, 0)
-    assert not (total - OperatorElement.unit(1, 0))
-    assert (total - OperatorElement.unit(1, 0)).is_zero
+    assert not (total + negative(OperatorElement.unit(1, 0)))
 
 
 def test_triangular_normal_form():
@@ -99,15 +101,9 @@ def test_tau_additive_and_adjoint_negates():
     y = OperatorElement.monomial(((0, 1), (1, 0)), (0, 2))
     assert (x * y).degrees() == {(1, 2)}
     assert x.adjoint().degrees() == {(-1, 0)}
-    assert x.tensor(mono(2, 0, tau=(3, 3))).degrees() == {(4, 3)}
+    assert tensor(x, mono(2, 0, tau=(3, 3))).degrees() == {(4, 3)}
     assert x.degrees() == {(1, 0)}
     assert (x + y).degrees() == {(1, 0), (0, 2)}
-
-
-def test_scale():
-    x = mono(1, 0) + mono(0, 2, coeff=-1)
-    assert x.scale(2) == x + x
-    assert x.scale(0).is_zero
 
 
 def test_shape_mismatch_rejected():
@@ -119,8 +115,6 @@ def test_shape_mismatch_rejected():
             y * x
         with pytest.raises(ValueError):
             x + y
-    with pytest.raises(ValueError):
-        x.tensor(OperatorElement.unit(1, 2))
 
 
 def test_sl2_limit_fundamental_table():
@@ -130,7 +124,7 @@ def test_sl2_limit_fundamental_table():
     assert sl2_limit(1, 1, 1) == mono(1, 0)  # alpha* -> T
     assert sl2_limit(0, 0, 0) == OperatorElement.unit(1, 0)
     assert sl2_limit(3, 2, 2) == mono(2, 1)
-    assert sl2_limit(2, 2, 0) == mono(0, 0) - mono(1, 1)
+    assert sl2_limit(2, 2, 0) + mono(1, 1) == mono(0, 0)
     # below the diagonal the limit is stored as one P0 term (j, m - i, 1)
     assert sl2_limit(3, 2, 1).terms == {(1, 1, 1): 1}
     assert projection_p0(0).terms == {(0, 0, 1): 1}
@@ -217,7 +211,7 @@ def _split_unit(slots, rank):
     slot = projection_p0(rank) + OperatorElement.monomial(((1, 1),), (0,) * rank)
     out = slot
     for _ in range(slots - 1):
-        out = out.tensor(slot)
+        out = tensor(out, slot)
     return out
 
 
@@ -257,7 +251,7 @@ def test_split_unit_is_the_unit_in_another_form():
 )
 def test_supported_in_reads_the_degrees_of_the_expansion(x, z, degrees, cancel):
     if cancel:
-        x = x + (z - z * _split_unit(2, 1))  # stored terms that expand to 0
+        x = x + z + negative(z * _split_unit(2, 1))  # stored terms that expand to 0
     assert x.supported_in(degrees) == (x.degrees() <= degrees)
 
 
@@ -290,7 +284,8 @@ def test_normal_form_equality_agrees_with_the_monomial_expansion(pair, equal):
     x, z = pair
     y = _rewritten(x, z, equal)
     assert (x == y) == (expanded(x) == expanded(y))
-    assert (x - y).is_zero == (expanded(x - y) == {})
+    difference = x + negative(y)
+    assert (not difference) == (expanded(difference) == {})
     assert bool(y) == bool(expanded(y))
     cut = 2 * x.slots
     assert y.degrees() == {key[cut:] for key in expanded(y)}
