@@ -187,21 +187,50 @@ class HigherRankGraph:
         return canonical_morphism(pair, top), total
 
     def check_factorization(self, m: Degree, n: Degree) -> VerificationReport:
-        """Existence and uniqueness of degree-(m, n) factorizations."""
+        """Unique factorization in degrees (m, n): every path f of degree
+        m + n is e1.e2 for exactly one pair of a path e2 of degree n and a
+        path e1 of degree m with r(e2) = s(e1), and r(f) = r(e1).  `compose`
+        gives e1.e2 the source of e2, so s(f) = s(e2) holds when e1.e2 is a
+        path at all.
+
+        One case per path of degree m + n, which fails unless the path has
+        exactly one factorization and keeps the range of its e1; each pair
+        whose composite is no path of degree m + n adds a failed case."""
         m, n = tuple(m), tuple(n)
         total = tuple(a + b for a, b in zip(m, n))
-        counts = {e: 0 for e in self.paths(total)}
+        # the range r(e1) of each factorization of each path
+        tops: dict[GraphPath, list[Vertex]] = {f: [] for f in self.paths(total)}
+        strays = []
         by_source: dict[Vertex, list[GraphPath]] = {}
         for e1 in self.paths(m):
             by_source.setdefault(e1.source, []).append(e1)
         for e2 in self.paths(n):
             for e1 in by_source.get(self.range(e2), ()):
-                counts[self.compose(e1, e2)] += 1
+                try:
+                    f = self.compose(e1, e2)
+                except RuntimeError:  # the pair is not in the compose table
+                    f = None
+                found = tops.get(f)
+                if found is None:
+                    strays.append(f"{e1} after {e2} composes to no path of degree {total}")
+                else:
+                    found.append(self.range(e1))
+
+        def results():
+            for f, found in tops.items():
+                if len(found) != 1:
+                    yield f"path {f} has {len(found)} factorizations"
+                elif found[0] != self.range(f):
+                    yield (
+                        f"path {f} has range {self.range(f)}, not the range {found[0]}"
+                        f" of its factor of degree {m}"
+                    )
+                else:
+                    yield ""
+            yield from strays
+
         report = VerificationReport()
-        report.certify(
-            f"factorization {m}+{n}",
-            ("" if c == 1 else f"path {e} has {c} factorizations" for e, c in counts.items()),
-        )
+        report.certify(f"factorization {m}+{n}", results())
         return report
 
     def degree_counts_and_sources(self, bound: Degree) -> VerificationReport:

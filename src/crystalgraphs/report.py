@@ -18,6 +18,8 @@ class Check(NamedTuple):
     # cases of the certificate's own lemma, checked in the run as a premise;
     # never part of the case count
     lemma_cases: int = 0
+    # computed cases that fail; the detail names the first three
+    failed: int = 0
 
     @property
     def computed(self) -> int:
@@ -37,7 +39,7 @@ class Check(NamedTuple):
         check under the tag that opens its name."""
         out = [self.line()]
         if self.implied:
-            tag = self.name.split()[0]
+            tag = self.name.split()[0].rstrip(":")
             out.append(
                 f"  {tag} split: {self.computed} computed, "
                 f"{self.implied} implied by {self.implied_by}"
@@ -69,7 +71,8 @@ class VerificationReport:
         any; the only way a check enters a report.
 
         `results` yields one entry per computed case: empty when the case
-        holds, else why it fails; the first failure is the detail.  `implied`
+        holds, else why it fails.  The failing cases are counted, and the
+        first three (with the number of the rest) open the detail.  `implied`
         further cases follow from `premises` (name -> held) by the lemma
         `implied_by`, whose own `lemma_cases` checked cases are recorded but
         never counted.  The check passes with computed + implied cases only
@@ -81,19 +84,25 @@ class VerificationReport:
         plus `spent` seconds already spent computing them before the call.
         """
         clock = time.perf_counter()
-        computed = 0
-        failure = ""
+        computed = failed = 0
+        reasons = []
         for result in results:
             computed += 1
-            failure = failure or result
-        reasons = [failure] if failure else []
+            if result:
+                failed += 1
+                if failed <= 3:
+                    reasons.append(result)
+        if failed > 3:
+            reasons.append(f"{failed - 3} more failed cases")
         reasons += [
             f"premise {premise} fails, so {implied} implied cases are not certified"
             for premise, held in (premises or {}).items()
             if not held
         ]
         if reasons:
-            check = Check(name, False, computed, "; ".join(reasons), lemma_cases=lemma_cases)
+            check = Check(
+                name, False, computed, "; ".join(reasons), lemma_cases=lemma_cases, failed=failed
+            )
         else:
             check = Check(name, True, computed + implied, "", implied, implied_by, lemma_cases)
         self.checks.append(check)
@@ -124,6 +133,7 @@ class VerificationReport:
                         "computed": c.computed,
                         "implied": c.implied,
                         "lemma_cases": c.lemma_cases,
+                        "failed": c.failed,
                         "detail": c.detail,
                         "elapsed_s": round(seconds, 6),
                     }

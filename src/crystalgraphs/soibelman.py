@@ -183,7 +183,8 @@ class SoibelmanModel:
 
     def path_operator(self, colours: ColourSet, e: GraphPath) -> OperatorElement:
         """S_e = v-generator of the path element times P_{s(e)}.  Not cached:
-        `verify_graph_algebra` builds each S_e once and holds it for its run."""
+        `verify_graph_algebra` builds S_e once for each edge and holds it for
+        its run."""
         lam = colours.weight_of(e.degree)
         return self.pi0_generator(lam, e.element, "v") * self.projection(colours, e.source)
 
@@ -323,37 +324,71 @@ class SoibelmanModel:
     ) -> VerificationReport:
         """Exact checks of the graph-algebra relations KP1-KP4 and the grading.
 
-        Three checks multiply out only part of their cases and certify the
-        rest; each fails by name, with no implied cases, when a premise fails.
+        S_e and S_e* are built only for the edges, the paths of a unit degree
+        eps_c.  KP2's range half, the KP3 diagonal, KP4 and the S_e half of
+        the grading are multiplied out on edges alone; their cases at a
+        composite degree are implied, and so are the rest of KP1, KP2 and
+        KP3.  Each certified check fails by name, with no implied cases, when
+        a premise fails.
 
         - KP1 computes P_v P_w = 0 only for v before w.  P_w P_v is its
           adjoint, since each P_v is self-adjoint (computed in KP1 itself).
-        - KP2 computes only the range half of its vertex-path relations,
-          P_r(e) S_e = S_e.  With x the element of e, S_e = v_x P_s(e) is
+        - KP2, source half: with x the element of e, S_e = v_x P_s(e) is
           how ``path_operator`` defines S_e, and stored-term products are
           associative (the slot basis is an inverse semigroup in B(H)), so
-          the source half follows from P_s(e) idempotent, computed in KP1:
+          it follows from P_s(e) idempotent, computed in KP1:
 
             S_e P_s(e) = v_x (P_s(e) P_s(e)) = v_x P_s(e) = S_e.
 
-          Its composition half, S_e' S_e = S_e'e for r(e) = s(e') with
-          d(e) + d(e') within the bound, multiplies nothing.  With x' the
-          element of e' and m the image of (x, x') in the compose table,
+        - KP2, composition half: S_e' S_e = S_e'e for r(e) = s(e') with
+          d(e) + d(e') within the bound.  With x' the element of e' and m the
+          image of (x, x') in the compose table,
 
             S_e' S_e = v_x' P_s(e') v_x P_s(e) = v_x' v_x P_s(e)
                      = v_m P_s(e) = S_e'e,
 
-          where the second step is the range half of e and the third is the
-          v-half of R1 for (lam(d(e)), lam(d(e'))), which the rank-one slot
-          lemma of `verify_relations` implies.  Premises: that lemma for the
-          string lengths of those degree weights, every P_v idempotent, and
-          every composable pair (x, x') being a key of the compose table.
-          Where no pair composes, the only premise is idempotent P_v.
+          where the second step is the range half of e, P_r(e) S_e = S_e,
+          and the third is the v-half of R1 for (lam(d(e)), lam(d(e'))),
+          which the rank-one slot lemma of `verify_relations` implies.
+        - Unique factorization: each composite degree n is split once as
+          n = m + eps_c, c its last colour, and `check_factorization(m,
+          eps_c)` must pass: the compose table maps the pairs of an edge e
+          of degree eps_c and a path e' of degree m with r(e) = s(e')
+          one-to-one onto the paths f of degree n, with r(f) = r(e') and
+          s(f) = s(e).
+        - The rest is proved by induction on |n|.  At a unit degree the
+          range half, the KP3 diagonal, KP4 and the grading of S_e are
+          computed.  At a composite n = m + eps_c, with every degree of
+          smaller size done, take f = e'e as above, in this order:
+
+          1. S_f = S_e' S_e, the composition half for (e, e'): it reads the
+             range half of the edge e, which is computed.
+          2. Range half: P_r(f) S_f = P_r(e') S_e' S_e = S_e' S_e = S_f, by
+             r(f) = r(e') and the range half at m.
+          3. KP3 diagonal: S_f* S_f = S_e* (S_e'* S_e') S_e
+             = S_e* P_r(e) S_e = S_e* S_e = P_s(f), by the diagonal at m,
+             s(e') = r(e), the range half and the diagonal of the edge e,
+             and s(f) = s(e).
+          4. KP4 at degree n and vertex v: the bijection gives
+             sum_f S_f S_f* = sum_e' S_e' (sum_e S_e S_e*) S_e'*
+             = sum_e' S_e' P_s(e') S_e'* = sum_e' S_e' S_e'* = P_v, by KP4
+             at eps_c and at m and the source half.
+          5. Grading: torus labels add under ``__mul__``, so S_f = S_e' S_e
+             is homogeneous of degree -lam(m) - lam(eps_c) = -lam(n).
+
+          The composition half for a pair whose first path e is composite
+          reads e's range half, which step 2 gave one step earlier.
+          Premises of KP2: the rank-one slot lemma for the string lengths
+          of the degree weights that compose, every P_v idempotent, every
+          composable pair being a key of the compose table, and unique
+          factorization.  Where no pair composes, the only premise is
+          idempotent P_v.  KP4 and the grading rest on KP2 and unique
+          factorization.
         - KP3 (S_e* S_f = delta_{e,f} P_s(e) for paths e, f of one degree)
-          computes only its diagonal S_e* S_e = P_s(e).  The off-diagonal
-          follows from this lemma in B(H), where ``adjoint`` is the true
-          adjoint and two elements are equal exactly when their operators are
-          (the normal form's slot basis is linearly independent):
+          also implies its off-diagonal, in B(H), where ``adjoint`` is the
+          true adjoint and two elements are equal exactly when their
+          operators are (the normal form's slot basis is linearly
+          independent):
 
           - KP1: each P_v is a self-adjoint idempotent and P_v P_w = 0 for
             v != w.
@@ -366,7 +401,7 @@ class SoibelmanModel:
             and KP1 give Q_e Q_f = Q_e P_r(e) P_r(f) Q_f = 0.
           - Hence S_e* S_f = S_e* Q_e Q_f S_f = 0.
 
-          Its premises are KP1, the range half of KP2 and KP4.
+          Its premises are KP1, KP2, KP4 and unique factorization.
         """
         report = VerificationReport()
         colours = graph.colours
@@ -399,22 +434,28 @@ class SoibelmanModel:
         )
 
         degrees = graph.nonzero_degrees(bound)
-        S = {
-            e: self.path_operator(colours, e)
-            for degree in degrees
-            for e in graph.paths(degree)
-        }
+        units = [d for d in degrees if sum(d) == 1]
+        # the split (m, eps_c) of each composite degree n = m + eps_c, c its last colour
+        splits = []
+        for n in degrees:
+            if sum(n) > 1:
+                c = max(k for k, x in enumerate(n) if x)
+                unit = tuple(int(k == c) for k in range(len(n)))
+                splits.append((tuple(x - y for x, y in zip(n, unit)), unit))
+        factorization = all(graph.check_factorization(m, unit).passed for m, unit in splits)
+        S = {e: self.path_operator(colours, e) for d in units for e in graph.paths(d)}
         S_adj = {e: s.adjoint() for e, s in S.items()}
-        # paths by (range, degree), each list in the order of S
+        # paths of every degree by (range, degree), each list in path order
         ending: dict[tuple[Vertex, Degree], list[GraphPath]] = {}
-        for e in S:
-            ending.setdefault((graph.range(e), e.degree), []).append(e)
+        for d in degrees:
+            for e in graph.paths(d):
+                ending.setdefault((graph.range(e), d), []).append(e)
+        paths = sum(len(graph.paths(d)) for d in degrees)
         # for each degree d, the degrees d2 with d + d2 within the bound
         fits = {
             d: [d2 for d2 in degrees if all(x + y <= c for x, y, c in zip(d, d2, bound))]
             for d in degrees
         }
-        in_range: dict[GraphPath, bool] = {}  # filled by KP2, a premise of KP3
         # the composable pairs: e2 then e1, with r(e2) = s(e1)
         composable = 0
         in_table = True
@@ -430,8 +471,7 @@ class SoibelmanModel:
 
         def kp2() -> Iterator[str]:
             for e, s in S.items():
-                in_range[e] = P[graph.range(e)] * s == s
-                yield "" if in_range[e] else f"vertex-path relation fails at {e}"
+                yield "" if P[graph.range(e)] * s == s else f"vertex-path relation fails at {e}"
 
         def kp3_diagonal() -> Iterator[str]:
             for e, s in S.items():
@@ -441,7 +481,7 @@ class SoibelmanModel:
                     yield f"isometry relation fails at {e}, {e}"
 
         def kp4() -> Iterator[str]:
-            for degree in degrees:
+            for degree in units:
                 for v in vertices:
                     total = self.zero
                     for e in ending.get((v, degree), ()):
@@ -463,7 +503,8 @@ class SoibelmanModel:
                     yield f"S_{e} is not homogeneous of degree {neg_weights(lam)}"
 
         # the source half rests on idempotent P_v alone; the composition
-        # half, where there is one, also on the lemma and the compose table
+        # half and the composite range halves, where there are any, also on
+        # the lemma, the compose table and unique factorization
         kp2_by = "idempotent P_v"
         kp2_premises = {"P_v idempotent": all(idempotent.values())}
         rank_one = 0
@@ -471,32 +512,61 @@ class SoibelmanModel:
             rank_one, rank_one_holds = self._rank_one_premise(sorted(weight_pairs))
             kp2_by = (
                 f"the rank-one slot lemma ({rank_one} rank-one cases), the range half,"
-                f" {kp2_by} and the compose table"
+                f" {kp2_by}, the compose table and unique factorization"
             )
             kp2_premises = {
                 "rank-one slot lemma": rank_one_holds,
                 **kp2_premises,
                 "compose table": in_table,
+                "unique factorization": factorization,
             }
-        report.certify(
-            "KP2 path composition", kp2(), len(S) + composable, kp2_by, kp2_premises, rank_one
+        kp2_check = report.certify(
+            "KP2 path composition",
+            kp2(),
+            2 * paths - len(S) + composable,
+            kp2_by,
+            kp2_premises,
+            rank_one,
+        )
+        # what KP4 and the grading at composite degrees rest on
+        composite_by = "unique factorization and KP2"
+        composite_premises = (
+            {"KP2": kp2_check.passed, "unique factorization": factorization} if splits else {}
         )
         clock = perf_counter()
         kp4_results = list(kp4())  # a premise of KP3, reported after it
         kp4_s = perf_counter() - clock
+        kp3_by = "KP1, KP2 and KP4"
+        kp3_premises = {
+            "KP1": kp1_check.passed,
+            "KP2": kp2_check.passed,
+            "KP4": not any(kp4_results) and all(composite_premises.values()),
+        }
+        if splits:
+            kp3_by = "KP1, KP2, KP4 and unique factorization"
+            kp3_premises["unique factorization"] = factorization
         report.certify(
             "KP3 orthogonal isometries",
             kp3_diagonal(),
-            sum(len(graph.paths(d)) * (len(graph.paths(d)) - 1) for d in degrees),
-            "KP1+KP4",
-            {
-                "KP1": kp1_check.passed,
-                "the range half of KP2": all(in_range.values()),
-                "KP4": not any(kp4_results),
-            },
+            sum(len(graph.paths(d)) ** 2 for d in degrees) - len(S),
+            kp3_by,
+            kp3_premises,
         )
-        report.certify("KP4 range decomposition", kp4_results, spent=kp4_s)
-        report.certify("grading: P_v invariant, S_e of degree -d(e)", grading())
+        report.certify(
+            "KP4 range decomposition",
+            kp4_results,
+            len(splits) * len(vertices),
+            composite_by,
+            composite_premises,
+            spent=kp4_s,
+        )
+        report.certify(
+            "grading: P_v invariant, S_e of degree -d(e)",
+            grading(),
+            paths - len(S),
+            composite_by,
+            composite_premises,
+        )
         return report
 
     def verify_suite(self, colours: ColourSet, bound: Sequence[int]) -> VerificationReport:

@@ -9,8 +9,9 @@ shift operators as finite 0/1 matrices, the monomial expansion and product
 rewrite operators into shift monomials T^a T*^b, the slot-by-slot
 generator tensors one operator element per letter, the exhaustive R1/R2
 multiplies out both halves of every relation the adjoint pairs up, the
-exhaustive KP2 multiplies every composable pair of path operators, and the
-exhaustive KP3 every pair of same-degree path operators.  The Cartan
+exhaustive KP2 multiplies every composable pair of path operators, the
+exhaustive KP3 every pair of same-degree path operators, and the exhaustive
+KP4 and grading build S_e at every degree, composite ones included.  The Cartan
 braiding on products of irreducibles is the hexagon oracle: it moves each
 operand into the standalone crystal of its component, braids there and
 moves back, where the library composes adjacent pair tables.
@@ -32,7 +33,7 @@ from crystalgraphs.crystal import (
     strings,
     tensor_of,
 )
-from crystalgraphs.rootdata import add_weights, sub_weights
+from crystalgraphs.rootdata import add_weights, neg_weights, sub_weights
 from crystalgraphs.toeplitz import OperatorElement, string_slot
 
 
@@ -607,4 +608,45 @@ def exhaustive_kp2(model, graph, bound):
             cases += 1
             if s1 * s2 != model.path_operator(colours, graph.compose(e1, e2)):
                 failures.append(("composition", e1, e2))
+    return cases, failures
+
+
+def exhaustive_kp4(model, graph, bound):
+    """KP4 at every nonzero degree within bound: the sum of S_e S_e* over the
+    paths e of that degree with range v must be P_v, for every vertex v.
+    Returns the case count and the failing (v, degree) pairs."""
+    colours = graph.colours
+    cases = 0
+    failures = []
+    for degree in graph.nonzero_degrees(tuple(bound)):
+        for v in graph.vertices:
+            total = model.zero
+            for e in graph.paths(degree):
+                if graph.range(e) == v:
+                    s = model.path_operator(colours, e)
+                    total = total + s * s.adjoint()
+            cases += 1
+            if total != model.projection(colours, v):
+                failures.append((v, degree))
+    return cases, failures
+
+
+def exhaustive_grading(model, graph, bound):
+    """The grading at every nonzero degree within bound: every P_v has torus
+    degree 0 and every S_e the single degree -lam(d(e)).  Returns the case
+    count and the failing vertices and paths."""
+    colours = graph.colours
+    zero = (0,) * model.rank
+    cases = 0
+    failures = []
+    for v in graph.vertices:
+        cases += 1
+        if not model.projection(colours, v).supported_in({zero}):
+            failures.append(v)
+    for degree in graph.nonzero_degrees(tuple(bound)):
+        for e in graph.paths(degree):
+            cases += 1
+            label = neg_weights(colours.weight_of(degree))
+            if not model.path_operator(colours, e).supported_in({label}):
+                failures.append(e)
     return cases, failures

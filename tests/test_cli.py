@@ -244,14 +244,19 @@ def _kp_report(cases):
     ]
 
 
-def _kp_splits(r1, r2, kp1, kp2, kp3):
+def _kp_splits(r1, r2, kp1, kp2, kp3, kp4, grading):
     """The split lines of the KP suite, given (computed, implied) of each
-    certified check, in the order they are popped: KP3, KP2, KP1, R2, R1.
-    R1 and KP2 also take the count of their rank-one cases."""
+    certified check, in the order they are popped: grading, KP4, KP3, KP2,
+    KP1, R2, R1.  R1 and KP2 also take the count of their rank-one cases."""
     return [
-        f"  KP3 split: {kp3[0]} computed, {kp3[1]} implied by KP1+KP4",
+        f"  grading split: {grading[0]} computed, {grading[1]} implied by unique factorization"
+        " and KP2",
+        f"  KP4 split: {kp4[0]} computed, {kp4[1]} implied by unique factorization and KP2",
+        f"  KP3 split: {kp3[0]} computed, {kp3[1]} implied by KP1, KP2, KP4 and unique"
+        " factorization",
         f"  KP2 split: {kp2[0]} computed, {kp2[1]} implied by the rank-one slot lemma"
-        f" ({kp2[2]} rank-one cases), the range half, idempotent P_v and the compose table",
+        f" ({kp2[2]} rank-one cases), the range half, idempotent P_v, the compose table and"
+        " unique factorization",
         f"  KP1 split: {kp1[0]} computed, {kp1[1]} implied by adjoints of self-adjoint P_v",
         f"  R2 split: {r2[0]} computed, {r2[1]} implied by adjoints under R4 and inverse braidings",
         f"  R1 split: {r1[0]} computed, {r1[1]} implied by the rank-one slot lemma"
@@ -259,12 +264,22 @@ def _kp_splits(r1, r2, kp1, kp2, kp3):
     ]
 
 
+# the lines the split lines sit on, popped from the last
+SPLIT_LINES = (15, 13, 11, 9, 7, 3, 1)
+
+
 def test_verify_kp_a3(capsys):
     code, out, _ = run(capsys, "verify", "--type", "A3", "--suite", "kp", "--bound", "1,1,1")
     assert code == 0
     lines = out.splitlines()
-    assert [lines.pop(k) for k in (11, 9, 7, 3, 1)] == _kp_splits(
-        (0, 12482, 400), (3160, 3081), (325, 276), (1145, 4735, 64), (1145, 284176)
+    assert [lines.pop(k) for k in SPLIT_LINES] == _kp_splits(
+        (0, 12482, 400),
+        (3160, 3081),
+        (325, 276),
+        (200, 5680, 64),
+        (200, 285121),
+        (72, 96),
+        (224, 945),
     )
     assert lines == _kp_report([12482, 6241, 5, 79, 601, 5880, 285321, 168, 1169])
 
@@ -273,8 +288,14 @@ def test_verify_kp_g2(capsys):
     code, out, _ = run(capsys, "verify", "--type", "G2", "--suite", "kp", "--bound", "1,1")
     assert code == 0
     lines = out.splitlines()
-    assert [lines.pop(k) for k in (11, 9, 7, 3, 1)] == _kp_splits(
-        (0, 14792, 3136), (3741, 3655), (435, 378), (699, 1597, 280), (699, 233834)
+    assert [lines.pop(k) for k in SPLIT_LINES] == _kp_splits(
+        (0, 14792, 3136),
+        (3741, 3655),
+        (435, 378),
+        (250, 2046, 280),
+        (250, 234283),
+        (56, 28),
+        (278, 449),
     )
     assert lines == _kp_report([14792, 7396, 4, 86, 813, 2296, 234533, 84, 727])
 
@@ -284,8 +305,14 @@ def test_verify_kp_c2_at_bound_two_one(capsys):
     code, out, _ = run(capsys, "verify", "--type", "C2", "--suite", "kp", "--bound", "2,1")
     assert code == 0
     lines = out.splitlines()
-    assert [lines.pop(k) for k in (11, 9, 7, 3, 1)] == _kp_splits(
-        (0, 1352, 400), (351, 325), (66, 45), (274, 897, 160), (274, 19908)
+    assert [lines.pop(k) for k in SPLIT_LINES] == _kp_splits(
+        (0, 1352, 400),
+        (351, 325),
+        (66, 45),
+        (52, 1119, 160),
+        (52, 20130),
+        (20, 30),
+        (62, 222),
     )
     cases = [1352, 676, 4, 26, 111, 1171, 20182, 50, 284]
     assert lines == _kp_report(cases) and sum(cases) == 23856
@@ -387,8 +414,10 @@ def test_verify_json_splits_computed_and_implied(capsys):
         "R1": (0, 450),
         "R2": (120, 105),
         "KP1": (28, 15),
-        "KP2": (47, 93),
-        "KP3": (47, 770),
+        "KP2": (24, 116),
+        "KP3": (24, 793),
+        "KP4": (12, 6),
+        "grading:": (30, 23),
     }
     # the rank-one cases of R1 and KP2 are not part of their case counts
     lemma = {"R1": 100, "KP2": 16}
@@ -397,6 +426,31 @@ def test_verify_json_splits_computed_and_implied(capsys):
         assert check["computed"] + check["implied"] == check["cases"]
         assert (check["computed"], check["implied"]) == certified.get(tag, (check["cases"], 0))
         assert check["lemma_cases"] == lemma.get(tag, 0)
+
+
+def test_verify_json_counts_each_checks_failed_cases(capsys, monkeypatch):
+    from crystalgraphs.hrgraph import colour_set, graph_of
+    from crystalgraphs.soibelman import SoibelmanModel
+
+    argv = ["verify", "--type", "C2", "--suite", "kp", "--bound", "1,1", "--emit", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and all(check["failed"] == 0 for check in json.loads(out)["checks"])
+    # S_e of one edge doubled: its KP3 diagonal and KP4 at its range fail
+    c2 = build_root_datum("C2")
+    edge = graph_of(colour_set(c2, c2.fundamental_weights)).paths((0, 1))[0]
+    original = SoibelmanModel.path_operator
+
+    def doubled(self, colours, e):
+        s = original(self, colours, e)
+        return s + s if e == edge else s
+
+    monkeypatch.setattr(SoibelmanModel, "path_operator", doubled)
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    failed = {check["name"].split()[0]: check["failed"] for check in json.loads(out)["checks"]}
+    assert failed == {
+        "R1": 0, "R2": 0, "R3": 0, "R4": 0, "KP1": 0, "KP2": 0, "KP3": 1, "KP4": 1, "grading:": 0
+    }
 
 
 @pytest.mark.parametrize(
@@ -443,7 +497,7 @@ def test_verify_json_records_each_checks_elapsed_seconds(capsys):
     assert all(isinstance(c["elapsed_s"], float) and c["elapsed_s"] >= 0 for c in checks)
     # the text report carries no timings
     code, text, _ = run(capsys, *argv)
-    assert code == 0 and "elapsed" not in text and len(text.splitlines()) == 14
+    assert code == 0 and "elapsed" not in text and len(text.splitlines()) == 16
 
 
 def test_a_changed_braiding_entry_fails_the_braiding_suite_at_its_first_case(capsys, monkeypatch):
@@ -460,7 +514,7 @@ def test_a_changed_braiding_entry_fails_the_braiding_suite_at_its_first_case(cap
         if (lam, lamp) != ((1, 0), (1, 0)):
             return table
         # f_1 of the top (1, 1) is (2, 1), so the first failing case is the
-        # top at colour 1; (2, 1) at colour 2 fails too, later
+        # top at colour 1; (2, 1) at colours 1 and 2 fails too, later
         assert table[(2, 1)] == (2, 1)
         return {**table, (2, 1): None}
 
@@ -469,7 +523,9 @@ def test_a_changed_braiding_entry_fails_the_braiding_suite_at_its_first_case(cap
     assert code == 1
     assert out == (
         f"FAIL braiding: morphism, braid, longest-word ({cases} cases): "
-        "morphism property at (1, 0),(1, 0),(1, 1),1\n"
+        "morphism property at (1, 0),(1, 0),(1, 1),1; "
+        "morphism property at (1, 0),(1, 0),(2, 1),1; "
+        "morphism property at (1, 0),(1, 0),(2, 1),2\n"
     )
 
 
@@ -491,7 +547,7 @@ def test_a_redirected_composite_fails_its_factorization_split(capsys, monkeypatc
     assert code == 1
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
         f"FAIL factorization (1, 0)+(0, 1) ({len(paths)} cases): "
-        f"path {paths[1]} has 2 factorizations"
+        f"path {paths[1]} has 2 factorizations; path {paths[2]} has 0 factorizations"
     ]
 
 

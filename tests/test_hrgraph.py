@@ -3,6 +3,7 @@ import pytest
 from crystalgraphs.crystal import highest_weight_crystal, tensor_of
 from crystalgraphs.hrgraph import (
     GraphPath,
+    HigherRankGraph,
     build_graph,
     colour_set,
     graph_tables_from_json,
@@ -215,6 +216,36 @@ def test_factorization_small_splits(degrees):
 def test_factorization_c2_single_colours():
     report = c2_graph().check_factorization((1, 0), (1, 0))
     assert report.passed, str(report)
+
+
+def test_a_pair_missing_from_the_compose_table_fails_factorization_by_name(monkeypatch):
+    g = a2_graph()
+    # e of degree (0, 1), then e' of degree (1, 0): the first composable pair
+    e = g.paths((0, 1))[0]
+    eprime = next(f for f in g.paths((1, 0)) if f.source == g.range(e))
+    lost = g.compose(eprime, e)
+    original = HigherRankGraph._composition
+
+    def short(self, degree, degree_p):
+        matching, total = original(self, degree, degree_p)
+        if (degree, degree_p) == ((0, 1), (1, 0)):
+            matching = {k: v for k, v in matching.items() if k != (e.element, eprime.element)}
+        return matching, total
+
+    # the table keys elements, so every composable pair of these two
+    # elements, at any source, loses its composite
+    pairs = [
+        (f, d)
+        for d in g.paths((0, 1))
+        for f in g.paths((1, 0))
+        if (d.element, f.element) == (e.element, eprime.element) and f.source == g.range(d)
+    ]
+    monkeypatch.setattr(HigherRankGraph, "_composition", short)
+    check = g.check_factorization((1, 0), (0, 1)).checks[0]
+    # each composite has no factorization left, and each pair adds a failed case
+    assert not check.passed and check.failed == 2 * len(pairs)
+    assert check.cases == len(g.paths((1, 1))) + len(pairs)
+    assert check.detail.startswith(f"path {lost} has 0 factorizations")
 
 
 def test_no_sources_or_sinks_and_loops():

@@ -15,8 +15,10 @@ from helpers import (
     cartan_project,
     component_strings,
     component_table,
+    exhaustive_grading,
     exhaustive_kp2,
     exhaustive_kp3,
+    exhaustive_kp4,
     exhaustive_relations,
     operator_matrix,
     projection_p0,
@@ -329,7 +331,12 @@ def test_grading_reversal_of_path_operators():
 
 
 def _check(report, tag):
-    return next(c for c in report.checks if c.name.split()[0] == tag)
+    return next(c for c in report.checks if c.name.split()[0].rstrip(":") == tag)
+
+
+def _edges(graph, bound):
+    """The number of paths of unit degree within bound."""
+    return sum(len(graph.paths(d)) for d in graph.nonzero_degrees(bound) if sum(d) == 1)
 
 
 @pytest.mark.parametrize(
@@ -343,10 +350,9 @@ def test_kp3_certificate_covers_the_exhaustive_oracle(label, bound):
     assert failures == []
     kp3 = _check(m.verify_graph_algebra(graph, bound), "KP3")
     assert kp3.passed and kp3.cases == cases
-    # only the diagonal S_e* S_e = P_s(e) is multiplied out
-    diagonal = sum(len(graph.paths(d)) for d in graph.nonzero_degrees(bound))
-    assert kp3.computed == diagonal
-    assert kp3.implied == cases - diagonal > 0
+    # only the diagonal S_e* S_e = P_s(e) on edges is multiplied out
+    assert kp3.computed == _edges(graph, bound)
+    assert kp3.implied == cases - kp3.computed > 0
 
 
 def _mutated_suite(monkeypatch, replace):
@@ -432,11 +438,12 @@ def test_kp2_certificate_covers_the_exhaustive_oracle(label, bound):
     assert failures == []
     kp2 = _check(m.verify_graph_algebra(graph, bound), "KP2")
     assert kp2.passed and kp2.cases == cases
-    # only the range half is multiplied out, one product per path; the
-    # source half follows from idempotent P_v, the compositions from the lemma
+    # only the range half on edges is multiplied out, one product per edge;
+    # the source half follows from idempotent P_v, the compositions from the
+    # lemma, the composite range halves from unique factorization
     paths = sum(len(graph.paths(d)) for d in graph.nonzero_degrees(bound))
-    assert kp2.computed == paths
-    assert kp2.implied == cases - paths
+    assert kp2.computed == _edges(graph, bound)
+    assert kp2.implied == cases - kp2.computed
     assert (kp2.lemma_cases > 0) == (kp2.implied > paths)
 
 
@@ -475,6 +482,137 @@ def test_kp2_certificate_fails_through_its_premise_when_a_projection_is_not_idem
     kp2 = _check(m.verify_graph_algebra(graph, (1, 1)), "KP2")
     assert not kp2.passed and kp2.implied == 0
     assert "premise P_v idempotent fails" in kp2.detail
+
+
+@pytest.mark.parametrize(
+    "label, bound",
+    [("A1", (1,)), ("A2", (1, 1)), ("B2", (1, 1)), ("C2", (2, 1)), ("G2", (1, 1)),
+     ("A3", (1, 1, 1))],
+)
+def test_kp4_and_grading_certificates_cover_the_exhaustive_oracles(label, bound):
+    datum = build_root_datum(label)
+    m = SoibelmanModel(datum)
+    graph = graph_of(colour_set(datum, datum.fundamental_weights))
+    report = m.verify_graph_algebra(graph, bound)
+    units = [d for d in graph.nonzero_degrees(bound) if sum(d) == 1]
+    # KP4 is multiplied out at unit degrees, the grading of S_e on edges
+    for tag, oracle, computed in (
+        ("KP4", exhaustive_kp4, len(units) * len(graph.vertices)),
+        ("grading", exhaustive_grading, len(graph.vertices) + _edges(graph, bound)),
+    ):
+        cases, failures = oracle(m, graph, bound)
+        check = _check(report, tag)
+        assert failures == []
+        assert check.passed and check.cases == cases
+        assert check.computed == computed
+        assert check.implied == cases - computed
+        # A1 at bound 1 has no composite degree to imply
+        assert (check.implied > 0) == (label != "A1")
+
+
+def _composite_tamper_report(monkeypatch, name, wrap):
+    """The C2 (1, 1) graph-algebra report and factorization check, with the
+    HigherRankGraph method `name` replaced by wrap(original)."""
+    monkeypatch.setattr(HigherRankGraph, name, wrap(getattr(HigherRankGraph, name)))
+    graph = graph_of(colour_set(C2, C2.fundamental_weights))
+    report = SoibelmanModel(C2).verify_graph_algebra(graph, (1, 1))
+    return report, graph.check_factorization((1, 0), (0, 1))
+
+
+def _fail_through_unique_factorization(report):
+    assert _check(report, "KP1").passed
+    for tag in ("KP2", "KP3", "KP4", "grading"):
+        check = _check(report, tag)
+        assert not check.passed and check.implied == 0 and check.failed == 0
+        # every computed case still holds: each fails only through premises
+        assert check.detail.startswith("premise")
+        assert "premise unique factorization fails" in check.detail
+
+
+def test_a_compose_table_merging_two_pairs_fails_every_composite_certificate(monkeypatch):
+    graph = graph_of(colour_set(C2, C2.fundamental_weights))
+    # an edge e of degree (0, 1) followed by either of two edges of degree (1, 0)
+    e, first, second = next(
+        (e, *after[:2])
+        for e in graph.paths((0, 1))
+        for after in [[f for f in graph.paths((1, 0)) if f.source == graph.range(e)]]
+        if len(after) > 1
+    )
+    keys = [(e.element, first.element), (e.element, second.element)]
+
+    def wrap(original):
+        def merged(self, degree, degree_p):
+            matching, total = original(self, degree, degree_p)
+            if (degree, degree_p) == ((0, 1), (1, 0)):
+                matching = {**matching, keys[1]: matching[keys[0]]}
+            return matching, total
+
+        return merged
+
+    report, factorization = _composite_tamper_report(monkeypatch, "_composition", wrap)
+    _fail_through_unique_factorization(report)
+    # every composable pair is still a key of the table
+    assert "premise compose table" not in _check(report, "KP2").detail
+    merged = graph.compose(first, e)
+    assert not factorization.passed
+    assert factorization.checks[0].detail.startswith(f"path {merged} has 2 factorizations")
+
+
+def test_a_composite_range_changed_fails_unique_factorization(monkeypatch):
+    graph = graph_of(colour_set(C2, C2.fundamental_weights))
+    f = graph.paths((1, 1))[0]
+    r = graph.range(f)
+    moved = next(v for v in graph.vertices if v != r)
+
+    def wrap(original):
+        def changed(self, degree):
+            out = original(self, degree)
+            return {**out, f: moved} if degree == (1, 1) else out
+
+        return changed
+
+    report, factorization = _composite_tamper_report(monkeypatch, "_slice", wrap)
+    _fail_through_unique_factorization(report)
+    # f = e'e still has one factorization, but r(f) is no longer r(e')
+    assert not factorization.passed
+    assert factorization.checks[0].detail == (
+        f"path {f} has range {moved}, not the range {r} of its factor of degree (1, 0)"
+    )
+
+
+def test_a_changed_edge_operator_fails_the_computed_cases_like_the_oracles(monkeypatch):
+    graph = graph_of(colour_set(C2, C2.fundamental_weights))
+    # S_e becomes S_f for an edge f of the other colour with another source
+    # and another range
+    e, f = next(
+        (e, f)
+        for e in graph.paths((0, 1))
+        for f in graph.paths((1, 0))
+        if e.source != f.source and graph.range(e) != graph.range(f)
+    )
+    original = SoibelmanModel.path_operator
+    monkeypatch.setattr(
+        SoibelmanModel,
+        "path_operator",
+        lambda self, colours, path: original(self, colours, f if path == e else path),
+    )
+    m = SoibelmanModel(C2)
+    report = m.verify_graph_algebra(graph, (1, 1))
+    expected = {
+        "KP2": f"vertex-path relation fails at {e}",
+        "KP3": f"isometry relation fails at {e}, {e}",
+        "KP4": f"range decomposition fails at {graph.range(e)}, degree (0, 1)",
+        "grading": f"S_{e} is not homogeneous of degree (0, -1)",
+    }
+    for tag, detail in expected.items():
+        check = _check(report, tag)
+        assert not check.passed and check.implied == 0
+        assert check.failed == 1 and check.detail.startswith(detail)
+    # the oracles, which multiply out every degree, fail at e too
+    assert ("range", e) in exhaustive_kp2(m, graph, (1, 1))[1]
+    assert (e, e) in exhaustive_kp3(m, graph, (1, 1))[1]
+    assert (graph.range(e), (0, 1)) in exhaustive_kp4(m, graph, (1, 1))[1]
+    assert e in exhaustive_grading(m, graph, (1, 1))[1]
 
 
 def _slot_oracle(m1, m2, p1, t1, p2, t2):
