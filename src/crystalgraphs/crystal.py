@@ -377,17 +377,6 @@ def _tensor_of(datum: RootDatum, weights: tuple[Coords, ...]) -> TensorCrystal:
     return TensorCrystal(highest_weight_crystal(datum, w) for w in weights)
 
 
-def strings(crystal_like, i: int) -> list[list]:
-    """The i-strings of a crystal or a tensor product of crystals, each listed
-    from its top element down; the tops come in element order."""
-    return crystal_like.string_table(i)[0]
-
-
-def string_data(crystal_like, i: int) -> dict:
-    """Per element: (string id, position from the top, string length)."""
-    return crystal_like.string_table(i)[1]
-
-
 def canonical_morphism(source, target, top=None) -> dict:
     """The unique crystal isomorphism from the component of ``top`` in source
     (default: its highest element) onto the component of ``target.highest``.

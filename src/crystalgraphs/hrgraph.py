@@ -297,10 +297,6 @@ class HigherRankGraph:
         return "\n".join(lines) + "\n"
 
 
-def build_graph(datum: RootDatum, colours: Iterable[Coords]) -> HigherRankGraph:
-    return HigherRankGraph(colour_set(datum, colours))
-
-
 @memo
 def graph_of(colours: ColourSet) -> HigherRankGraph:
     """The graph of a colour set, built once and shared, so that its slices

@@ -179,9 +179,6 @@ class RootDatum(NamedTuple):
     def simple_root(self, i: int) -> Coords:
         return self.simple_roots[i - 1]
 
-    def fundamental_weight(self, i: int) -> Coords:
-        return self.fundamental_weights[i - 1]
-
     def pairing(self, weight: Coords, i: int) -> int:
         """<weight, alpha_i^vee> in the fundamental-weight basis."""
         return weight[i - 1]

@@ -14,7 +14,7 @@ from time import perf_counter
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from .braiding import pair_braiding
-from .crystal import highest_weight_crystal, string_data, strings, tensor_of
+from .crystal import highest_weight_crystal, tensor_of
 from .hrgraph import ColourSet, Degree, GraphPath, HigherRankGraph, Vertex, graph_of
 from .memo import memo
 from .report import VerificationReport
@@ -96,7 +96,7 @@ class SoibelmanModel:
         # element -> {slot triples of the letters still to read, then label: coefficient}
         reach: dict[Hashable, dict[tuple[int, ...], int]] = {crystal_like.highest: {label: 1}}
         for i in reversed(self.word):
-            lines, data = strings(crystal_like, i), string_data(crystal_like, i)
+            lines, data = crystal_like.string_table(i)
             fresh: dict[Hashable, dict[tuple[int, ...], int]] = {}
             for y, suffixes in reach.items():
                 sid, top, length = data[y]
@@ -133,8 +133,8 @@ class SoibelmanModel:
 
         pair = tensor_of(build_root_datum("A1"), ((m1,), (m2,)))
         # each factor is one string; its elements by position from the top
-        (one,), (two,) = (strings(c, 1) for c in pair.factors)
-        data = string_data(pair, 1)
+        (one,), (two,) = (c.string_table(1)[0] for c in pair.factors)
+        _, data = pair.string_table(1)
         first, second = slots(m1), slots(m2)
         holds = True
         for p1, t1, x in first:
@@ -156,7 +156,7 @@ class SoibelmanModel:
         for lam in {w for pair in weight_pairs for w in pair}:
             crystal = highest_weight_crystal(self.datum, lam)
             for i in letters:
-                lengths[lam, i] = {len(line) - 1 for line in strings(crystal, i)}
+                lengths[lam, i] = {len(line) - 1 for line in crystal.string_table(i)[0]}
         pairs = {
             pair
             for lam, lamp in weight_pairs

@@ -29,8 +29,6 @@ from crystalgraphs.crystal import (
     canonical_morphism,
     f_path,
     highest_weight_crystal,
-    string_data,
-    strings,
     tensor_of,
 )
 from crystalgraphs.rootdata import add_weights, neg_weights, sub_weights
@@ -77,8 +75,8 @@ def path_model_reads(datum, lam):
     """B(lam) read off Littelmann paths alone, numbered in breadth-first
     order from the straight-line path with colours in increasing order:
     {"f": {(i, b): f_i b}, "weight": [...], "eps"/"phi": {(i, b): value},
-    "strings"/"string_data": {i: value as `crystal.strings`/`string_data`
-    return it}}.  Every endpoint and every eps/phi must be integral."""
+    "string_table": {i: (lines, data) as `Crystal.string_table(i)` returns
+    it}}.  Every endpoint and every eps/phi must be integral."""
     seed = _chain_from_steps([tuple(Fraction(x) for x in lam)])
     chains, index, f = [seed], {seed: 1}, {}
     for b, chain in enumerate(chains, start=1):  # chains grows as it is read
@@ -108,8 +106,7 @@ def path_model_reads(datum, lam):
         "weight": [path_weight(chain, datum.rank) for chain in chains],
         "eps": eps,
         "phi": phi,
-        "strings": lines,
-        "string_data": data,
+        "string_table": {i: (lines[i], data[i]) for i in datum.colours},
     }
 
 
@@ -428,8 +425,7 @@ def slotwise_generator(model, lam, a):
     crystal = highest_weight_crystal(model.datum, lam)
     frontier = {a: OperatorElement.unit(0, model.rank)}
     for i in model.word:
-        data = string_data(crystal, i)
-        lines = strings(crystal, i)
+        lines, data = crystal.string_table(i)
         fresh = {}
         for k, acc in frontier.items():
             sid, pos, length = data[k]
@@ -471,7 +467,7 @@ def braid_moved_word(datum, word, seed=0):
 def restriction_limit(crystal, i, a, b):
     """Limit of the (a, b) matrix coefficient restricted to the SU(2) of
     colour i: zero across different i-strings, a string coefficient within."""
-    data = string_data(crystal, i)
+    _, data = crystal.string_table(i)
     sid_a, pos_a, length = data[a]
     sid_b, pos_b, _ = data[b]
     rank = crystal.datum.rank
@@ -488,8 +484,8 @@ def component_strings(first, second, i):
     f_i acts max(0, phi1 - eps2) times on the first factor, then on the
     second.  y -> (position of y from the top, string length, the string
     from y down)."""
-    data1, lines1 = string_data(first, i), strings(first, i)
-    data2, lines2 = string_data(second, i), strings(second, i)
+    lines1, data1 = first.string_table(i)
+    lines2, data2 = second.string_table(i)
 
     def below(y):
         y1, y2 = y

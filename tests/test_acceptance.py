@@ -6,7 +6,7 @@ from itertools import permutations, product as iter_product
 
 from crystalgraphs.braiding import pair_braiding, sigma_word
 from crystalgraphs.crystal import highest_weight_crystal, tensor_of
-from crystalgraphs.hrgraph import build_graph, colour_set, weyl_vertex_map
+from crystalgraphs.hrgraph import colour_set, graph_of, weyl_vertex_map
 from crystalgraphs.rootdata import build_root_datum, weyl_dim, weyl_group
 from crystalgraphs.soibelman import SoibelmanModel
 
@@ -21,14 +21,14 @@ def _report(number: int, limit: float, started: float, description: str) -> None
 
 def test_criterion_01_su3_vertex_table():
     start = time.perf_counter()
-    graph = build_graph(build_root_datum("A2"), [(1, 0), (0, 1)])
+    graph = graph_of(colour_set(build_root_datum("A2"), [(1, 0), (0, 1)]))
     assert graph.vertices == ((1, 1), (1, 2), (2, 1), (2, 3), (3, 2), (3, 3))
     _report(1, 1.0, start, "SU(3) vertex table equals the six right ends")
 
 
 def test_criterion_02_su3_edge_slices():
     start = time.perf_counter()
-    graph = build_graph(build_root_datum("A2"), [(1, 0), (0, 1)])
+    graph = graph_of(colour_set(build_root_datum("A2"), [(1, 0), (0, 1)]))
     v = {k + 1: vertex for k, vertex in enumerate(graph.vertices)}
     expected_colour1 = sorted(
         (v[s], v[r])
@@ -70,7 +70,7 @@ def test_criterion_03_su3_braiding_table():
 
 def test_criterion_04_c2_graph():
     start = time.perf_counter()
-    graph = build_graph(build_root_datum("C2"), [(1, 0), (0, 1)])
+    graph = graph_of(colour_set(build_root_datum("C2"), [(1, 0), (0, 1)]))
     assert len(graph.vertices) == 10
     table = weyl_vertex_map(graph)
     image = set(table.values())
@@ -88,7 +88,7 @@ def test_criterion_04_c2_graph():
 
 def test_criterion_05_sphere_graph():
     start = time.perf_counter()
-    graph = build_graph(build_root_datum("A2"), [(1, 0)])
+    graph = graph_of(colour_set(build_root_datum("A2"), [(1, 0)]))
     edges = sorted((e.source[0], graph.range(e)[0]) for e in graph.paths((1,)))
     assert edges == sorted((i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i >= j)
     assert len(edges) == 6
@@ -100,7 +100,7 @@ def test_criterion_06_factorization():
     start = time.perf_counter()
     bound = (2, 2)
     for label in ("A2", "C2"):
-        graph = build_graph(build_root_datum(label), [(1, 0), (0, 1)])
+        graph = graph_of(colour_set(build_root_datum(label), [(1, 0), (0, 1)]))
         for total in iter_product(range(bound[0] + 1), range(bound[1] + 1)):
             if not any(total):
                 continue

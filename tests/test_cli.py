@@ -213,7 +213,10 @@ def test_verify_identical_under_optimize_flag():
 
 def test_cli_import_leaves_out_dataclasses_inspect_and_json():
     # dataclasses pulls in inspect, ast, dis and tokenize on every launch;
-    # json is needed only by the JSON output and parser, which import it
+    # json is needed only by the JSON output and parser, which import it.
+    # The package root imports no module of its own, and only `verify`
+    # needs the operator layer, so `graph`, `crystal`, `braiding` and
+    # `info` launches never load it.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
 
@@ -224,9 +227,22 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_json():
         )
         return set(probe.stdout.split())
 
-    added = modules("import crystalgraphs.cli") - modules("pass")
+    bare = modules("pass")
+    root = modules("import crystalgraphs") - bare
+    assert "crystalgraphs" in root
+    assert not any(name.startswith("crystalgraphs.") for name in root)
+    added = modules("import crystalgraphs.cli") - bare
     assert "crystalgraphs.cli" in added
     assert added.isdisjoint({"dataclasses", "inspect", "json"})
+    assert added.isdisjoint({"crystalgraphs.soibelman", "crystalgraphs.toeplitz"})
+
+
+def test_the_readme_tour_runs_and_its_report_passes(capsys):
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## A small tour", 1)[1]
+    block = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("PASS")
 
 
 def _kp_report(cases):

@@ -6,8 +6,6 @@ from crystalgraphs.crystal import (
     TensorCrystal,
     canonical_morphism,
     highest_weight_crystal,
-    string_data,
-    strings,
     tensor_of,
 )
 from crystalgraphs.rootdata import build_root_datum, weyl_dim, weyl_group
@@ -165,8 +163,7 @@ def test_string_tables_match_the_path_model(label, lam):
             assert crystal.f(i, b) == oracle["f"].get((i, b))
             assert crystal.eps(i, b) == oracle["eps"][i, b]
             assert crystal.phi(i, b) == oracle["phi"][i, b]
-        assert strings(crystal, i) == oracle["strings"][i]
-        assert string_data(crystal, i) == oracle["string_data"][i]
+        assert crystal.string_table(i) == oracle["string_table"][i]
 
 
 BATTERY = [
@@ -359,6 +356,5 @@ def test_crystals_and_tensor_products_reject_a_colour_outside_the_rank(i):
         for op in (obj.f, obj.e, obj.eps, obj.phi):
             with pytest.raises(ValueError, match=f"invalid colour index {i} for A2"):
                 op(i, element)
-        for read in (strings, string_data):
-            with pytest.raises(ValueError, match=f"invalid colour index {i} for A2"):
-                read(obj, i)
+        with pytest.raises(ValueError, match=f"invalid colour index {i} for A2"):
+            obj.string_table(i)

@@ -4,8 +4,8 @@ from crystalgraphs.crystal import highest_weight_crystal, tensor_of
 from crystalgraphs.hrgraph import (
     GraphPath,
     HigherRankGraph,
-    build_graph,
     colour_set,
+    graph_of,
     graph_tables_from_json,
     weyl_vertex_map,
 )
@@ -34,11 +34,11 @@ A2_COLOUR1_EDGES = {
 
 
 def a2_graph():
-    return build_graph(A2, A2.fundamental_weights)
+    return graph_of(colour_set(A2, A2.fundamental_weights))
 
 
 def c2_graph():
-    return build_graph(C2, C2.fundamental_weights)
+    return graph_of(colour_set(C2, C2.fundamental_weights))
 
 
 def test_colour_set_validation():
@@ -79,7 +79,7 @@ def test_c2_vertex_table():
 
 
 def test_a2_single_colour_sphere_graph():
-    g = build_graph(A2, [(1, 0)])
+    g = graph_of(colour_set(A2, [(1, 0)]))
     assert g.vertices == ((1,), (2,), (3,))
     edges = {(e.source[0], g.range(e)[0]) for e in g.paths((1,))}
     assert edges == {(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i >= j}
@@ -152,7 +152,7 @@ def test_range_matches_projection_then_right_end():
     # the old route: project (v_i, b) into B(theta_i + lam), then embed that
     # into B(lam) (x) B(theta_i) and keep the B(theta_i) factor
     for datum in (A2, C2):
-        g = build_graph(datum, datum.fundamental_weights)
+        g = graph_of(colour_set(datum, datum.fundamental_weights))
         for degree in [(1, 0), (0, 1), (1, 1), (2, 0)]:
             lam = g.colours.weight_of(degree)
             for i, theta in enumerate(g.colours.colours):
@@ -329,7 +329,7 @@ def test_weyl_vertex_map_minuscule_type_a_factor_tuples():
     # factor tuple of the extremal element itself
     for label in ("A2", "A3"):
         datum = build_root_datum(label)
-        g = build_graph(datum, datum.fundamental_weights)
+        g = graph_of(colour_set(datum, datum.fundamental_weights))
         rho = g.colours.rho
         crystal = highest_weight_crystal(datum, rho)
         tensor = tensor_of(datum, g.colours.colours)
@@ -371,5 +371,5 @@ def test_export_json_round_trip_and_determinism():
     )
     assert paths == expected_paths
     # byte-identical on a fresh graph over the same data
-    again = build_graph(A2, A2.fundamental_weights).export_json((1, 1))
+    again = HigherRankGraph(colour_set(A2, A2.fundamental_weights)).export_json((1, 1))
     assert text == again

@@ -4,7 +4,7 @@ from pathlib import Path
 from crystalgraphs import cli
 from crystalgraphs.braiding import pair_braiding
 from crystalgraphs.crystal import highest_weight_crystal, tensor_of
-from crystalgraphs.hrgraph import build_graph, colour_set
+from crystalgraphs.hrgraph import colour_set, graph_of
 from crystalgraphs.memo import cache_stats, clear_caches
 from crystalgraphs.rootdata import build_root_datum
 from crystalgraphs.soibelman import SoibelmanModel
@@ -78,7 +78,7 @@ def test_list_arguments_hit_the_tuple_entries():
     assert pair_braiding(A2, [1, 0], [0, 1]) is pair_braiding(A2, (1, 0), (0, 1))
     model = SoibelmanModel(A2)
     assert model.pi0_generator([1, 0], 2, "f") is model.pi0_generator((1, 0), 2, "f")
-    graph = build_graph(A2, A2.fundamental_weights)
+    graph = graph_of(colour_set(A2, A2.fundamental_weights))
     assert graph.paths([1, 1]) == graph.paths((1, 1))
 
 

@@ -81,7 +81,7 @@ def test_bilinear_a2_against_hand_inverse():
         ci = gauss_solve(a, [int(k == i) for k in range(2)])
         cj = gauss_solve(a, [int(k == j) for k in range(2)])
         expected = sum(ci[p] * s[p][q] * cj[q] for p in range(2) for q in range(2))
-        got = d.bilinear(d.fundamental_weight(i + 1), d.fundamental_weight(j + 1))
+        got = d.bilinear(d.fundamental_weights[i], d.fundamental_weights[j])
         assert got == expected
 
 

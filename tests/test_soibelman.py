@@ -3,7 +3,7 @@ from itertools import product as iter_product
 import pytest
 
 from crystalgraphs.braiding import pair_braiding
-from crystalgraphs.crystal import highest_weight_crystal, string_data, strings, tensor_of
+from crystalgraphs.crystal import highest_weight_crystal, tensor_of
 from crystalgraphs.hrgraph import GraphPath, HigherRankGraph, colour_set, graph_of
 from crystalgraphs.rootdata import add_weights, build_root_datum, weyl_group
 from crystalgraphs.soibelman import SoibelmanModel
@@ -35,9 +35,9 @@ C2 = build_root_datum("C2")
 
 def test_string_decomposition_a2():
     b = highest_weight_crystal(A2, (1, 0))
-    assert strings(b, 1) == [[1, 2], [3]]
-    assert strings(b, 2) == [[1], [2, 3]]
-    data = string_data(b, 1)
+    lines, data = b.string_table(1)
+    assert lines == [[1, 2], [3]]
+    assert b.string_table(2)[0] == [[1], [2, 3]]
     assert data[1] == (0, 0, 1) and data[2] == (0, 1, 1) and data[3] == (1, 0, 0)
 
 
@@ -183,7 +183,7 @@ def test_component_strings_follow_the_tensor_rule(label):
         pair = tensor_of(datum, (lam, lamp))
         for i in datum.colours:
             below = component_strings(*pair.factors, i)
-            lines, data = strings(pair, i), string_data(pair, i)
+            lines, data = pair.string_table(i)
             assert sorted(data) == sorted(pair.elements())
             for t in pair.elements():
                 walk = [t]
@@ -619,7 +619,7 @@ def _slot_oracle(m1, m2, p1, t1, p2, t2):
     """The slot the rank-one lemma predicts for string_slot(m1, p1, t1) times
     string_slot(m2, p2, t2), with the strings of B(m1) x B(m2) read off the
     A1 tensor crystal (element b of B(m) sits at position b - 1)."""
-    data = string_data(tensor_of(A1, ((m1,), (m2,))), 1)
+    _, data = tensor_of(A1, ((m1,), (m2,))).string_table(1)
     sid, pos, length = data[p1 + 1, p2 + 1]
     sid_t, top, _ = data[t1 + 1, t2 + 1]
     return sl2_limit(length, pos, top) if sid == sid_t else OperatorElement.zero(1, 0)
@@ -629,7 +629,7 @@ def test_slot_strings_follow_the_a1_tensor_crystal():
     # the strings _rank_one reads off the A1 tensor crystal, against the
     # closed form (element b of B(m) sits at position b - 1)
     for m1, m2 in iter_product(range(10), repeat=2):
-        data = string_data(tensor_of(A1, ((m1,), (m2,))), 1)
+        _, data = tensor_of(A1, ((m1,), (m2,))).string_table(1)
         shifted = {(b1 - 1, b2 - 1): entry for (b1, b2), entry in data.items()}
         assert shifted == slot_strings(m1, m2)
 
