@@ -118,24 +118,31 @@ class HigherRankGraph:
 
         For each colour theta_i, the canonical matching of the Cartan components
         of B(theta_i) (x) B(lam) and B(lam) (x) B(theta_i), lam of the degree,
-        has (v_i, b) as a key iff it lies in the Cartan component; the
+        has (c, b) as a key iff it lies in the Cartan component; the
         B(theta_i) factor of its image is the right end of the projection to
-        B(theta_i+lam), that is the i-th entry of the range.
+        B(theta_i+lam), that is the i-th entry of the range.  The matching is
+        read into one row per entry c of B(theta_i), mapping each such b to
+        that factor.  The paths from a vertex v are then the elements b that
+        every row_i[v_i] has, in ascending order.
         """
         lam = self.colours.weight_of(degree)
-        matchings = [
-            canonical_morphism(
+        rows = []
+        for theta in self.colours.colours:
+            matching = canonical_morphism(
                 tensor_of(self.datum, (theta, lam)), tensor_of(self.datum, (lam, theta))
             )
-            for theta in self.colours.colours
-        ]
-        elements = highest_weight_crystal(self.datum, lam).elements()
+            row: dict[int, dict[int, int]] = {}
+            for (c, b), image in matching.items():
+                row.setdefault(c, {})[b] = image[1]
+            rows.append(row)
         out = {}
         for v in self.vertices:
-            for b in elements:
-                images = [m.get((c, b)) for c, m in zip(v, matchings)]
-                if None not in images:
-                    out[GraphPath(v, b, degree)] = tuple(image[1] for image in images)
+            hits = [row.get(c, {}) for row, c in zip(rows, v)]
+            common = hits[0].keys()
+            for hit in hits[1:]:
+                common = common & hit.keys()
+            for b in sorted(common):
+                out[GraphPath(v, b, degree)] = tuple([hit[b] for hit in hits])
         return out
 
     def paths(self, degree: Degree) -> tuple[GraphPath, ...]:
@@ -148,25 +155,11 @@ class HigherRankGraph:
             raise ValueError(f"{e} is not a path of this graph")
         return vertex
 
-    def compose(self, eprime: GraphPath, e: GraphPath) -> GraphPath:
-        """The composite eprime . e (e traversed first); degrees add."""
-        if self.range(e) != eprime.source:
-            raise ValueError("paths are not composable: range/source mismatch")
-        matching, degree = self._composition(e.degree, tuple(eprime.degree))
-        if not any(e.degree):
-            return eprime
-        if not any(eprime.degree):
-            return e
-        image = matching.get((e.element, eprime.element))
-        if image is None:
-            raise RuntimeError("composition left the Cartan component")
-        return GraphPath(e.source, image, degree)
-
     def compose_table(self, degree: Degree, degree_p: Degree) -> dict:
-        """The table `compose` reads for a path e of `degree` followed by e'
-        of `degree_p`, both nonzero: (element of e, element of e') -> the
-        element of e'.e.  A composable pair that is not a key makes
-        `compose` raise."""
+        """The composition table of a path e of `degree` followed by e' of
+        `degree_p`, both nonzero: (element of e, element of e') -> the
+        element of e'.e, whose source is that of e.  A composable pair that
+        is not a key has no composite."""
         matching, _ = self._composition(tuple(degree), tuple(degree_p))
         if matching is None:
             raise ValueError("compose_table needs two nonzero degrees")
@@ -189,40 +182,45 @@ class HigherRankGraph:
     def check_factorization(self, m: Degree, n: Degree) -> VerificationReport:
         """Unique factorization in degrees (m, n): every path f of degree
         m + n is e1.e2 for exactly one pair of a path e2 of degree n and a
-        path e1 of degree m with r(e2) = s(e1), and r(f) = r(e1).  `compose`
-        gives e1.e2 the source of e2, so s(f) = s(e2) holds when e1.e2 is a
-        path at all.
+        path e1 of degree m with r(e2) = s(e1), and r(f) = r(e1).  The
+        composite e1.e2 is read off the compose table with the source of
+        e2, so s(f) = s(e2) holds when e1.e2 is a path at all; a path of
+        degree 0 is an identity.
 
         One case per path of degree m + n, which fails unless the path has
         exactly one factorization and keeps the range of its e1; each pair
         whose composite is no path of degree m + n adds a failed case."""
         m, n = tuple(m), tuple(n)
-        total = tuple(a + b for a, b in zip(m, n))
+        matching, total = self._composition(n, m)
+        ranges = self._slice(total)
         # the range r(e1) of each factorization of each path
-        tops: dict[GraphPath, list[Vertex]] = {f: [] for f in self.paths(total)}
+        tops: dict[GraphPath, list[Vertex]] = {f: [] for f in ranges}
         strays = []
-        by_source: dict[Vertex, list[GraphPath]] = {}
-        for e1 in self.paths(m):
-            by_source.setdefault(e1.source, []).append(e1)
-        for e2 in self.paths(n):
-            for e1 in by_source.get(self.range(e2), ()):
-                try:
-                    f = self.compose(e1, e2)
-                except RuntimeError:  # the pair is not in the compose table
-                    f = None
+        by_source: dict[Vertex, list[tuple[GraphPath, Vertex]]] = {}
+        for e1, r1 in self._slice(m).items():
+            by_source.setdefault(e1.source, []).append((e1, r1))
+        for e2, r2 in self._slice(n).items():
+            for e1, r1 in by_source.get(r2, ()):
+                if not any(n):
+                    f = e1
+                elif not any(m):
+                    f = e2
+                else:
+                    image = matching.get((e2.element, e1.element))
+                    f = None if image is None else GraphPath(e2.source, image, total)
                 found = tops.get(f)
                 if found is None:
                     strays.append(f"{e1} after {e2} composes to no path of degree {total}")
                 else:
-                    found.append(self.range(e1))
+                    found.append(r1)
 
         def results():
             for f, found in tops.items():
                 if len(found) != 1:
                     yield f"path {f} has {len(found)} factorizations"
-                elif found[0] != self.range(f):
+                elif found[0] != ranges[f]:
                     yield (
-                        f"path {f} has range {self.range(f)}, not the range {found[0]}"
+                        f"path {f} has range {ranges[f]}, not the range {found[0]}"
                         f" of its factor of degree {m}"
                     )
                 else:
@@ -270,10 +268,10 @@ class HigherRankGraph:
                     "source": self.vertex_ids[e.source],
                     "degree": list(e.degree),
                     "element": e.element,
-                    "range": self.vertex_ids[self.range(e)],
+                    "range": self.vertex_ids[r],
                 }
                 for degree in self.nonzero_degrees(bound)
-                for e in self.paths(degree)
+                for e, r in self._slice(degree).items()
             ],
         }
         import json  # only JSON export pays for the import
@@ -289,10 +287,9 @@ class HigherRankGraph:
                 continue
             delta = tuple(int(j == i) for j in range(self.colours.n))
             colour = dot_colour(i + 1)
-            for e in self.paths(delta):
-                s = self.vertex_ids[e.source]
-                r = self.vertex_ids[self.range(e)]
-                lines.append(f'  v{s} -> v{r} [color="{colour}", label="{i + 1}"];')
+            for e, r in self._slice(delta).items():
+                s, t = self.vertex_ids[e.source], self.vertex_ids[r]
+                lines.append(f'  v{s} -> v{t} [color="{colour}", label="{i + 1}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 

@@ -11,10 +11,12 @@ generator tensors one operator element per letter, the exhaustive R1/R2
 multiplies out both halves of every relation the adjoint pairs up, the
 exhaustive KP2 multiplies every composable pair of path operators, the
 exhaustive KP3 every pair of same-degree path operators, and the exhaustive
-KP4 and grading build S_e at every degree, composite ones included.  The Cartan
-braiding on products of irreducibles is the hexagon oracle: it moves each
-operand into the standalone crystal of its component, braids there and
-moves back, where the library composes adjacent pair tables.
+KP4 and grading build S_e at every degree, composite ones included.  The
+scanned slice tests every (vertex, element) pair of a degree against every
+colour's Cartan matching.  The Cartan braiding on products of irreducibles
+is the hexagon oracle: it moves each operand into the standalone crystal of
+its component, braids there and moves back, where the library composes
+adjacent pair tables.
 """
 
 import random
@@ -31,6 +33,7 @@ from crystalgraphs.crystal import (
     highest_weight_crystal,
     tensor_of,
 )
+from crystalgraphs.hrgraph import GraphPath
 from crystalgraphs.rootdata import add_weights, neg_weights, sub_weights
 from crystalgraphs.toeplitz import OperatorElement, string_slot
 
@@ -572,11 +575,41 @@ def exhaustive_kp3(model, graph, bound):
     return cases, failures
 
 
+def scanned_slice(graph, degree):
+    """The paths of one degree mapped to their ranges, ordered by (source
+    vertex, element): every (vertex, element) pair is tested against every
+    colour's Cartan matching, where the library reads the matchings into
+    rows first."""
+    lam = graph.colours.weight_of(degree)
+    matchings = [
+        canonical_morphism(
+            tensor_of(graph.datum, (theta, lam)), tensor_of(graph.datum, (lam, theta))
+        )
+        for theta in graph.colours.colours
+    ]
+    elements = highest_weight_crystal(graph.datum, lam).elements()
+    out = {}
+    for v in graph.vertices:
+        for b in elements:
+            images = [m.get((c, b)) for c, m in zip(v, matchings)]
+            if None not in images:
+                out[GraphPath(v, b, degree)] = tuple(image[1] for image in images)
+    return out
+
+
+def composite(graph, e1, e2):
+    """The path e1.e2 (e2 first) of two paths of nonzero degree, read off
+    the compose table; KeyError when the pair has no composite."""
+    degree = tuple(x + y for x, y in zip(e1.degree, e2.degree))
+    element = graph.compose_table(e2.degree, e1.degree)[(e2.element, e1.element)]
+    return GraphPath(e2.source, element, degree)
+
+
 def exhaustive_kp2(model, graph, bound):
     """KP2 case by case: for every path e of a nonzero degree within bound,
     P_r(e) S_e = S_e and S_e P_s(e) = S_e; and for every composable pair
     (e1 after e2, r(e2) = s(e1), degrees summing within bound),
-    S_e1 S_e2 = S_(e1 e2), the composite read through `graph.compose`.
+    S_e1 S_e2 = S_(e1 e2), the composite read off `graph.compose_table`.
     Returns the case count and the failing cases."""
     colours = graph.colours
     bound = tuple(bound)
@@ -602,7 +635,7 @@ def exhaustive_kp2(model, graph, bound):
                 continue
             s2 = S[e2]
             cases += 1
-            if s1 * s2 != model.path_operator(colours, graph.compose(e1, e2)):
+            if s1 * s2 != model.path_operator(colours, composite(graph, e1, e2)):
                 failures.append(("composition", e1, e2))
     return cases, failures
 

@@ -550,20 +550,30 @@ def test_a_redirected_composite_fails_its_factorization_split(capsys, monkeypatc
 
     a2 = build_root_datum("A2")
     paths = graph_of(colour_set(a2, a2.fundamental_weights)).paths((1, 1))
-    # the pair that composes to paths[2] now lands on paths[1], so paths[1]
-    # (first in order) has two factorizations and paths[2] none
-    original = HigherRankGraph.compose
+    # the compose table keys elements, and a composite takes the source of
+    # its first path; the element of the last path occurs at its source
+    # alone, so redirecting it to the element of the path before it (same
+    # source) gives that path two factorizations and the last none
+    before, last = paths[-2:]
+    assert before.source == last.source
+    assert [e.element for e in paths].count(last.element) == 1
+    original = HigherRankGraph._composition
 
-    def redirected(self, eprime, e):
-        out = original(self, eprime, e)
-        return paths[1] if (eprime.degree, out) == ((1, 0), paths[2]) else out
+    def redirected(self, degree, degree_p):
+        matching, total = original(self, degree, degree_p)
+        if (degree, degree_p) == ((0, 1), (1, 0)):
+            matching = {
+                pair: before.element if image == last.element else image
+                for pair, image in matching.items()
+            }
+        return matching, total
 
-    monkeypatch.setattr(HigherRankGraph, "compose", redirected)
+    monkeypatch.setattr(HigherRankGraph, "_composition", redirected)
     code, out, _ = run(capsys, "verify", "--type", "A2", "--suite", "graph", "--bound", "1,1")
     assert code == 1
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
         f"FAIL factorization (1, 0)+(0, 1) ({len(paths)} cases): "
-        f"path {paths[1]} has 2 factorizations; path {paths[2]} has 0 factorizations"
+        f"path {before} has 2 factorizations; path {last} has 0 factorizations"
     ]
 
 

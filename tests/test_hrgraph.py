@@ -1,3 +1,5 @@
+from itertools import product as iter_product
+
 import pytest
 
 from crystalgraphs.crystal import highest_weight_crystal, tensor_of
@@ -11,7 +13,7 @@ from crystalgraphs.hrgraph import (
 )
 from crystalgraphs.rootdata import build_root_datum, weyl_group
 
-from helpers import lowest, transport
+from helpers import composite, lowest, scanned_slice, transport
 
 A2 = build_root_datum("A2")
 C2 = build_root_datum("C2")
@@ -185,24 +187,37 @@ def test_range_rejects_paths_off_the_cartan_component():
 
 def test_compose_identity_and_degree_additivity():
     g = a2_graph()
-    e = g.paths((1, 0))[0]
-    ident_source = GraphPath(e.source, 1, (0, 0))
-    ident_range = GraphPath(g.range(e), 1, (0, 0))
-    assert g.compose(e, ident_source) == e
-    assert g.compose(ident_range, e) == e
-    loops = [e for e in g.paths((1, 0)) if g.range(e) == e.source == g.vertices[0]]
+    edges = g.paths((1, 0))
+    # a path of degree 0 is an identity: no table, and each edge is its own
+    # one factorization against the identities at either end
+    for degree, degree_p in (((0, 0), (1, 0)), ((1, 0), (0, 0))):
+        with pytest.raises(ValueError):
+            g.compose_table(degree, degree_p)
+        check = g.check_factorization(degree_p, degree).checks[0]
+        assert check.passed and check.cases == len(edges)
+    loops = [e for e in edges if g.range(e) == e.source == g.vertices[0]]
     assert len(loops) == 1
-    square = g.compose(loops[0], loops[0])
+    square = composite(g, loops[0], loops[0])
     assert square == GraphPath(g.vertices[0], 1, (2, 0))
+    assert g.range(square) == g.vertices[0]
 
 
-def test_compose_rejects_mismatch():
-    g = a2_graph()
-    paths = g.paths((1, 0))
-    e = next(e for e in paths if g.range(e) != g.vertices[3])
-    bad = next(ep for ep in paths if ep.source == g.vertices[3])
-    with pytest.raises(ValueError):
-        g.compose(bad, e)
+@pytest.mark.parametrize(
+    "label, bound, order",
+    [
+        ("A2", (2, 2), (0, 1)),
+        ("B2", (1, 2), (0, 1)),
+        ("G2", (2, 1), (0, 1)),
+        ("A3", (1, 1, 1), (0, 1, 2)),
+        ("C2", (2, 1), (0, 1)),
+        ("C2", (2, 1), (1, 0)),
+    ],
+)
+def test_slices_match_the_scan_in_order(label, bound, order):
+    datum = build_root_datum(label)
+    g = graph_of(colour_set(datum, [datum.fundamental_weights[k] for k in order]))
+    for degree in iter_product(*(range(b + 1) for b in bound)):
+        assert list(g._slice(degree).items()) == list(scanned_slice(g, degree).items())
 
 
 @pytest.mark.parametrize("degrees", [((1, 0), (0, 1)), ((0, 0), (1, 1)), ((1, 1), (1, 0))])
@@ -223,7 +238,7 @@ def test_a_pair_missing_from_the_compose_table_fails_factorization_by_name(monke
     # e of degree (0, 1), then e' of degree (1, 0): the first composable pair
     e = g.paths((0, 1))[0]
     eprime = next(f for f in g.paths((1, 0)) if f.source == g.range(e))
-    lost = g.compose(eprime, e)
+    lost = composite(g, eprime, e)
     original = HigherRankGraph._composition
 
     def short(self, degree, degree_p):

@@ -15,6 +15,7 @@ from helpers import (
     cartan_project,
     component_strings,
     component_table,
+    composite,
     exhaustive_grading,
     exhaustive_kp2,
     exhaustive_kp3,
@@ -553,7 +554,7 @@ def test_a_compose_table_merging_two_pairs_fails_every_composite_certificate(mon
     _fail_through_unique_factorization(report)
     # every composable pair is still a key of the table
     assert "premise compose table" not in _check(report, "KP2").detail
-    merged = graph.compose(first, e)
+    merged = composite(graph, first, e)
     assert not factorization.passed
     assert factorization.checks[0].detail.startswith(f"path {merged} has 2 factorizations")
 
