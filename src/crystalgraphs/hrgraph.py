@@ -8,7 +8,6 @@ demand by degree.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product as iter_product
 from typing import Iterable, NamedTuple
 
@@ -24,7 +23,7 @@ from .rootdata import (
     Coords,
     RootDatum,
     add_weights,
-    rational_rank,
+    integer_rank,
     weyl_group,
 )
 
@@ -85,8 +84,7 @@ def colour_set(datum: RootDatum, colours: Iterable[Coords]) -> ColourSet:
     for c in colours:
         if len(c) != datum.rank or not datum.is_dominant(c) or not any(c):
             raise ValueError(f"colour {c} is not a nonzero dominant weight")
-    rows = [tuple(Fraction(x) for x in c) for c in colours]
-    if rational_rank(rows) != len(colours):
+    if integer_rank(colours) != len(colours):
         raise ValueError("colours are not linearly independent")
     return ColourSet(datum, colours)
 

@@ -2,13 +2,12 @@
 
 Weights are integer coordinate tuples in the fundamental-weight basis, so the
 natural pairing with a simple coroot is a coordinate lookup.  Everything
-derived from the Cartan matrix (bilinear form, Weyl dimensions) is computed
-over `fractions.Fraction`; no floating point enters.
+derived from the Cartan matrix (roots, Weyl groups, Weyl dimensions, ranks)
+is integer arithmetic; no fraction or floating point enters.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .memo import memo
@@ -91,41 +90,24 @@ def _cartan_data(family: str, rank: int) -> tuple[list[list[int]], list[int]]:
     return a, d
 
 
-def _row_reduce(rows) -> tuple[list[list[Fraction]], int]:
-    """Gauss-Jordan elimination over Fraction: the reduced row echelon form
-    and the rank."""
-    work = [list(map(Fraction, row)) for row in rows]
-    rank = 0
+def integer_rank(rows) -> int:
+    """Rank over the rationals of an integer matrix given as a list of rows,
+    by fraction-free (Bareiss) elimination: after each pivot every entry
+    below it is a minor of the matrix, so each division is exact."""
+    work = [list(row) for row in rows]
+    rank, previous = 0, 1
     for col in range(len(work[0]) if work else 0):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
+        top = work[rank]
+        for r in range(rank + 1, len(work)):
+            lead = work[r][col]
+            work[r] = [(top[col] * x - lead * y) // previous for x, y in zip(work[r], top)]
+        previous = top[col]
         rank += 1
-    return work, rank
-
-
-def invert_rational(matrix: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Invert a square matrix by row reducing (matrix | identity)."""
-    n = len(matrix)
-    reduced, _ = _row_reduce(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
-    )
-    # a singular matrix leaves a pivot in the identity half
-    if any(row[i] != 1 for i, row in enumerate(reduced)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in reduced)
-
-
-def rational_rank(rows: list[tuple[Fraction, ...]]) -> int:
-    """Rank of a matrix given as a list of rows, over the rationals."""
-    return _row_reduce(rows)[1]
+    return rank
 
 
 def _positive_roots(a: list[list[int]], rank: int) -> list[Coords]:
@@ -161,11 +143,10 @@ class RootDatum(NamedTuple):
     positive_roots: tuple[Coords, ...]  # fundamental-weight coordinates
     positive_root_coeffs: tuple[Coords, ...]  # simple-root coordinates
     rho: Coords
-    gram: tuple[tuple[Fraction, ...], ...]  # (varpi_i, varpi_j)
 
     def __hash__(self) -> int:
         # every cache keyed by a datum hashes it; the label determines the
-        # rest, so equal data hash alike without rehashing Fraction matrices
+        # rest, so equal data hash alike without rehashing the root lists
         return hash(self.label)
 
     @property
@@ -192,17 +173,6 @@ class RootDatum(NamedTuple):
     def is_dominant(self, weight: Coords) -> bool:
         return all(x >= 0 for x in weight)
 
-    def bilinear(self, mu: Coords, nu: Coords) -> Fraction:
-        """Invariant bilinear form normalized so short roots have
-        (alpha, alpha) = 2."""
-        g = self.gram
-        return sum(
-            mu[i] * nu[j] * g[i][j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-            if mu[i] and nu[j]
-        ) or Fraction(0)
-
 
 def add_weights(u: Coords, v: Coords) -> Coords:
     return tuple(a + b for a, b in zip(u, v))
@@ -221,7 +191,6 @@ def build_root_datum(label: str) -> RootDatum:
     """Construct the root datum for a label like "A2", "C2", "B3"."""
     family, rank = parse_cartan_label(label)
     a, d = _cartan_data(family, rank)
-    ainv = invert_rational([[Fraction(x) for x in row] for row in a])
     pos_coeffs = _positive_roots(a, rank)
     simple = tuple(tuple(a[i][j] for i in range(rank)) for j in range(rank))
 
@@ -230,9 +199,6 @@ def build_root_datum(label: str) -> RootDatum:
             sum(c * simple[j][i] for j, c in enumerate(coeffs)) for i in range(rank)
         )
 
-    gram = tuple(
-        tuple(d[j] * ainv[j][i] for j in range(rank)) for i in range(rank)
-    )
     return RootDatum(
         label=f"{family}{rank}",
         family=family,
@@ -246,7 +212,6 @@ def build_root_datum(label: str) -> RootDatum:
         positive_roots=tuple(root_weight(c) for c in pos_coeffs),
         positive_root_coeffs=tuple(pos_coeffs),
         rho=(1,) * rank,
-        gram=gram,
     )
 
 

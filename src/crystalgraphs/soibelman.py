@@ -14,11 +14,18 @@ from time import perf_counter
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from .braiding import pair_braiding
-from .crystal import highest_weight_crystal, tensor_of
+from .crystal import canonical_morphism, highest_weight_crystal, tensor_of
 from .hrgraph import ColourSet, Degree, GraphPath, HigherRankGraph, Vertex, graph_of
 from .memo import memo
 from .report import VerificationReport
-from .rootdata import Coords, RootDatum, build_root_datum, neg_weights, weyl_group
+from .rootdata import (
+    Coords,
+    RootDatum,
+    add_weights,
+    build_root_datum,
+    neg_weights,
+    weyl_group,
+)
 from .toeplitz import OperatorElement, string_slot
 
 
@@ -210,13 +217,45 @@ class SoibelmanModel:
             for a in range(1, highest_weight_crystal(self.datum, lam).size + 1)
         ]
 
+    def _hexagon(self, nu: Coords, theta: Coords, rest: Coords, mu: Coords) -> tuple[int, bool]:
+        """The hexagon identity for nu = theta + rest and mu: (cases, whether
+        all hold).  For each (m', j) in B(nu) x B(mu), m' the image of
+        (l1, l2) in the Cartan component C of B(theta) x B(rest),
+        sigma_{nu,mu}(m', j) must be the forward chain
+        sigma_{rest,mu}(l2, j) = (k, i2), sigma_{theta,mu}(l1, k) = (k', i1)
+        read as (k', image of (i1, i2)), or None where a step is None or
+        (i1, i2) is off C."""
+        datum = self.datum
+        # (l1, l2) in C -> its image in B(nu), and back
+        into = canonical_morphism(
+            tensor_of(datum, (theta, rest)), highest_weight_crystal(datum, nu)
+        )
+        pairs = {m: pair for pair, m in into.items()}
+        outer = pair_braiding(datum, theta, mu)
+        inner = pair_braiding(datum, rest, mu)
+        sigma = pair_braiding(datum, nu, mu)
+        holds = True
+        for (m, j), image in sigma.items():
+            l1, l2 = pairs[m]
+            chain = inner[l2, j]
+            if chain is not None:
+                k, i2 = chain
+                chain = outer[l1, k]
+                if chain is not None:
+                    k, i1 = chain
+                    top = into.get((i1, i2))
+                    chain = None if top is None else (k, top)
+            holds = holds and chain == image
+        return len(sigma), holds
+
     def verify_relations(self, colours: ColourSet) -> VerificationReport:
         """Exact checks of the generator relations (R1)-(R4) over the weights
         0, the colours and their sum rho_C.
 
         R3 and R4 are multiplied out in full.  R1 multiplies out none of its
-        cases and R2 half of them; each certifies the rest from premises
-        computed in the same run.  Two lemmas serve them.
+        cases and R2 only those between atoms (0 and the colours); each
+        certifies the rest from premises computed in the same run.  Three
+        lemmas serve them.
 
         Adjoint lemma: ``adjoint`` is an anti-involution ((xy)* = y* x*,
         x** = x), and x == y exactly when x* == y* (equality compares the
@@ -228,6 +267,15 @@ class SoibelmanModel:
         string_slot(J, P, T) when (p1, p2) and (t1, t2) lie on one string of
         B(m1) x B(m2), J its length and P, T their positions on it, and 0
         otherwise.
+
+        Hexagon lemma: write R2(lam, mu) for f_i v_j = sum over
+        sigma_{lam,mu}(l, j) = (k, i) of v_k f_l, and let nu = theta + nu',
+        with m in B(nu) the image of (i1, i2) in the Cartan component C of
+        B(theta) x B(nu').  R1 gives f_m v_j = f_i1 f'_i2 v_j; R2(nu', mu)
+        and then R2(theta, mu) make it a sum of v_k' f_l1 f'_l2 over forward
+        chains; R1 makes f_l1 f'_l2 = f_m' on C and 0 off it.  Where the
+        identity `_hexagon` checks holds, each m' carries the same term
+        v_k' f_m' on both sides, so R2(nu, mu) holds.
 
         - R1: f_i f'_j = f_m for the image m in B(lam+lam') of (i, j) in the
           Cartan component C of B(lam) x B(lam'), and 0 off C; the v-half
@@ -246,11 +294,21 @@ class SoibelmanModel:
           are counted on the split line only), and R4 (v = f* on every
           B(lam) of the list; on B(lam+lam') the v-images are the adjoints
           of the f-images by construction).
-        - R2 computes R2(lam, lam')(i, j) only for lam before lam' in the
-          list and, for lam' the same entry as lam, only for i <= j.  The
-          adjoint of R2(lam, lam')(i, j) is R2(lam', lam)(j, i).  Premises:
-          R4, and the braiding tables of (lam, lam') and (lam', lam) are
-          mutually inverse partial bijections, compared entry by entry.
+        - R2 computes R2(lam, lam')(i, j) only for atoms lam before lam' in
+          the list and, for lam' the same atom as lam, only for i <= j.
+          With rho_C peeled as nu_1 = rho_C, nu_k = theta_k + nu_(k+1),
+          nu_N = theta_N, the rest follows in this order:
+          1. the mirrored atom halves: R2(lam, lam')(i, j)* is
+             R2(lam', lam)(j, i);
+          2. R2(nu_k, mu) for every atom mu, k from N-1 down to 1, by the
+             hexagon lemma;
+          3. R2(mu, rho_C) for every atom mu, the adjoint of R2(rho_C, mu);
+          4. R2(nu_k, rho_C), k from N-1 down to 1, by the hexagon lemma.
+          Premises: R4; mutually inverse braiding tables of (lam, lam') and
+          (lam', lam) for every atom lam and every lam' from lam on; the
+          rank-one lemma also at each peeling pair (theta_k, nu_(k+1)), so
+          that R1 holds there; and the hexagon identity for every nu_k and
+          every weight of the list (R2's lemma cases).
 
         Each status line keeps the full case count, and the line below it
         gives the computed/implied split.  A failed premise fails its check
@@ -258,27 +316,42 @@ class SoibelmanModel:
         every case out.
         """
         lams = self._relation_weights(colours)
+        # 0 and the colours; rho_C, the last weight, unless it is a colour
+        atoms = [lam for lam in lams if lam == self.datum.zero or lam in colours.colours]
+        # (nu_k, theta_k, nu_(k+1)) from k = N-1 down to 1, so nu_1 = rho_C
+        peelings = []
+        rest = colours.colours[-1]
+        for theta in reversed(colours.colours[:-1]):
+            peelings.append((add_weights(theta, rest), theta, rest))
+            rest = peelings[-1][0]
         report = VerificationReport()
         gen = self.pi0_generator
         size = [highest_weight_crystal(self.datum, lam).size for lam in lams]
-        # the entry pairs (a, b) with a <= b: R2 computes only these
-        halves = [(a, b) for a in range(len(lams)) for b in range(a, len(lams))]
+        # the atom pairs (a, b) with a <= b: R2 computes only these
+        halves = [(a, b) for a in range(len(atoms)) for b in range(a, len(atoms))]
 
         clock = perf_counter()
         r4 = self._adjoint_pairing(lams)
         r4_s = perf_counter() - clock
-        rank_one, rank_one_holds = self._rank_one_premise(list(iter_product(lams, lams)))
+        rank_one, rank_one_holds = self._rank_one_premise(
+            list(iter_product(lams, lams)) + [(theta, rest) for _, theta, rest in peelings]
+        )
         inverse_braidings = all(
             _mutually_inverse(
                 pair_braiding(self.datum, lams[a], lams[b]),
                 pair_braiding(self.datum, lams[b], lams[a]),
             )
-            for a, b in halves
+            for a in range(len(atoms))
+            for b in range(a, len(lams))
         )
+        clock = perf_counter()
+        hexagons = [self._hexagon(*peeling, mu) for peeling in peelings for mu in lams]
+        hexagon_s = perf_counter() - clock
+        hexagon = sum(n for n, _ in hexagons)
 
         def r2() -> Iterator[str]:
             for a, b in halves:
-                lam, lamp = lams[a], lams[b]
+                lam, lamp = atoms[a], atoms[b]
                 groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
                 for (l, j), image in pair_braiding(self.datum, lam, lamp).items():
                     if image is not None:
@@ -299,6 +372,18 @@ class SoibelmanModel:
                     total = total + gen(lam, i, "v") * gen(lam, i, "f")
                 yield "" if total == self.one else f"sum over B({lam})"
 
+        r2_by = "adjoints under R4 and inverse braidings"
+        r2_premises = {"R4": not any(r4), "inverse braidings": inverse_braidings}
+        if peelings:
+            r2_by = (
+                f"adjoints under R4 and inverse braidings, the hexagon identity ({hexagon}"
+                " hexagon cases) and R1 at the peelings"
+            )
+            r2_premises["rank-one slot lemma"] = rank_one_holds
+            r2_premises["hexagon identity"] = all(ok for _, ok in hexagons)
+        computed = sum(
+            size[a] * size[b] if a < b else size[a] * (size[a] + 1) // 2 for a, b in halves
+        )
         report.certify(
             "R1 products collapse through the Cartan component",
             (),
@@ -310,10 +395,11 @@ class SoibelmanModel:
         report.certify(
             "R2 cross relations through the braiding",
             r2(),
-            sum(size[a] * size[b] for a, b in halves if a != b)
-            + sum(n * (n - 1) // 2 for n in size),
-            "adjoints under R4 and inverse braidings",
-            {"R4": not any(r4), "inverse braidings": inverse_braidings},
+            sum(size) ** 2 - computed,
+            r2_by,
+            r2_premises,
+            hexagon,
+            spent=hexagon_s,
         )
         report.certify("R3 unitality", r3())
         report.certify("R4 adjoint pairing", r4, spent=r4_s)

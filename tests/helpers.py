@@ -16,9 +16,12 @@ scanned slice tests every (vertex, element) pair of a degree against every
 colour's Cartan matching.  The Cartan braiding on products of irreducibles
 is the hexagon oracle: it moves each operand into the standalone crystal of
 its component, braids there and moves back, where the library composes
-adjacent pair tables.
+adjacent pair tables.  Row reduction over Fraction (rank and inverse) is the
+oracle of the library's fraction-free integer rank, and the bilinear form
+over Fraction serves the braiding oracles.
 """
 
+import functools
 import random
 from collections import deque
 from fractions import Fraction
@@ -36,6 +39,66 @@ from crystalgraphs.crystal import (
 from crystalgraphs.hrgraph import GraphPath
 from crystalgraphs.rootdata import add_weights, neg_weights, sub_weights
 from crystalgraphs.toeplitz import OperatorElement, string_slot
+
+
+def _row_reduce(rows):
+    """Gauss-Jordan elimination over Fraction: the reduced row echelon form
+    and the rank."""
+    work = [list(map(Fraction, row)) for row in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = 1 / work[rank][col]
+        work[rank] = [x * inv for x in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
+        rank += 1
+    return work, rank
+
+
+def invert_rational(matrix):
+    """Invert a square matrix by row reducing (matrix | identity); raises
+    ValueError on a singular matrix."""
+    n = len(matrix)
+    reduced, _ = _row_reduce(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    )
+    # a singular matrix leaves a pivot in the identity half
+    if any(row[i] != 1 for i, row in enumerate(reduced)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in reduced)
+
+
+def rational_rank(rows):
+    """Rank of a matrix given as a list of rows, over Fraction: the oracle of
+    `rootdata.integer_rank`."""
+    return _row_reduce(rows)[1]
+
+
+@functools.cache
+def gram(datum):
+    """(varpi_i, varpi_j) over Fraction, from the inverse Cartan matrix and
+    the symmetrizers."""
+    ainv = invert_rational(datum.cartan_matrix)
+    d = datum.symmetrizers
+    return tuple(
+        tuple(d[j] * ainv[j][i] for j in range(datum.rank)) for i in range(datum.rank)
+    )
+
+
+def bilinear(datum, mu, nu):
+    """The invariant bilinear form, normalized so short roots have
+    (alpha, alpha) = 2."""
+    g = gram(datum)
+    return sum(
+        (mu[i] * nu[j] * g[i][j] for i in range(datum.rank) for j in range(datum.rank)),
+        Fraction(0),
+    )
 
 
 def _min_level(chain, i):
@@ -262,7 +325,7 @@ def cartan_braiding(B, Bp, b, bp):
         raise ValueError("braiding operands live over different root data")
     mu, x, back = _standardize(B, b)
     mup, xp, backp = _standardize(Bp, bp)
-    if datum.bilinear(mu, mup) != datum.bilinear(B.highest_weight, Bp.highest_weight):
+    if bilinear(datum, mu, mup) != bilinear(datum, B.highest_weight, Bp.highest_weight):
         return None
     image = pair_braiding(datum, mu, mup)[(x, xp)]
     if image is None:

@@ -9,7 +9,7 @@ from crystalgraphs.braiding import (
 from crystalgraphs.crystal import highest_weight_crystal, tensor_of
 from crystalgraphs.rootdata import build_root_datum
 
-from helpers import cartan_braiding, component_sizes, left_end, lowest, raise_to_top
+from helpers import bilinear, cartan_braiding, component_sizes, left_end, lowest, raise_to_top
 
 A2 = build_root_datum("A2")
 C2 = build_root_datum("C2")
@@ -276,11 +276,11 @@ def test_flip_criterion_weight_pairing():
         b = highest_weight_crystal(datum, lam)
         bp = highest_weight_crystal(datum, lamp)
         t = tensor_of(datum, (lam, lamp))
-        top = datum.bilinear(lam, lamp)
+        top = bilinear(datum, lam, lamp)
         for x, y in t.elements():
             flipped = cartan_braiding(b, bp, x, y) == (y, x)
-            criterion = bool(t.eta((x, y))) and datum.bilinear(
-                b.weight(x), bp.weight(y)
+            criterion = bool(t.eta((x, y))) and bilinear(
+                datum, b.weight(x), bp.weight(y)
             ) == top
             assert flipped == criterion
 

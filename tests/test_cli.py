@@ -263,7 +263,8 @@ def _kp_report(cases):
 def _kp_splits(r1, r2, kp1, kp2, kp3, kp4, grading):
     """The split lines of the KP suite, given (computed, implied) of each
     certified check, in the order they are popped: grading, KP4, KP3, KP2,
-    KP1, R2, R1.  R1 and KP2 also take the count of their rank-one cases."""
+    KP1, R2, R1.  R1 and KP2 also take the count of their rank-one cases, and
+    R2 the count of its hexagon cases."""
     return [
         f"  grading split: {grading[0]} computed, {grading[1]} implied by unique factorization"
         " and KP2",
@@ -274,7 +275,8 @@ def _kp_splits(r1, r2, kp1, kp2, kp3, kp4, grading):
         f" ({kp2[2]} rank-one cases), the range half, idempotent P_v, the compose table and"
         " unique factorization",
         f"  KP1 split: {kp1[0]} computed, {kp1[1]} implied by adjoints of self-adjoint P_v",
-        f"  R2 split: {r2[0]} computed, {r2[1]} implied by adjoints under R4 and inverse braidings",
+        f"  R2 split: {r2[0]} computed, {r2[1]} implied by adjoints under R4 and inverse braidings,"
+        f" the hexagon identity ({r2[2]} hexagon cases) and R1 at the peelings",
         f"  R1 split: {r1[0]} computed, {r1[1]} implied by the rank-one slot lemma"
         f" ({r1[2]} rank-one cases) and R4",
     ]
@@ -290,7 +292,7 @@ def test_verify_kp_a3(capsys):
     lines = out.splitlines()
     assert [lines.pop(k) for k in SPLIT_LINES] == _kp_splits(
         (0, 12482, 400),
-        (3160, 3081),
+        (120, 6121, 6636),
         (325, 276),
         (200, 5680, 64),
         (200, 285121),
@@ -306,7 +308,7 @@ def test_verify_kp_g2(capsys):
     lines = out.splitlines()
     assert [lines.pop(k) for k in SPLIT_LINES] == _kp_splits(
         (0, 14792, 3136),
-        (3741, 3655),
+        (253, 7143, 5504),
         (435, 378),
         (250, 2046, 280),
         (250, 234283),
@@ -316,6 +318,22 @@ def test_verify_kp_g2(capsys):
     assert lines == _kp_report([14792, 7396, 4, 86, 813, 2296, 234533, 84, 727])
 
 
+def test_verify_kp_b3(capsys):
+    code, out, _ = run(capsys, "verify", "--type", "B3", "--suite", "kp", "--bound", "1,1,1")
+    assert code == 0
+    lines = out.splitlines()
+    assert [lines.pop(k) for k in SPLIT_LINES] == _kp_splits(
+        (0, 602802, 2506),
+        (703, 300698, 342576),
+        (3321, 3160),
+        (1279, 78703, 390),
+        (1279, 59327767),
+        (240, 320),
+        (1359, 12435),
+    )
+    assert lines == _kp_report([602802, 301401, 5, 549, 6481, 79982, 59329046, 560, 13794])
+
+
 def test_verify_kp_c2_at_bound_two_one(capsys):
     # the kp-c2 benchmark workload: 9 PASS lines and 23856 cases in all
     code, out, _ = run(capsys, "verify", "--type", "C2", "--suite", "kp", "--bound", "2,1")
@@ -323,7 +341,7 @@ def test_verify_kp_c2_at_bound_two_one(capsys):
     lines = out.splitlines()
     assert [lines.pop(k) for k in SPLIT_LINES] == _kp_splits(
         (0, 1352, 400),
-        (351, 325),
+        (55, 621, 416),
         (66, 45),
         (52, 1119, 160),
         (52, 20130),
@@ -428,15 +446,16 @@ def test_verify_json_splits_computed_and_implied(capsys):
     assert code == 0
     certified = {
         "R1": (0, 450),
-        "R2": (120, 105),
+        "R2": (28, 197),
         "KP1": (28, 15),
         "KP2": (24, 116),
         "KP3": (24, 793),
         "KP4": (12, 6),
         "grading:": (30, 23),
     }
-    # the rank-one cases of R1 and KP2 are not part of their case counts
-    lemma = {"R1": 100, "KP2": 16}
+    # the rank-one cases of R1 and KP2 and the hexagon cases of R2 are not
+    # part of their case counts
+    lemma = {"R1": 100, "R2": 120, "KP2": 16}
     for check in json.loads(out)["checks"]:
         tag = check["name"].split()[0]
         assert check["computed"] + check["implied"] == check["cases"]

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product as iter_product
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +12,13 @@ from crystalgraphs.rootdata import (
     CartanTypeError,
     WeylSizeError,
     build_root_datum,
-    invert_rational,
-    rational_rank,
+    integer_rank,
     weyl_dim,
     weyl_group,
 )
+from hypothesis import given, settings, strategies as st
+
+from helpers import bilinear, invert_rational, rational_rank
 
 
 def gauss_solve(matrix, rhs):
@@ -42,7 +48,7 @@ def test_a1_short_root_normalization():
     d = build_root_datum("A1")
     alpha = d.simple_root(1)
     assert len(d.positive_roots) == 1
-    assert d.bilinear(alpha, alpha) == 2
+    assert bilinear(d, alpha, alpha) == 2
 
 
 @pytest.mark.parametrize(
@@ -60,19 +66,19 @@ def test_label_parsing_accepts_lower_case_and_spaces():
 def test_bilinear_sl4_values():
     d = build_root_datum("A3")
     w1 = (1, 0, 0)
-    assert d.bilinear(w1, (0, 1, 1)) == Fraction(3, 4)
-    assert d.bilinear(w1, w1) == Fraction(3, 4)
+    assert bilinear(d, w1, (0, 1, 1)) == Fraction(3, 4)
+    assert bilinear(d, w1, w1) == Fraction(3, 4)
 
 
 def test_bilinear_with_zero_vanishes():
     d = build_root_datum("C2")
-    assert d.bilinear((3, 5), (0, 0)) == 0
+    assert bilinear(d, (3, 5), (0, 0)) == 0
 
 
 def test_bilinear_a2_against_hand_inverse():
     d = build_root_datum("A2")
-    assert d.bilinear((1, 0), (1, 0)) == Fraction(2, 3)
-    assert d.bilinear((1, 0), (0, 1)) == Fraction(1, 3)
+    assert bilinear(d, (1, 0), (1, 0)) == Fraction(2, 3)
+    assert bilinear(d, (1, 0), (0, 1)) == Fraction(1, 3)
     # oracle: express each fundamental weight in the root basis and pair via
     # the symmetrized Cartan matrix
     a = d.cartan_matrix
@@ -81,7 +87,7 @@ def test_bilinear_a2_against_hand_inverse():
         ci = gauss_solve(a, [int(k == i) for k in range(2)])
         cj = gauss_solve(a, [int(k == j) for k in range(2)])
         expected = sum(ci[p] * s[p][q] * cj[q] for p in range(2) for q in range(2))
-        got = d.bilinear(d.fundamental_weights[i], d.fundamental_weights[j])
+        got = bilinear(d, d.fundamental_weights[i], d.fundamental_weights[j])
         assert got == expected
 
 
@@ -114,7 +120,7 @@ def test_weyl_invariance_of_bilinear_form(label):
     weights = [(1, 0), (0, 1), (2, 1), (1, 3)]
     for k in range(group.order):
         for mu, nu in iter_product(weights, repeat=2):
-            assert d.bilinear(group.apply(k, mu), group.apply(k, nu)) == d.bilinear(mu, nu)
+            assert bilinear(d, group.apply(k, mu), group.apply(k, nu)) == bilinear(d, mu, nu)
 
 
 @pytest.mark.parametrize("label", ["A2", "C2", "B3"])
@@ -184,3 +190,46 @@ def test_rational_rank_sees_dependent_rows():
     assert rational_rank([(1, 1, 0), (0, 1, 1), (1, 0, 1)]) == 3
     with pytest.raises(ValueError):
         invert_rational([[1, 2], [2, 4]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda width: st.lists(
+            st.lists(st.integers(-3, 3), min_size=width, max_size=width), max_size=6
+        )
+    )
+)
+def test_integer_rank_matches_the_fraction_rank(rows):
+    # small entries and more rows than columns make dependent rows common
+    assert integer_rank(rows) == rational_rank(rows)
+
+
+def test_integer_rank_sees_dependent_rows():
+    assert integer_rank([(1, 2, 3), (2, 4, 6), (0, 1, 1)]) == 2
+    assert integer_rank([(0, 0)]) == 0
+    assert integer_rank([]) == 0
+    # a pivot column skipped before the last pivot
+    assert integer_rank([(0, 2, 1), (0, 4, 3), (0, 6, 5)]) == 2
+    assert integer_rank([(2, 1, 0), (0, 1, 1), (1, 0, 1)]) == 3
+
+
+def test_a_datum_and_its_weyl_group_load_no_fractions_or_decimal():
+    # the set-up every launch pays before any crystal is built is integer
+    # arithmetic only
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, crystalgraphs\n"
+        "from crystalgraphs.rootdata import build_root_datum, weyl_group\n"
+        "for label in ('A2', 'C2', 'G2', 'B3', 'F4'):\n"
+        "    weyl_group(build_root_datum(label))\n"
+        "print(*sorted(sys.modules))\n"
+    )
+    probe = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(probe.stdout.split())
+    assert "crystalgraphs.rootdata" in loaded
+    assert loaded.isdisjoint({"fractions", "decimal"})

@@ -407,19 +407,40 @@ def test_kp3_certificate_fails_through_the_diagonal_when_a_path_doubles(monkeypa
     assert kp3.detail.startswith(f"isometry relation fails at {e}, {e}")
 
 
-@pytest.mark.parametrize("label", ["A1", "A2", "B2", "C2", "G2", "A3"])
-def test_relation_certificates_cover_the_exhaustive_oracle(label):
+@pytest.mark.parametrize(
+    "label, colours",
+    [pytest.param(label, None, id=label) for label in ("A1", "A2", "B2", "C2", "G2", "A3")]
+    # permuted colours peel rho_C through the other factor order, and a
+    # colour that is no fundamental weight has longer strings
+    + [
+        pytest.param("C2", ((0, 1), (1, 0)), id="C2-permuted"),
+        pytest.param("A2", ((2, 0), (0, 1)), id="A2-non-fundamental"),
+    ],
+)
+def test_relation_certificates_cover_the_exhaustive_oracle(label, colours):
     datum = build_root_datum(label)
     m = SoibelmanModel(datum)
-    cs = colour_set(datum, datum.fundamental_weights)
-    oracle = exhaustive_relations(m, m._relation_weights(cs))
+    cs = colour_set(datum, colours or datum.fundamental_weights)
+    lams = m._relation_weights(cs)
+    oracle = exhaustive_relations(m, lams)
     report = m.verify_relations(cs)
     for tag in ("R1", "R2"):
         cases, failures = oracle[tag]
         check = _check(report, tag)
         assert failures == []
         assert check.passed and check.cases == cases
-    assert 0 < _check(report, "R2").implied < _check(report, "R2").cases
+    r2 = _check(report, "R2")
+    assert 0 < r2.implied < r2.cases
+    # R2 multiplies out exactly the atom halves: pairs of 0 and the colours,
+    # with i <= j on one weight
+    atoms = [
+        highest_weight_crystal(datum, lam).size
+        for lam in lams
+        if lam == datum.zero or lam in cs.colours
+    ]
+    assert r2.computed == sum(a * b for k, a in enumerate(atoms) for b in atoms[k + 1 :]) + sum(
+        a * (a + 1) // 2 for a in atoms
+    )
     # R1 multiplies out nothing: every case follows from the rank-one lemma
     r1 = _check(report, "R1")
     assert r1.computed == 0 and r1.implied == r1.cases
@@ -720,3 +741,49 @@ def test_relation_certificates_fail_when_a_v_generator_doubles(monkeypatch):
         check = _check(report, tag)
         assert not check.passed and check.implied == 0
         assert "premise R4 fails" in check.detail
+
+
+def test_r2_certificate_fails_through_the_hexagon_identity_when_a_rho_table_changes(
+    monkeypatch,
+):
+    # two images of sigma_{rho, varpi1} swapped, and the swap undone in its
+    # inverse sigma_{varpi1, rho}, so the tables stay mutually inverse; R2
+    # computes no case of either pair, and only the hexagon identity reads them
+    rho, w1 = C2.rho, C2.fundamental_weights[0]
+    table, back = pair_braiding(C2, rho, w1), pair_braiding(C2, w1, rho)
+    x, y = [key for key, image in table.items() if image is not None][:2]
+    tampered = {
+        (rho, w1): {**table, x: table[y], y: table[x]},
+        (w1, rho): {**back, table[x]: y, table[y]: x},
+    }
+
+    def broken(datum, lam, lamp):
+        return tampered.get((tuple(lam), tuple(lamp))) or pair_braiding(datum, lam, lamp)
+
+    oracle, report = _mutated_relations(monkeypatch, pair_braiding=broken)
+    assert oracle["R2"][1]  # the oracle sees the changed cases fail
+    assert all(rho in (lam, lamp) for lam, lamp, _, _ in oracle["R2"][1])
+    r2 = _check(report, "R2")
+    assert not r2.passed and r2.implied == 0 and r2.failed == 0
+    assert r2.detail == "premise hexagon identity fails, so 621 implied cases are not certified"
+    assert r2.lemma_cases == 416
+    assert _check(report, "R1").passed and _check(report, "R4").passed
+
+
+def test_a_doubled_f_image_fails_a_computed_r2_case(monkeypatch):
+    # the v-images are the adjoints of the doubled f-image, so R4 still holds
+    # and the computed atom cases must see it
+    lam = C2.fundamental_weights[0]
+    original = SoibelmanModel.pi0_generator
+
+    def doubled(self, weight, a, kind):
+        image = original(self, weight, a, kind)
+        return image + image if (tuple(weight), a, kind) == (lam, 1, "f") else image
+
+    monkeypatch.setattr(SoibelmanModel, "pi0_generator", doubled)
+    oracle, report = _mutated_relations(monkeypatch)
+    assert oracle["R2"][1]
+    r2 = _check(report, "R2")
+    assert not r2.passed and r2.implied == 0 and r2.failed > 0
+    assert r2.detail.startswith("cross relation at ")
+    assert _check(report, "R4").passed
