@@ -12,24 +12,18 @@ from .crystal import (
     highest_weight_crystal,
     tensor_of,
 )
-from .memo import memo
 from .rootdata import Coords, RootDatum, sub_weights
 
 
 def pair_braiding(datum: RootDatum, lam: Coords, lamp: Coords) -> dict:
-    """Full braiding table for a pair of irreducible crystals.
+    """The braiding table of a pair of irreducible crystals.
 
-    Maps each element of B(lam) x B(lamp) to its image in B(lamp) x B(lam):
-    the canonical matching of Cartan components, None elsewhere.
+    The canonical matching of the Cartan component of B(lam) x B(lamp) onto
+    that of B(lamp) x B(lam): its keys are exactly that component, and a pair
+    off it, where the braiding is zero, is missing (``.get`` reads None).  It
+    is the memoized ``canonical_morphism`` dict itself; do not mutate it.
     """
-    return _pair_braiding(datum, tuple(lam), tuple(lamp))
-
-
-@memo
-def _pair_braiding(datum: RootDatum, lam: Coords, lamp: Coords) -> dict:
-    source = tensor_of(datum, (lam, lamp))
-    match = canonical_morphism(source, tensor_of(datum, (lamp, lam)))
-    return {t: match.get(t) for t in source.elements()}
+    return canonical_morphism(tensor_of(datum, (lam, lamp)), tensor_of(datum, (lamp, lam)))
 
 
 def sigma_word(tc: TensorCrystal, word: Sequence[int], b):
@@ -44,7 +38,7 @@ def sigma_word(tc: TensorCrystal, word: Sequence[int], b):
         if cur is not None:
             left, right = factors[k - 1], factors[k]
             table = pair_braiding(tc.datum, left.highest_weight, right.highest_weight)
-            image = table[(cur[k - 1], cur[k])]
+            image = table.get((cur[k - 1], cur[k]))
             cur = None if image is None else cur[: k - 1] + image + cur[k + 1 :]
         factors[k - 1], factors[k] = factors[k], factors[k - 1]
     return cur

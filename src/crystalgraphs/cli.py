@@ -105,7 +105,7 @@ def _braiding_table(datum, lam, lamp) -> str:
     lines = []
     for i in crystal.elements():
         for j in other.elements():
-            image = table[(i, j)]
+            image = table.get((i, j))
             if image is None:
                 lines.append(f"s(a{i} (x) b{j}) = 0")
             else:
@@ -179,10 +179,9 @@ def _braiding_suite(datum, cs) -> Iterator[str]:
         table = pair_braiding(datum, lam, lamp)
         for t in source.elements():
             for i in datum.colours:
-                lhs = table[t]
+                lhs = table.get(t)
                 lhs = None if lhs is None else target.f(i, lhs)
-                moved = source.f(i, t)
-                rhs = None if moved is None else table[moved]
+                rhs = table.get(source.f(i, t))
                 yield "" if lhs == rhs else f"morphism property at {lam},{lamp},{t},{i}"
     word_a = longest_permutation_word(3)
     for weights in iter_product(cs.colours, repeat=3):

@@ -30,11 +30,11 @@ from .toeplitz import OperatorElement, string_slot
 
 
 def _mutually_inverse(table: dict, back: dict) -> bool:
-    """Whether two partial maps (None where undefined) are mutually inverse
-    partial bijections: back undoes table on its domain, and table undoes
-    back on its."""
-    return all(y is None or back[y] == x for x, y in table.items()) and all(
-        x is None or table[x] == y for y, x in back.items()
+    """Whether two partial maps (undefined off their keys) are mutually
+    inverse partial bijections: back undoes table on its domain, and table
+    undoes back on its."""
+    return all(back.get(y) == x for x, y in table.items()) and all(
+        table.get(x) == y for y, x in back.items()
     )
 
 
@@ -221,10 +221,12 @@ class SoibelmanModel:
         """The hexagon identity for nu = theta + rest and mu: (cases, whether
         all hold).  For each (m', j) in B(nu) x B(mu), m' the image of
         (l1, l2) in the Cartan component C of B(theta) x B(rest),
-        sigma_{nu,mu}(m', j) must be the forward chain
-        sigma_{rest,mu}(l2, j) = (k, i2), sigma_{theta,mu}(l1, k) = (k', i1)
-        read as (k', image of (i1, i2)), or None where a step is None or
-        (i1, i2) is off C."""
+        sigma_{nu,mu}(m', j) (None off the table's keys) must be the forward
+        chain sigma_{rest,mu}(l2, j) = (k, i2), sigma_{theta,mu}(l1, k) =
+        (k', i1) read as (k', image of (i1, i2)), or None where a step is None
+        or (i1, i2) is off C.  The cases are every pair of the product, not
+        the table's keys, so a chain that is defined where sigma_{nu,mu} is
+        missing fails too."""
         datum = self.datum
         # (l1, l2) in C -> its image in B(nu), and back
         into = canonical_morphism(
@@ -234,19 +236,20 @@ class SoibelmanModel:
         outer = pair_braiding(datum, theta, mu)
         inner = pair_braiding(datum, rest, mu)
         sigma = pair_braiding(datum, nu, mu)
+        product = tensor_of(datum, (nu, mu))
         holds = True
-        for (m, j), image in sigma.items():
+        for m, j in product.elements():
             l1, l2 = pairs[m]
-            chain = inner[l2, j]
+            chain = inner.get((l2, j))
             if chain is not None:
                 k, i2 = chain
-                chain = outer[l1, k]
+                chain = outer.get((l1, k))
                 if chain is not None:
                     k, i1 = chain
                     top = into.get((i1, i2))
                     chain = None if top is None else (k, top)
-            holds = holds and chain == image
-        return len(sigma), holds
+            holds = holds and chain == sigma.get((m, j))
+        return product.size, holds
 
     def verify_relations(self, colours: ColourSet) -> VerificationReport:
         """Exact checks of the generator relations (R1)-(R4) over the weights
@@ -353,10 +356,8 @@ class SoibelmanModel:
             for a, b in halves:
                 lam, lamp = atoms[a], atoms[b]
                 groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-                for (l, j), image in pair_braiding(self.datum, lam, lamp).items():
-                    if image is not None:
-                        k, i = image
-                        groups.setdefault((i, j), []).append((k, l))
+                for (l, j), (k, i) in pair_braiding(self.datum, lam, lamp).items():
+                    groups.setdefault((i, j), []).append((k, l))
                 for i in range(1, size[a] + 1):
                     for j in range(i if a == b else 1, size[b] + 1):
                         lhs = gen(lam, i, "f") * gen(lamp, j, "v")

@@ -327,7 +327,7 @@ def cartan_braiding(B, Bp, b, bp):
     mup, xp, backp = _standardize(Bp, bp)
     if bilinear(datum, mu, mup) != bilinear(datum, B.highest_weight, Bp.highest_weight):
         return None
-    image = pair_braiding(datum, mu, mup)[(x, xp)]
+    image = pair_braiding(datum, mu, mup).get((x, xp))
     if image is None:
         return None
     yp, y = image

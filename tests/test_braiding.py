@@ -6,8 +6,8 @@ from crystalgraphs.braiding import (
     right_ends,
     sigma_word,
 )
-from crystalgraphs.crystal import highest_weight_crystal, tensor_of
-from crystalgraphs.rootdata import build_root_datum
+from crystalgraphs.crystal import canonical_morphism, highest_weight_crystal, tensor_of
+from crystalgraphs.rootdata import add_weights, build_root_datum, weyl_dim
 
 from helpers import bilinear, cartan_braiding, component_sizes, left_end, lowest, raise_to_top
 
@@ -52,11 +52,28 @@ C2_TABLE = {
 
 
 def test_sl3_braiding_table():
-    assert pair_braiding(A2, (1, 0), (0, 1)) == SL3_TABLE
+    table = pair_braiding(A2, (1, 0), (0, 1))
+    assert {t: table.get(t) for t in tensor_of(A2, ((1, 0), (0, 1))).elements()} == SL3_TABLE
 
 
 def test_c2_braiding_table():
-    assert pair_braiding(C2, (1, 0), (0, 1)) == C2_TABLE
+    table = pair_braiding(C2, (1, 0), (0, 1))
+    assert {t: table.get(t) for t in tensor_of(C2, ((1, 0), (0, 1))).elements()} == C2_TABLE
+
+
+def test_a_braiding_table_is_the_cartan_component_held_once():
+    for label in ("A2", "C2", "B2", "G2"):
+        datum = build_root_datum(label)
+        (w1, w2), rho = datum.fundamental_weights, datum.rho
+        for lam, lamp in [(w1, w2), (w2, w1), (w1, w1), (w2, w2), (rho, w1), (rho, rho)]:
+            table = pair_braiding(datum, lam, lamp)
+            # the memoized canonical matching itself, not a copy of it
+            assert table is canonical_morphism(
+                tensor_of(datum, (lam, lamp)), tensor_of(datum, (lamp, lam))
+            )
+            # one entry per element of the Cartan component B(lam + lamp)
+            assert len(table) == weyl_dim(datum, add_weights(lam, lamp))
+            assert None not in table.values()
 
 
 def test_cartan_braiding_on_irreducibles():
@@ -101,14 +118,14 @@ def test_braiding_is_a_crystal_morphism():
         table = pair_braiding(datum, lam, lamp)
         for t in source.elements():
             for i in datum.colours:
-                image = table[t]
+                image = table.get(t)
                 lowered = source.f(i, t)
                 lhs = None if image is None else target.f(i, image)
-                rhs = None if lowered is None else table[lowered]
+                rhs = None if lowered is None else table.get(lowered)
                 assert lhs == rhs
                 raised = source.e(i, t)
                 lhs = None if image is None else target.e(i, image)
-                rhs = None if raised is None else table[raised]
+                rhs = None if raised is None else table.get(raised)
                 assert lhs == rhs
 
 
@@ -159,20 +176,20 @@ def test_hexagons_and_braid_relation_spot_checks():
     for x, y, z in triple.elements():
         # sigma_{A, B(x)C} = (id (x) sigma_{A,C})(sigma_{A,B} (x) id)
         rhs = None
-        step = tab_ab[(x, y)]
+        step = tab_ab.get((x, y))
         if step is not None:
             y1, x1 = step
-            step2 = tab_ac[(x1, z)]
+            step2 = tab_ac.get((x1, z))
             if step2 is not None:
                 z1, x2 = step2
                 rhs = (y1, z1, x2)
         assert cartan_braiding(a, bc, x, (y, z)) == rhs
         # sigma_{A(x)B, C} = (sigma_{A,C} (x) id)(id (x) sigma_{B,C})
         rhs = None
-        step = tab_bc[(y, z)]
+        step = tab_bc.get((y, z))
         if step is not None:
             z1, y1 = step
-            step2 = tab_ac[(x, z1)]
+            step2 = tab_ac.get((x, z1))
             if step2 is not None:
                 z2, x1 = step2
                 rhs = (z2, x1, y1)

@@ -21,7 +21,6 @@ TABLES = {
     "crystalgraphs.crystal._tensor_of",
     "crystalgraphs.crystal._walk",
     "crystalgraphs.crystal.TensorCrystal.string_table",
-    "crystalgraphs.braiding._pair_braiding",
     "crystalgraphs.hrgraph.ColourSet._weight_of",
     "crystalgraphs.hrgraph.HigherRankGraph._slice",
     "crystalgraphs.hrgraph.HigherRankGraph._composition",

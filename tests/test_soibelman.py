@@ -770,6 +770,34 @@ def test_r2_certificate_fails_through_the_hexagon_identity_when_a_rho_table_chan
     assert _check(report, "R1").passed and _check(report, "R4").passed
 
 
+def test_r2_certificate_fails_through_its_premise_when_a_cartan_entry_is_missing(
+    monkeypatch,
+):
+    # a braiding table holds the Cartan component only, so a lost entry reads
+    # as a zero braiding; sigma_{varpi1, rho} still maps onto the lost pair,
+    # so the two tables are no longer mutually inverse
+    rho, w1 = C2.rho, C2.fundamental_weights[0]
+    table = dict(pair_braiding(C2, rho, w1))
+    del table[next(reversed(table))]
+
+    def broken(datum, lam, lamp):
+        if (tuple(lam), tuple(lamp)) == (rho, w1):
+            return table
+        return pair_braiding(datum, lam, lamp)
+
+    oracle, report = _mutated_relations(monkeypatch, pair_braiding=broken)
+    assert oracle["R2"][1]  # the oracle sees the lost case fail
+    assert all((lam, lamp) == (rho, w1) for lam, lamp, _, _ in oracle["R2"][1])
+    r2 = _check(report, "R2")
+    assert not r2.passed and r2.implied == 0 and r2.failed == 0
+    assert r2.detail.startswith("premise inverse braidings fails")
+    # the hexagon identity reads every pair of each product, not the keys of
+    # sigma_{rho, varpi1}, so it sees the lost entry and keeps its case count
+    assert "premise hexagon identity fails" in r2.detail
+    assert r2.lemma_cases == 416
+    assert _check(report, "R1").passed and _check(report, "R4").passed
+
+
 def test_a_doubled_f_image_fails_a_computed_r2_case(monkeypatch):
     # the v-images are the adjoints of the doubled f-image, so R4 still holds
     # and the computed atom cases must see it
