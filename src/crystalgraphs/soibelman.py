@@ -255,10 +255,10 @@ class SoibelmanModel:
         """Exact checks of the generator relations (R1)-(R4) over the weights
         0, the colours and their sum rho_C.
 
-        R3 and R4 are multiplied out in full.  R1 multiplies out none of its
-        cases and R2 only those between atoms (0 and the colours); each
-        certifies the rest from premises computed in the same run.  Three
-        lemmas serve them.
+        R4 is multiplied out in full.  R1 multiplies out none of its cases,
+        and R2 and R3 only those at atoms (0 and the colours); each certifies
+        the rest from premises computed in the same run.  Three lemmas serve
+        them.
 
         Adjoint lemma: ``adjoint`` is an anti-involution ((xy)* = y* x*,
         x** = x), and x == y exactly when x* == y* (equality compares the
@@ -312,6 +312,15 @@ class SoibelmanModel:
           rank-one lemma also at each peeling pair (theta_k, nu_(k+1)), so
           that R1 holds there; and the hexagon identity for every nu_k and
           every weight of the list (R2's lemma cases).
+        - R3 (sum over B(lam) of v_i f_i = 1) is computed at the atoms.  With
+          nu = theta + nu' a peeling and m in B(nu) the image of (i, j) in C,
+          R1 at (theta, nu') gives f_m = f_i f'_j, v_m = v'_j v_i, and
+          f_i f'_j = 0 off C, so
+            sum_m v_m f_m = sum_(i,j) v'_j v_i f_i f'_j
+                          = sum_j v'_j (sum_i v_i f_i) f'_j = 1
+          by R3 at theta and at nu'; down the peelings this gives R3 at
+          rho_C.  Premises: the rank-one lemma at the peeling pairs (R1
+          there) and R4.
 
         Each status line keeps the full case count, and the line below it
         gives the computed/implied split.  A failed premise fails its check
@@ -367,7 +376,7 @@ class SoibelmanModel:
                         yield "" if lhs == rhs else f"cross relation at {lam},{lamp},({i},{j})"
 
         def r3() -> Iterator[str]:
-            for lam, n in zip(lams, size):
+            for lam, n in zip(atoms, size):
                 total = self.zero
                 for i in range(1, n + 1):
                     total = total + gen(lam, i, "v") * gen(lam, i, "f")
@@ -385,12 +394,13 @@ class SoibelmanModel:
         computed = sum(
             size[a] * size[b] if a < b else size[a] * (size[a] + 1) // 2 for a, b in halves
         )
+        r1_premises = {"rank-one slot lemma": rank_one_holds, "R4": not any(r4)}
         report.certify(
             "R1 products collapse through the Cartan component",
             (),
             2 * sum(size) ** 2,
             f"the rank-one slot lemma ({rank_one} rank-one cases) and R4",
-            {"rank-one slot lemma": rank_one_holds, "R4": not any(r4)},
+            r1_premises,
             rank_one,
         )
         report.certify(
@@ -402,7 +412,13 @@ class SoibelmanModel:
             hexagon,
             spent=hexagon_s,
         )
-        report.certify("R3 unitality", r3())
+        report.certify(
+            "R3 unitality",
+            r3(),
+            len(lams) - len(atoms),
+            "R3 at the atoms and R1 at the peelings",
+            r1_premises if peelings else {},
+        )
         report.certify("R4 adjoint pairing", r4, spent=r4_s)
         return report
 

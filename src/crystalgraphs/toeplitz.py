@@ -197,65 +197,8 @@ class OperatorElement:
 
     __hash__ = None
 
-    # rendering --------------------------------------------------------
-
-    def _monomials(self) -> dict[tuple[int, ...], int]:
-        """The expansion into shift monomials, keys (a_1, b_1, ..., a_l, b_l,
-        t_1, ..., t_r), by T^a P0 T*^b = T^a T*^b - T^(a+1) T*^(b+1); only
-        `render` reads it, so it is not cached."""
-        cut = 3 * self.slots
-        out: dict[tuple[int, ...], int] = {}
-        for key, c in self.terms.items():
-            partial: list[tuple[tuple[int, ...], int]] = [((), c)]
-            for s in range(0, cut, 3):
-                a, b = key[s], key[s + 1]
-                partial = [(m + (a, b), x) for m, x in partial]
-                if key[s + 2]:
-                    partial += [(m[:-2] + (a + 1, b + 1), -x) for m, x in partial]
-            for m, x in partial:
-                mono = m + key[cut:]
-                out[mono] = out.get(mono, 0) + x
-        return {mono: c for mono, c in out.items() if c}
-
-    def render(self) -> str:
-        terms = self._monomials()
-        if not terms:
-            return "0"
-        cut = 2 * self.slots
-        bits = []
-        for key in sorted(terms):
-            c = terms[key]
-            tau = key[cut:]
-            factors = []
-            for s in range(0, cut, 2):
-                a, b = key[s], key[s + 1]
-                if a == 0 and b == 0:
-                    factors.append("1")
-                    continue
-                part = ""
-                if a:
-                    part += "T" if a == 1 else f"T^{a}"
-                if b:
-                    if part:
-                        part += " "
-                    part += "T*" if b == 1 else f"T*^{b}"
-                factors.append(part)
-            text = " ⊗ ".join(factors)
-            if any(tau):
-                text += f" · z^{tau}"
-            if c == 1:
-                bits.append(f"+ {text}")
-            elif c == -1:
-                bits.append(f"- {text}")
-            elif c > 0:
-                bits.append(f"+ {c} {text}")
-            else:
-                bits.append(f"- {-c} {text}")
-        joined = " ".join(bits)
-        return joined[2:] if joined.startswith("+ ") else joined
-
     def __repr__(self) -> str:
-        return f"OperatorElement({self.render()})"
+        return f"OperatorElement({self.slots}, {self.rank}, {self.terms})"
 
 
 def string_slot(m: int, i: int, j: int) -> tuple[int, int, int] | None:

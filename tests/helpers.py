@@ -584,9 +584,10 @@ def component_table(model, lam, lamp):
 
 def exhaustive_relations(model, lams):
     """R1 and R2 over every ordered pair of weights in lams, with both the
-    f- and the v-half of R1 and every (i, j) of R2 multiplied out.  Returns
-    {"R1": (cases, failures), "R2": (cases, failures)}, each failure naming
-    its case."""
+    f- and the v-half of R1 and every (i, j) of R2 multiplied out, and R3
+    (the sum of v_i f_i over B(lam) is 1) summed in full at every weight.
+    Returns {"R1": (cases, failures), "R2": ..., "R3": ...}, each failure
+    naming its case."""
     gen = model.pi0_generator
     datum = model.datum
     r1_cases, r1_failures = 0, []
@@ -615,7 +616,18 @@ def exhaustive_relations(model, lams):
                 r2_cases += 1
                 if gen(lam, i, "f") * gen(lamp, j, "v") != rhs:
                     r2_failures.append((lam, lamp, i, j))
-    return {"R1": (r1_cases, r1_failures), "R2": (r2_cases, r2_failures)}
+    r3_failures = []
+    for lam in lams:
+        total = model.zero
+        for i in range(1, highest_weight_crystal(datum, lam).size + 1):
+            total = total + gen(lam, i, "v") * gen(lam, i, "f")
+        if total != model.one:
+            r3_failures.append(lam)
+    return {
+        "R1": (r1_cases, r1_failures),
+        "R2": (r2_cases, r2_failures),
+        "R3": (len(lams), r3_failures),
+    }
 
 
 def exhaustive_kp3(model, graph, bound):

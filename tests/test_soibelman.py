@@ -305,12 +305,21 @@ def test_verify_suite_a1_and_a2():
         assert report.passed, str(report)
 
 
-def test_alternate_reduced_word_passes_identically():
-    cs = colour_set(A2, A2.fundamental_weights)
-    default = SoibelmanModel(A2).verify_suite(cs, (1, 1))
-    other = SoibelmanModel(A2, word=(2, 1, 2)).verify_suite(cs, (1, 1))
-    assert [c.name for c in default.checks] == [c.name for c in other.checks]
-    assert [c.passed for c in default.checks] == [c.passed for c in other.checks]
+@settings(max_examples=20, deadline=None)
+@given(label=st.sampled_from(["A2", "B2", "C2"]), seed=st.integers(0, 2**16))
+def test_alternate_reduced_word_passes_identically(label, seed):
+    datum = build_root_datum(label)
+    cs = colour_set(datum, datum.fundamental_weights)
+    default = SoibelmanModel(datum)
+    word = braid_moved_word(datum, default.word, seed)
+    assert word != default.word
+    expected = default.verify_suite(cs, (1, 1))
+    report = SoibelmanModel(datum, word=word).verify_suite(cs, (1, 1))
+    assert report.passed, str(report)
+    # the same checks with the same case counts on every status line
+    assert [(c.name, c.cases) for c in report.checks] == [
+        (c.name, c.cases) for c in expected.checks
+    ]
 
 
 def test_invalid_reduced_word_rejected():
@@ -424,7 +433,7 @@ def test_relation_certificates_cover_the_exhaustive_oracle(label, colours):
     lams = m._relation_weights(cs)
     oracle = exhaustive_relations(m, lams)
     report = m.verify_relations(cs)
-    for tag in ("R1", "R2"):
+    for tag in ("R1", "R2", "R3"):
         cases, failures = oracle[tag]
         check = _check(report, tag)
         assert failures == []
@@ -445,6 +454,10 @@ def test_relation_certificates_cover_the_exhaustive_oracle(label, colours):
     r1 = _check(report, "R1")
     assert r1.computed == 0 and r1.implied == r1.cases
     assert r1.lemma_cases > 0
+    # R3 sums at the atoms only; rho_C, when it is no colour, is implied,
+    # and the oracle above summed it in full
+    r3 = _check(report, "R3")
+    assert r3.computed == len(atoms) and r3.implied == len(lams) - len(atoms)
 
 
 @pytest.mark.parametrize(
@@ -737,7 +750,7 @@ def test_relation_certificates_fail_when_a_v_generator_doubles(monkeypatch):
     assert oracle["R2"][1]
     r4 = _check(report, "R4")
     assert not r4.passed and r4.detail == f"adjoint pairing at {lam}, 1"
-    for tag in ("R1", "R2"):
+    for tag in ("R1", "R2", "R3"):
         check = _check(report, tag)
         assert not check.passed and check.implied == 0
         assert "premise R4 fails" in check.detail
@@ -798,10 +811,9 @@ def test_r2_certificate_fails_through_its_premise_when_a_cartan_entry_is_missing
     assert _check(report, "R1").passed and _check(report, "R4").passed
 
 
-def test_a_doubled_f_image_fails_a_computed_r2_case(monkeypatch):
-    # the v-images are the adjoints of the doubled f-image, so R4 still holds
-    # and the computed atom cases must see it
-    lam = C2.fundamental_weights[0]
+def _doubled_f_image(monkeypatch, lam):
+    """The C2 oracle results and relation report with the f-image of the top
+    of B(lam) doubled; the v-images are its adjoints, so R4 still holds."""
     original = SoibelmanModel.pi0_generator
 
     def doubled(self, weight, a, kind):
@@ -809,9 +821,38 @@ def test_a_doubled_f_image_fails_a_computed_r2_case(monkeypatch):
         return image + image if (tuple(weight), a, kind) == (lam, 1, "f") else image
 
     monkeypatch.setattr(SoibelmanModel, "pi0_generator", doubled)
-    oracle, report = _mutated_relations(monkeypatch)
+    return _mutated_relations(monkeypatch)
+
+
+def test_a_doubled_f_image_fails_a_computed_r2_case(monkeypatch):
+    # R4 still holds, so the computed atom cases must see it
+    oracle, report = _doubled_f_image(monkeypatch, C2.fundamental_weights[0])
     assert oracle["R2"][1]
     r2 = _check(report, "R2")
     assert not r2.passed and r2.implied == 0 and r2.failed > 0
     assert r2.detail.startswith("cross relation at ")
+    assert _check(report, "R4").passed
+
+
+def test_a_doubled_f_image_of_a_colour_fails_the_computed_r3_atom_case(monkeypatch):
+    lam = C2.fundamental_weights[0]
+    oracle, report = _doubled_f_image(monkeypatch, lam)
+    assert oracle["R3"] == (4, [lam])
+    r3 = _check(report, "R3")
+    assert not r3.passed and r3.implied == 0 and r3.failed == 1
+    assert r3.detail == f"sum over B({lam})"
+    assert _check(report, "R4").passed
+
+
+def test_r3_certificate_fails_through_its_premise_when_the_rank_one_lemma_fails(monkeypatch):
+    # every computed case still holds; R3 at rho_C, which R1 at the peelings
+    # carries, is no longer certified
+    def broken(self, m1, m2):
+        return (m1 + 1) * (m2 + 1), False
+
+    monkeypatch.setattr(SoibelmanModel, "_rank_one", broken)
+    _, report = _mutated_relations(monkeypatch)
+    r3 = _check(report, "R3")
+    assert not r3.passed and r3.implied == 0 and r3.failed == 0 and r3.cases == 3
+    assert r3.detail == "premise rank-one slot lemma fails, so 1 implied cases are not certified"
     assert _check(report, "R4").passed

@@ -196,15 +196,6 @@ def test_monomials_faithful_on_truncation():
         seen[key] = (a, b)
 
 
-def test_render():
-    assert OperatorElement.zero(1, 0).render() == "0"
-    assert OperatorElement.unit(2, 0).render() == "1 ⊗ 1"
-    assert projection_p0(0).render() == "1 - T T*"
-    assert sl2_limit(2, 2, 0).render() == "1 - T T*"
-    x = OperatorElement.monomial(((2, 1), (0, 0)), (1, 0))
-    assert x.render() == "T^2 T* ⊗ 1 · z^(1, 0)"
-
-
 def _split_unit(slots, rank):
     """The unit stored as (P0 + T T*) in every slot: equal to 1 with no
     stored term in common with it."""
