@@ -1,5 +1,5 @@
-"""The Cartan braiding on pairs of irreducible crystals, the induced partial
-symmetric-group action, and the right ends."""
+"""The Cartan braiding and projection on pairs of irreducible crystals, the
+induced partial symmetric-group action, and the right ends."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from .crystal import (
     highest_weight_crystal,
     tensor_of,
 )
-from .rootdata import Coords, RootDatum, sub_weights
+from .rootdata import Coords, RootDatum, add_weights, sub_weights
 
 
 def pair_braiding(datum: RootDatum, lam: Coords, lamp: Coords) -> dict:
@@ -24,6 +24,18 @@ def pair_braiding(datum: RootDatum, lam: Coords, lamp: Coords) -> dict:
     is the memoized ``canonical_morphism`` dict itself; do not mutate it.
     """
     return canonical_morphism(tensor_of(datum, (lam, lamp)), tensor_of(datum, (lamp, lam)))
+
+
+def cartan_projection(datum: RootDatum, lam: Coords, lamp: Coords) -> dict:
+    """The projection of B(lam) x B(lamp) onto B(lam + lamp).
+
+    The canonical matching of the Cartan component onto B(lam + lamp): its
+    keys are exactly that component, and a pair off it is missing.  It is
+    the memoized ``canonical_morphism`` dict itself; do not mutate it.
+    """
+    return canonical_morphism(
+        tensor_of(datum, (lam, lamp)), highest_weight_crystal(datum, add_weights(lam, lamp))
+    )
 
 
 def sigma_word(tc: TensorCrystal, word: Sequence[int], b):
@@ -52,25 +64,18 @@ def longest_permutation_word(n: int) -> tuple[int, ...]:
     return tuple(word)
 
 
-def right_ends(crystal_like, b, weights: Iterable[Coords]):
-    """For each mu in weights, the B(mu)-factor of b under the embedding of
-    B(lam) into B(lam-mu) (x) B(mu); None off the Cartan component of the
-    ambient product."""
+def right_ends(crystal: Crystal, b, weights: Iterable[Coords]):
+    """For each mu in weights, the B(mu)-factor of the element b of
+    crystal = B(lam) under the embedding of B(lam) into B(lam-mu) (x) B(mu);
+    None when b is None."""
     if b is None:
         return None
-    datum = crystal_like.datum
-    lam = crystal_like.highest_weight
-    if isinstance(crystal_like, Crystal):
-        source = crystal_like
-    else:
-        source = highest_weight_crystal(datum, lam)
-        b = canonical_morphism(crystal_like, source).get(b)
-        if b is None:
-            return None
+    datum = crystal.datum
+    lam = crystal.highest_weight
     ends = []
     for mu in weights:
         nu = sub_weights(lam, mu)
         if not datum.is_dominant(nu):
             raise ValueError(f"difference {nu} of {lam} and {mu} is not dominant")
-        ends.append(canonical_morphism(source, tensor_of(datum, (nu, mu)))[b][1])
+        ends.append(canonical_morphism(crystal, tensor_of(datum, (nu, mu)))[b][1])
     return tuple(ends)

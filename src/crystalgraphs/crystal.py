@@ -382,8 +382,10 @@ def canonical_morphism(source, target, top=None) -> dict:
     (default: its highest element) onto the component of ``target.highest``.
 
     Computed by a lockstep lowering walk from the two tops, so its keys are
-    exactly the source component.  The element map is memoized and shared
-    between callers; do not mutate it.
+    exactly the source component.  Every f-edge the walk meets is checked:
+    f_i x and f_i y are defined together, and an f_i x reached before must
+    map to f_i y.  The element map is memoized and shared between callers;
+    do not mutate it.
     """
     return _walk(source, source.highest if top is None else top, target)
 
@@ -410,7 +412,12 @@ def _walk(source, top, target) -> dict:
             fy = target.f(i, y)
             if (fx is None) != (fy is None):
                 raise RuntimeError("components are not isomorphic")
-            if fx is not None and fx not in walk:
+            if fx is None:
+                continue
+            seen = walk.get(fx)
+            if seen is None:
                 walk[fx] = fy
                 queue.append(fx)
+            elif seen != fy:
+                raise RuntimeError("components are not isomorphic")
     return walk

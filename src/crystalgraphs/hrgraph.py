@@ -11,12 +11,8 @@ from __future__ import annotations
 from itertools import product as iter_product
 from typing import Iterable, NamedTuple
 
-from .braiding import right_ends
-from .crystal import (
-    canonical_morphism,
-    highest_weight_crystal,
-    tensor_of,
-)
+from .braiding import cartan_projection, pair_braiding, right_ends
+from .crystal import highest_weight_crystal
 from .memo import memo
 from .report import VerificationReport
 from .rootdata import (
@@ -114,11 +110,10 @@ class HigherRankGraph:
         """The paths of one degree, ordered by (source vertex, element), each
         mapped to its range.
 
-        For each colour theta_i, the canonical matching of the Cartan components
-        of B(theta_i) (x) B(lam) and B(lam) (x) B(theta_i), lam of the degree,
-        has (c, b) as a key iff it lies in the Cartan component; the
-        B(theta_i) factor of its image is the right end of the projection to
-        B(theta_i+lam), that is the i-th entry of the range.  The matching is
+        For each colour theta_i, the braiding table of (theta_i, lam), lam of
+        the degree, has (c, b) as a key iff it lies in the Cartan component;
+        the B(theta_i) factor of its image is the right end of the projection
+        to B(theta_i+lam), that is the i-th entry of the range.  The table is
         read into one row per entry c of B(theta_i), mapping each such b to
         that factor.  The paths from a vertex v are then the elements b that
         every row_i[v_i] has, in ascending order.
@@ -126,11 +121,8 @@ class HigherRankGraph:
         lam = self.colours.weight_of(degree)
         rows = []
         for theta in self.colours.colours:
-            matching = canonical_morphism(
-                tensor_of(self.datum, (theta, lam)), tensor_of(self.datum, (lam, theta))
-            )
             row: dict[int, dict[int, int]] = {}
-            for (c, b), image in matching.items():
+            for (c, b), image in pair_braiding(self.datum, theta, lam).items():
                 row.setdefault(c, {})[b] = image[1]
             rows.append(row)
         out = {}
@@ -155,41 +147,27 @@ class HigherRankGraph:
 
     def compose_table(self, degree: Degree, degree_p: Degree) -> dict:
         """The composition table of a path e of `degree` followed by e' of
-        `degree_p`, both nonzero: (element of e, element of e') -> the
-        element of e'.e, whose source is that of e.  A composable pair that
-        is not a key has no composite."""
-        matching, _ = self._composition(tuple(degree), tuple(degree_p))
-        if matching is None:
-            raise ValueError("compose_table needs two nonzero degrees")
-        return matching
-
-    @memo
-    def _composition(self, degree: Degree, degree_p: Degree) -> tuple[dict | None, Degree]:
-        """For paths e of `degree` and e' of `degree_p`: the Cartan matching of
-        B(lam) (x) B(lam') onto B(lam + lam') (None when either weight is 0)
-        and the degree of e'.e."""
-        lam = self.colours.weight_of(degree)
-        lamp = self.colours.weight_of(degree_p)
-        total = tuple(a + b for a, b in zip(degree, degree_p))
-        if not any(lam) or not any(lamp):
-            return None, total
-        pair = tensor_of(self.datum, (lam, lamp))
-        top = highest_weight_crystal(self.datum, pair.highest_weight)
-        return canonical_morphism(pair, top), total
+        `degree_p`: (element of e, element of e') -> the element of e'.e,
+        whose source is that of e.  It is the Cartan projection of
+        B(lam) (x) B(lam') onto B(lam + lam'), lam and lam' the weights of
+        the degrees; B(0) has the one element 1, so an identity composes as
+        (1, b) -> b.  A composable pair that is not a key has no composite."""
+        weight_of = self.colours.weight_of
+        return cartan_projection(self.datum, weight_of(degree), weight_of(degree_p))
 
     def check_factorization(self, m: Degree, n: Degree) -> VerificationReport:
         """Unique factorization in degrees (m, n): every path f of degree
         m + n is e1.e2 for exactly one pair of a path e2 of degree n and a
         path e1 of degree m with r(e2) = s(e1), and r(f) = r(e1).  The
         composite e1.e2 is read off the compose table with the source of
-        e2, so s(f) = s(e2) holds when e1.e2 is a path at all; a path of
-        degree 0 is an identity.
+        e2, so s(f) = s(e2) holds when e1.e2 is a path at all.
 
         One case per path of degree m + n, which fails unless the path has
         exactly one factorization and keeps the range of its e1; each pair
         whose composite is no path of degree m + n adds a failed case."""
         m, n = tuple(m), tuple(n)
-        matching, total = self._composition(n, m)
+        matching = self.compose_table(n, m)
+        total = tuple(a + b for a, b in zip(m, n))
         ranges = self._slice(total)
         # the range r(e1) of each factorization of each path
         tops: dict[GraphPath, list[Vertex]] = {f: [] for f in ranges}
@@ -199,13 +177,8 @@ class HigherRankGraph:
             by_source.setdefault(e1.source, []).append((e1, r1))
         for e2, r2 in self._slice(n).items():
             for e1, r1 in by_source.get(r2, ()):
-                if not any(n):
-                    f = e1
-                elif not any(m):
-                    f = e2
-                else:
-                    image = matching.get((e2.element, e1.element))
-                    f = None if image is None else GraphPath(e2.source, image, total)
+                image = matching.get((e2.element, e1.element))
+                f = None if image is None else GraphPath(e2.source, image, total)
                 found = tops.get(f)
                 if found is None:
                     strays.append(f"{e1} after {e2} composes to no path of degree {total}")

@@ -13,8 +13,8 @@ from itertools import product as iter_product
 from time import perf_counter
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from .braiding import pair_braiding
-from .crystal import canonical_morphism, highest_weight_crystal, tensor_of
+from .braiding import cartan_projection, pair_braiding
+from .crystal import highest_weight_crystal, tensor_of
 from .hrgraph import ColourSet, Degree, GraphPath, HigherRankGraph, Vertex, graph_of
 from .memo import memo
 from .report import VerificationReport
@@ -229,9 +229,7 @@ class SoibelmanModel:
         missing fails too."""
         datum = self.datum
         # (l1, l2) in C -> its image in B(nu), and back
-        into = canonical_morphism(
-            tensor_of(datum, (theta, rest)), highest_weight_crystal(datum, nu)
-        )
+        into = cartan_projection(datum, theta, rest)
         pairs = {m: pair for pair, m in into.items()}
         outer = pair_braiding(datum, theta, mu)
         inner = pair_braiding(datum, rest, mu)

@@ -5,11 +5,11 @@ and normal-form code paths: the path-model reads take eps, phi and weights
 from Littelmann paths, the string readers apply the tensor rule in closed
 form, the signature rule writes the tensor rule out sign by sign,
 transport replays an explicit lowering word, the truncation oracle realizes
-shift operators as finite 0/1 matrices, the monomial expansion and product
-rewrite operators into shift monomials T^a T*^b, the slot-by-slot
-generator tensors one operator element per letter, the exhaustive R1/R2
-multiplies out both halves of every relation the adjoint pairs up, the
-exhaustive KP2 multiplies every composable pair of path operators, the
+shift operators as finite 0/1 matrices and `act` applies them to one basis
+vector, the monomial expansion and product rewrite operators into shift
+monomials T^a T*^b, the slot-by-slot generator tensors one operator element
+per letter, the exhaustive R1/R2 multiplies out both halves of every
+relation the adjoint pairs up, the exhaustive KP2 multiplies every composable pair of path operators, the
 exhaustive KP3 every pair of same-degree path operators, and the exhaustive
 KP4 and grading build S_e at every degree, composite ones included.  The
 scanned slice tests every (vertex, element) pair of a degree against every
@@ -481,6 +481,29 @@ def operator_matrix(op, cutoff):
             if ok:
                 matrix[flat(row)][flat(col)] += coeff
     return matrix
+
+
+def act(op, n):
+    """The image of the basis vector e_n of l2(N)^(x)l under an
+    OperatorElement, as {(m, t): coefficient} over the vectors e_m with the
+    torus label t of the term that reaches them.
+
+    Reads the stored keys (a, b, p) slot by slot: T^a T*^b sends e_k to
+    e_(k-b+a) when k >= b and to 0 otherwise, and T^a P0 T*^b sends e_k to
+    e_a when k = b and to 0 otherwise.  Each term sends e_n to one vector or
+    to 0, so the image is finite."""
+    out = {}
+    for key, coeff in op.terms.items():
+        image = []
+        for s, k in enumerate(n):
+            a, b, p = key[3 * s : 3 * s + 3]
+            if k < b or (p and k != b):
+                break
+            image.append(k - b + a)
+        else:
+            vector = (tuple(image), key[3 * op.slots :])
+            out[vector] = out.get(vector, 0) + coeff
+    return {vector: coeff for vector, coeff in out.items() if coeff}
 
 
 def slotwise_generator(model, lam, a):

@@ -1,6 +1,7 @@
 import pytest
 
 from crystalgraphs.braiding import (
+    cartan_projection,
     longest_permutation_word,
     pair_braiding,
     right_ends,
@@ -207,6 +208,22 @@ def test_right_end_of_highest_weight():
         assert left_end(b, 1, mu) == 1
 
 
+def tensor_right_ends(t, x, weights):
+    """The right ends of an element x of a two-factor product t, read through
+    its image in B(lam + lam'); None off the Cartan component."""
+    lam, lamp = (c.highest_weight for c in t.factors)
+    b = cartan_projection(t.datum, lam, lamp).get(x)
+    return right_ends(highest_weight_crystal(t.datum, t.highest_weight), b, weights)
+
+
+def test_cartan_projection_is_the_memoized_matching_onto_the_sum():
+    for datum, lam, lamp in [(A2, (1, 0), (0, 1)), (C2, (1, 1), (0, 1)), (A2, (0, 0), (1, 1))]:
+        table = cartan_projection(datum, lam, lamp)
+        top = highest_weight_crystal(datum, add_weights(lam, lamp))
+        assert table is canonical_morphism(tensor_of(datum, (lam, lamp)), top)
+        assert sorted(table.values()) == list(top.elements())
+
+
 def test_right_ends_frozen_table_a2():
     t = tensor_of(A2, ((1, 0), (0, 1)))
     colours = ((1, 0), (0, 1))
@@ -222,7 +239,7 @@ def test_right_ends_frozen_table_a2():
         (1, 3): None,
     }
     for x, want in expected.items():
-        assert right_ends(t, x, colours) == want
+        assert tensor_right_ends(t, x, colours) == want
 
 
 def test_right_end_via_braiding_rightmost_factor():
@@ -231,7 +248,7 @@ def test_right_end_via_braiding_rightmost_factor():
         if not t.eta(x):
             continue
         sigma = sigma_word(t, (1,), x)
-        assert right_ends(t, x, [(1, 0), (0, 1)]) == (sigma[1], x[1])
+        assert tensor_right_ends(t, x, [(1, 0), (0, 1)]) == (sigma[1], x[1])
 
 
 def test_left_end_tables_frozen():
@@ -258,7 +275,9 @@ def test_right_end_independence():
         if not t.eta(x):
             continue
         # when the right factor dominates mu, the end only sees that factor
-        assert right_ends(t, x, [mu]) == right_ends(highest_weight_crystal(A2, lamp), x[1], [mu])
+        assert tensor_right_ends(t, x, [mu]) == right_ends(
+            highest_weight_crystal(A2, lamp), x[1], [mu]
+        )
     t2 = tensor_of(A2, (lamp, lam))
     small = tensor_of(A2, (mu, lam))
     for x in t2.elements():
@@ -267,7 +286,7 @@ def test_right_end_independence():
         (r_first,) = right_ends(highest_weight_crystal(A2, lamp), x[0], [mu])
         reduced = (r_first, x[1])
         assert small.eta(reduced)
-        assert right_ends(t2, x, [mu]) == right_ends(small, reduced, [mu])
+        assert tensor_right_ends(t2, x, [mu]) == tensor_right_ends(small, reduced, [mu])
 
 
 def test_set_of_right_ends_stable_under_larger_crystal():

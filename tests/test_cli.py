@@ -584,18 +584,18 @@ def test_a_redirected_composite_fails_its_factorization_split(capsys, monkeypatc
     before, last = paths[-2:]
     assert before.source == last.source
     assert [e.element for e in paths].count(last.element) == 1
-    original = HigherRankGraph._composition
+    original = HigherRankGraph.compose_table
 
     def redirected(self, degree, degree_p):
-        matching, total = original(self, degree, degree_p)
+        matching = original(self, degree, degree_p)
         if (degree, degree_p) == ((0, 1), (1, 0)):
             matching = {
                 pair: before.element if image == last.element else image
                 for pair, image in matching.items()
             }
-        return matching, total
+        return matching
 
-    monkeypatch.setattr(HigherRankGraph, "_composition", redirected)
+    monkeypatch.setattr(HigherRankGraph, "compose_table", redirected)
     code, out, _ = run(capsys, "verify", "--type", "A2", "--suite", "graph", "--bound", "1,1")
     assert code == 1
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [

@@ -263,6 +263,28 @@ def test_canonical_morphism_identity_and_errors():
         canonical_morphism(t, b, (2, 1))  # not a highest-weight element
 
 
+class RedirectedEdge:
+    """A crystal that reads as `crystal` except that f_i(x) is `to`."""
+
+    def __init__(self, crystal, i, x, to):
+        self.crystal, self.edge, self.to = crystal, (i, x), to
+        self.datum = crystal.datum
+        self.highest = crystal.highest
+        self.highest_weight = crystal.highest_weight
+
+    def f(self, i, x):
+        return self.to if (i, x) == self.edge else self.crystal.f(i, x)
+
+
+def test_the_walk_checks_an_edge_into_an_element_it_has_mapped():
+    b = highest_weight_crystal(A2, (1, 1))
+    assert b.f(2, 7) == 8
+    # 6 is mapped before the walk leaves 7, and 8 is first reached from 6 by
+    # f_1, so only the check of f_2(7) against the map can see the change
+    with pytest.raises(RuntimeError, match="components are not isomorphic"):
+        canonical_morphism(b, RedirectedEdge(b, 2, 7, 6))
+
+
 @pytest.mark.parametrize(
     "datum,pair",
     [

@@ -188,11 +188,14 @@ def test_range_rejects_paths_off_the_cartan_component():
 def test_compose_identity_and_degree_additivity():
     g = a2_graph()
     edges = g.paths((1, 0))
-    # a path of degree 0 is an identity: no table, and each edge is its own
-    # one factorization against the identities at either end
+    # a path of degree 0 is an identity: B(0) has the one element 1, so its
+    # table is (1, b) -> b on either side, and each edge is its own one
+    # factorization against the identities at either end
+    elements = highest_weight_crystal(A2, (1, 0)).elements()
+    assert g.compose_table((0, 0), (0, 0)) == {(1, 1): 1}
+    assert g.compose_table((0, 0), (1, 0)) == {(1, b): b for b in elements}
+    assert g.compose_table((1, 0), (0, 0)) == {(b, 1): b for b in elements}
     for degree, degree_p in (((0, 0), (1, 0)), ((1, 0), (0, 0))):
-        with pytest.raises(ValueError):
-            g.compose_table(degree, degree_p)
         check = g.check_factorization(degree_p, degree).checks[0]
         assert check.passed and check.cases == len(edges)
     loops = [e for e in edges if g.range(e) == e.source == g.vertices[0]]
@@ -239,13 +242,13 @@ def test_a_pair_missing_from_the_compose_table_fails_factorization_by_name(monke
     e = g.paths((0, 1))[0]
     eprime = next(f for f in g.paths((1, 0)) if f.source == g.range(e))
     lost = composite(g, eprime, e)
-    original = HigherRankGraph._composition
+    original = HigherRankGraph.compose_table
 
     def short(self, degree, degree_p):
-        matching, total = original(self, degree, degree_p)
+        matching = original(self, degree, degree_p)
         if (degree, degree_p) == ((0, 1), (1, 0)):
             matching = {k: v for k, v in matching.items() if k != (e.element, eprime.element)}
-        return matching, total
+        return matching
 
     # the table keys elements, so every composable pair of these two
     # elements, at any source, loses its composite
@@ -255,7 +258,7 @@ def test_a_pair_missing_from_the_compose_table_fails_factorization_by_name(monke
         for f in g.paths((1, 0))
         if (d.element, f.element) == (e.element, eprime.element) and f.source == g.range(d)
     ]
-    monkeypatch.setattr(HigherRankGraph, "_composition", short)
+    monkeypatch.setattr(HigherRankGraph, "compose_table", short)
     check = g.check_factorization((1, 0), (0, 1)).checks[0]
     # each composite has no factorization left, and each pair adds a failed case
     assert not check.passed and check.failed == 2 * len(pairs)

@@ -23,7 +23,6 @@ TABLES = {
     "crystalgraphs.crystal.TensorCrystal.string_table",
     "crystalgraphs.hrgraph.ColourSet._weight_of",
     "crystalgraphs.hrgraph.HigherRankGraph._slice",
-    "crystalgraphs.hrgraph.HigherRankGraph._composition",
     "crystalgraphs.hrgraph.graph_of",
     "crystalgraphs.soibelman.SoibelmanModel._generator_table",
     "crystalgraphs.soibelman.SoibelmanModel._rank_one",
