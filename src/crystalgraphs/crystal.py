@@ -1,12 +1,12 @@
 """Crystals of highest-weight modules, and their tensor products under the
 Kashiwara two-factor rule.
 
-B(lam) is generated by Littelmann's path model, which only draws its
-f-edges.  A path is stored as its chain of turning points (the origin is
-implicit), with exact rational coordinates in the fundamental-weight basis.
-Chains are kept in a canonical form - no zero steps, no two consecutive steps
-along the same ray - so equality of elements is equality of tuples.  Once
-built, a crystal keeps per colour only the table of its strings, which
+B(lam) is built over the integers by lowering walks.  A minuscule or
+quasi-minuscule crystal is read off its weights: f_i w = w - alpha_i where
+<w, alpha_i^vee> = 1, and f_i runs alpha_i -> z_i -> -alpha_i through one
+zero-weight element z_i per short simple root.  Every other B(lam) is the
+component of a highest element in a tensor product of two smaller crystals.
+Once built, a crystal keeps per colour only the table of its strings, which
 f, e, eps, phi and the tensor rule all read.
 
 The absorbing value 0 of crystal combinatorics is represented by ``None`` and
@@ -15,7 +15,6 @@ propagates through every operation.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product as iter_product
 from typing import Iterable, Iterator, Union
 
@@ -24,83 +23,12 @@ from .rootdata import (
     Coords,
     RootDatum,
     add_weights,
+    neg_weights,
     sub_weights,
     weyl_dim,
 )
 
-QVec = tuple[Fraction, ...]
-Chain = tuple[QVec, ...]
-
 SIZE_CAP = 100_000  # the most elements highest_weight_crystal builds
-
-
-def _to_q(v) -> QVec:
-    return tuple(Fraction(x) for x in v)
-
-
-def _same_ray(u: QVec, v: QVec) -> bool:
-    # u = c*v with c > 0, for nonzero u, v
-    k = next((i for i, x in enumerate(v) if x != 0), None)
-    if k is None or u[k] == 0:
-        return False
-    c = Fraction(u[k], 1) / v[k]
-    if c <= 0:
-        return False
-    return all(a == c * b for a, b in zip(u, v))
-
-
-def _chain_from_steps(steps: Iterable[QVec]) -> Chain:
-    merged: list[QVec] = []
-    for u in steps:
-        if all(x == 0 for x in u):
-            continue
-        if merged and _same_ray(u, merged[-1]):
-            merged[-1] = tuple(a + b for a, b in zip(merged[-1], u))
-        else:
-            merged.append(u)
-    points: list[QVec] = []
-    cur = None
-    for u in merged:
-        cur = u if cur is None else tuple(a + b for a, b in zip(cur, u))
-        points.append(cur)
-    return tuple(points)
-
-
-def _breakpoints(chain: Chain, rank: int) -> tuple[QVec, ...]:
-    origin = (Fraction(0),) * rank
-    return (origin,) + chain
-
-
-def _rebuild(datum: RootDatum, pts, reflected, after, i: int) -> Chain:
-    """Assemble a chain from three runs of breakpoints; steps into the middle
-    run are reflected by s_i (the tail translation is implicit)."""
-    seq = [(p, False) for p in pts] + [(p, True) for p in reflected] + [
-        (p, False) for p in after
-    ]
-    steps = []
-    for (prev, _), (cur, refl) in zip(seq, seq[1:]):
-        u = tuple(a - b for a, b in zip(cur, prev))
-        if refl:
-            u = datum.reflect(u, i)
-        steps.append(u)
-    return _chain_from_steps(steps)
-
-
-def f_path(datum: RootDatum, i: int, chain: Chain) -> Chain | None:
-    """Lowering root operator on a path; None when it vanishes."""
-    pts = _breakpoints(chain, datum.rank)
-    hs = [p[i - 1] for p in pts]
-    m = min(hs)
-    if hs[-1] - m < 1:
-        return None
-    target = m + 1
-    k0 = max(k for k, h in enumerate(hs) if h == m)
-    kk = next(k for k in range(k0 + 1, len(hs)) if hs[k] >= target)
-    if hs[kk] == target:
-        return _rebuild(datum, pts[: k0 + 1], pts[k0 + 1 : kk + 1], pts[kk + 1 :], i)
-    theta = (target - hs[kk - 1]) / (hs[kk] - hs[kk - 1])
-    cut = tuple(a + theta * (b - a) for a, b in zip(pts[kk - 1], pts[kk]))
-    return _rebuild(datum, pts[: k0 + 1], list(pts[k0 + 1 : kk]) + [cut], pts[kk:], i)
 
 
 # per colour i: the i-strings, each from its top down, and per element its
@@ -200,8 +128,8 @@ class Crystal:
 
 
 def highest_weight_crystal(datum: RootDatum, lam: Coords) -> Crystal:
-    """Generate B(lam) by closing the straight-line path under root operators;
-    the size cap is checked before anything is built."""
+    """B(lam), built by integer lowering walks (see `_build_crystal`); the
+    size cap is checked before anything is built."""
     lam = tuple(lam)
     dim = weyl_dim(datum, lam)
     if dim > SIZE_CAP:
@@ -211,34 +139,103 @@ def highest_weight_crystal(datum: RootDatum, lam: Coords) -> Crystal:
 
 @memo
 def _build_crystal(datum: RootDatum, lam: Coords, dim: int) -> Crystal:
-    """B(lam) from the f-edges of the path model: each element found is its
-    parent's weight minus alpha_i, and no path outlives the build."""
-    seed = _chain_from_steps([_to_q(lam)])
-    chains = [seed]
-    index = {seed: 1}
-    weights = [lam]
-    f_edges: dict[tuple[int, int], int] = {}
-    pos = 0
-    while pos < len(chains):
-        b = pos + 1
-        here = chains[pos]
-        for i in datum.colours:
-            nxt = f_path(datum, i, here)
-            if nxt is None:
-                continue
-            j = index.get(nxt)
-            if j is None:
-                chains.append(nxt)
-                weights.append(sub_weights(weights[pos], datum.simple_root(i)))
-                j = len(chains)
-                index[nxt] = j
-            f_edges[i, b] = j
-        pos += 1
-    if len(chains) != dim:
-        raise RuntimeError(
-            f"path model generated {len(chains)} elements for {lam}, expected {dim}"
-        )
+    """B(lam) from one lowering walk, whose element count must be dim: on
+    the weights when lam is minuscule or quasi-minuscule, else on the
+    component of a highest element in a product of two smaller crystals."""
+    walk = _small_walk(datum, lam)
+    if walk is None:
+        first, second, top = _factors(datum, lam)
+        walk = _walk_down(datum, top, lam, TensorCrystal((first, second)).f)
+    weights, f_edges = walk
+    if len(weights) != dim:
+        raise RuntimeError(f"lowering walk found {len(weights)} elements for {lam}, expected {dim}")
     return Crystal(datum, lam, weights, f_edges)
+
+
+def _walk_down(datum: RootDatum, top, weight: Coords, lower) -> tuple[list, dict]:
+    """The weights and f-edges of everything ``lower(i, x)`` (None where f_i
+    vanishes) reaches from top, numbered 1.. in breadth-first order with
+    colours in increasing order; each weight is its parent's minus alpha_i.
+    The order depends only on the crystal graph, so every construction of
+    B(lam) numbers its elements alike."""
+    found, index, weights, f_edges = [top], {top: 1}, [weight], {}
+    for b, x in enumerate(found, start=1):  # found grows as it is read
+        for i in datum.colours:
+            y = lower(i, x)
+            if y is None:
+                continue
+            j = index.get(y)
+            if j is None:
+                found.append(y)
+                j = index[y] = len(found)
+                weights.append(sub_weights(weights[b - 1], datum.simple_root(i)))
+            f_edges[i, b] = j
+    return weights, f_edges
+
+
+def _small_walk(datum: RootDatum, lam: Coords) -> tuple[list, dict] | None:
+    """The walk of B(lam) on its weights, or None unless lam is minuscule
+    (the elements are the Weyl orbit) or quasi-minuscule (the short roots,
+    and one zero-weight z_i per short simple root).  An element is (w, 0),
+    or (0, i) for z_i: f_i w = w - alpha_i where <w, alpha_i^vee> = 1,
+    f_i alpha_i = z_i, f_i z_i = -alpha_i, and no other f acts.  Any other
+    lam has a weight that pairs to 2 or more with a simple coroot away from
+    a simple root."""
+    blocked = []
+
+    def lower(i: int, x: tuple) -> tuple | None:
+        w, z = x
+        alpha = datum.simple_root(i)
+        if z:
+            return (neg_weights(alpha), 0) if z == i else None
+        if w[i - 1] == 1:
+            return sub_weights(w, alpha), 0
+        if w[i - 1] >= 2:
+            if w == alpha:
+                return datum.zero, i
+            blocked.append(w)
+        return None
+
+    walk = _walk_down(datum, (lam, 0), lam, lower)
+    return None if blocked else walk
+
+
+def _factors(datum: RootDatum, lam: Coords) -> tuple[Crystal, Crystal, tuple]:
+    """(first, second, top) with B(lam) the component of the highest element
+    top of first x second.
+
+    A weight of two or more fundamentals splits as B(mu) x B(lam - mu), top
+    (1, 1), with mu = floor(lam / 2) coordinatewise, or the first
+    fundamental in lam when that is 0, so deep weights recurse only
+    logarithmically.  A fundamental lam is B(varpi_k) x base, top (1, c),
+    with wt(c) = lam - varpi_k and eps_i(c) <= <varpi_k, alpha_i^vee> for
+    every i.  The base is the smallest fundamental crystal, minuscule or
+    quasi-minuscule in every type, and k is found by closing outwards from
+    the base over such tops, through fundamentals within the size cap.
+    """
+    if sum(lam) > 1:
+        mu = tuple(x // 2 for x in lam)
+        if not any(mu):
+            mu = datum.fundamental_weights[next(k for k, x in enumerate(lam) if x)]
+        first = highest_weight_crystal(datum, mu)
+        return first, highest_weight_crystal(datum, sub_weights(lam, mu)), (1, 1)
+    base_weight = min(datum.fundamental_weights, key=lambda w: weyl_dim(datum, w))
+    base = highest_weight_crystal(datum, base_weight)
+    parts = {base_weight: None}
+    reached = [base_weight]
+    for k in reached:  # reached grows as it is read
+        for c in base.elements():
+            w = add_weights(k, base.weight(c))
+            if (
+                w in datum.fundamental_weights
+                and w not in parts
+                and weyl_dim(datum, w) <= SIZE_CAP
+                and all(base.eps(i, c) <= k[i - 1] for i in datum.colours)
+            ):
+                parts[w] = (k, c)
+                reached.append(w)
+    k, c = parts[lam]
+    return highest_weight_crystal(datum, k), base, (1, c)
 
 
 TensorElement = Union[tuple, None]

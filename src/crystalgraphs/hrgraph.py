@@ -247,7 +247,7 @@ class HigherRankGraph:
         }
         import json  # only JSON export pays for the import
 
-        return json.dumps(data)
+        return json.dumps(data, separators=(",", ":"))
 
     def export_dot(self, bound: Degree) -> str:
         lines = ["digraph hrgraph {"]

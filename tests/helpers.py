@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own string-table, lockstep-morphism
 and normal-form code paths: the path-model reads take eps, phi and weights
-from Littelmann paths, the string readers apply the tensor rule in closed
+from Littelmann paths over Fraction (`f_path`), the oracle of the library's
+integer lowering walks, the string readers apply the tensor rule in closed
 form, the signature rule writes the tensor rule out sign by sign,
 transport replays an explicit lowering word, the truncation oracle realizes
 shift operators as finite 0/1 matrices and `act` applies them to one basis
@@ -30,9 +31,7 @@ from itertools import permutations, product as iter_product
 from crystalgraphs.braiding import pair_braiding
 from crystalgraphs.crystal import (
     Crystal,
-    _chain_from_steps,
     canonical_morphism,
-    f_path,
     highest_weight_crystal,
     tensor_of,
 )
@@ -101,6 +100,78 @@ def bilinear(datum, mu, nu):
     )
 
 
+def _to_q(v):
+    return tuple(Fraction(x) for x in v)
+
+
+def _same_ray(u, v):
+    # u = c*v with c > 0, for nonzero u, v
+    k = next((i for i, x in enumerate(v) if x != 0), None)
+    if k is None or u[k] == 0:
+        return False
+    c = Fraction(u[k], 1) / v[k]
+    if c <= 0:
+        return False
+    return all(a == c * b for a, b in zip(u, v))
+
+
+def _chain_from_steps(steps):
+    """A Littelmann path as its chain of turning points (the origin
+    implicit), in canonical form: no zero steps and no two consecutive steps
+    along the same ray, so equal paths are equal tuples."""
+    merged = []
+    for u in steps:
+        if all(x == 0 for x in u):
+            continue
+        if merged and _same_ray(u, merged[-1]):
+            merged[-1] = tuple(a + b for a, b in zip(merged[-1], u))
+        else:
+            merged.append(u)
+    points = []
+    cur = None
+    for u in merged:
+        cur = u if cur is None else tuple(a + b for a, b in zip(cur, u))
+        points.append(cur)
+    return tuple(points)
+
+
+def _breakpoints(chain, rank):
+    origin = (Fraction(0),) * rank
+    return (origin,) + chain
+
+
+def _rebuild(datum, pts, reflected, after, i):
+    """Assemble a chain from three runs of breakpoints; steps into the middle
+    run are reflected by s_i (the tail translation is implicit)."""
+    seq = [(p, False) for p in pts] + [(p, True) for p in reflected] + [
+        (p, False) for p in after
+    ]
+    steps = []
+    for (prev, _), (cur, refl) in zip(seq, seq[1:]):
+        u = tuple(a - b for a, b in zip(cur, prev))
+        if refl:
+            u = datum.reflect(u, i)
+        steps.append(u)
+    return _chain_from_steps(steps)
+
+
+def f_path(datum, i, chain):
+    """Littelmann's lowering root operator on a path; None when it vanishes."""
+    pts = _breakpoints(chain, datum.rank)
+    hs = [p[i - 1] for p in pts]
+    m = min(hs)
+    if hs[-1] - m < 1:
+        return None
+    target = m + 1
+    k0 = max(k for k, h in enumerate(hs) if h == m)
+    kk = next(k for k in range(k0 + 1, len(hs)) if hs[k] >= target)
+    if hs[kk] == target:
+        return _rebuild(datum, pts[: k0 + 1], pts[k0 + 1 : kk + 1], pts[kk + 1 :], i)
+    theta = (target - hs[kk - 1]) / (hs[kk] - hs[kk - 1])
+    cut = tuple(a + theta * (b - a) for a, b in zip(pts[kk - 1], pts[kk]))
+    return _rebuild(datum, pts[: k0 + 1], list(pts[k0 + 1 : kk]) + [cut], pts[kk:], i)
+
+
 def _min_level(chain, i):
     m = Fraction(0)
     for p in chain:
@@ -143,7 +214,7 @@ def path_model_reads(datum, lam):
     {"f": {(i, b): f_i b}, "weight": [...], "eps"/"phi": {(i, b): value},
     "string_table": {i: (lines, data) as `Crystal.string_table(i)` returns
     it}}.  Every endpoint and every eps/phi must be integral."""
-    seed = _chain_from_steps([tuple(Fraction(x) for x in lam)])
+    seed = _chain_from_steps([_to_q(lam)])
     chains, index, f = [seed], {seed: 1}, {}
     for b, chain in enumerate(chains, start=1):  # chains grows as it is read
         for i in datum.colours:

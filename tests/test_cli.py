@@ -237,6 +237,25 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_json():
     assert added.isdisjoint({"crystalgraphs.soibelman", "crystalgraphs.toeplitz"})
 
 
+def test_a_graph_export_launch_loads_no_fractions_or_decimal():
+    # every crystal is built over the integers, so a launch that builds
+    # crystals, braiding tables and a graph never imports either module
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(*sorted(sys.modules), file=sys.stderr))\n"
+        "sys.argv = ['crystalgraphs', 'graph', '--type', 'G2', '--bound', '1,1', '--emit', 'json']\n"
+        "runpy.run_module('crystalgraphs.cli', run_name='__main__')\n"
+    )
+    probe = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert probe.returncode == 0, probe.stderr
+    assert json.loads(probe.stdout)["type"] == "G2"
+    loaded = set(probe.stderr.split())
+    assert "crystalgraphs.crystal" in loaded
+    assert loaded.isdisjoint({"fractions", "decimal"})
+
+
 def test_the_readme_tour_runs_and_its_report_passes(capsys):
     readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
     tour = readme.split("## A small tour", 1)[1]

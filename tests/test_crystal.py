@@ -2,12 +2,14 @@ from itertools import product as iter_product
 
 import pytest
 
+from crystalgraphs import crystal as crystal_module
 from crystalgraphs.crystal import (
     TensorCrystal,
     canonical_morphism,
     highest_weight_crystal,
     tensor_of,
 )
+from crystalgraphs.memo import clear_caches
 from crystalgraphs.rootdata import build_root_datum, weyl_dim, weyl_group
 
 from helpers import (
@@ -135,7 +137,11 @@ def test_tensor_crystal_axiom():
                 assert t.phi(i, x) - t.eps(i, x) == datum.pairing(t.weight(x), i)
 
 
-# every B(lam) with |lam| <= 3 in rank two; the fundamentals and rho in rank three
+# every B(lam) with |lam| <= 3 in rank two; the fundamentals and rho in rank
+# three; the fundamentals of B4, C4, D4, D5 and F4, and varpi1, varpi2 and
+# varpi6 of E6, which cover the spin crystals of B_n and D_n, F4's
+# quasi-minuscule base and fundamentals built as components of a product
+# with a base
 PATH_MODEL_CASES = [
     (label, lam)
     for label in ("A2", "B2", "C2", "G2")
@@ -146,7 +152,11 @@ PATH_MODEL_CASES = [
     for label in ("A3", "B3", "C3")
     for datum in [build_root_datum(label)]
     for lam in datum.fundamental_weights + (datum.rho,)
-]
+] + [
+    (label, lam)
+    for label in ("B4", "C4", "D4", "D5", "F4")
+    for lam in build_root_datum(label).fundamental_weights
+] + [("E6", build_root_datum("E6").fundamental_weights[j]) for j in (0, 1, 5)]
 
 
 @pytest.mark.parametrize("label, lam", PATH_MODEL_CASES)
@@ -164,6 +174,43 @@ def test_string_tables_match_the_path_model(label, lam):
             assert crystal.eps(i, b) == oracle["eps"][i, b]
             assert crystal.phi(i, b) == oracle["phi"][i, b]
         assert crystal.string_table(i) == oracle["string_table"][i]
+
+
+def test_a_base_crystal_missing_an_edge_is_caught(monkeypatch):
+    # G2's varpi2 is the component of a product with the quasi-minuscule base
+    # B(varpi1); drop the base's last f-edge and the build of varpi2 must
+    # raise or disagree with the path model
+    small_walk = crystal_module._small_walk
+
+    def tampered(datum, lam):
+        walk = small_walk(datum, lam)
+        if walk is not None and walk[1]:
+            f_edges = walk[1]
+            del f_edges[max(f_edges, key=lambda edge: edge[1])]
+        return walk
+
+    clear_caches()
+    monkeypatch.setattr(crystal_module, "_small_walk", tampered)
+    try:
+        built = highest_weight_crystal(G2, (0, 1))
+    except RuntimeError:
+        built = None
+    finally:
+        clear_caches()  # no tampered crystal outlives the test
+    if built is not None:
+        oracle = path_model_reads(G2, (0, 1))
+        assert [built.string_table(i) for i in G2.colours] != [
+            oracle["string_table"][i] for i in G2.colours
+        ]
+
+
+def test_a_deep_weight_builds_by_halving():
+    # B(2000) of A1 is one string; peeling one fundamental at a time would
+    # recurse 2,000 builds deep
+    b = highest_weight_crystal(build_root_datum("A1"), (2000,))
+    assert b.size == 2001
+    assert [b.f(1, x) for x in b.elements()] == list(range(2, 2002)) + [None]
+    assert b.weight(2001) == (-2000,)
 
 
 BATTERY = [

@@ -1,3 +1,4 @@
+import json
 from itertools import product as iter_product
 
 import pytest
@@ -391,3 +392,5 @@ def test_export_json_round_trip_and_determinism():
     # byte-identical on a fresh graph over the same data
     again = HigherRankGraph(colour_set(A2, A2.fundamental_weights)).export_json((1, 1))
     assert text == again
+    # compact: no whitespace between tokens
+    assert text == json.dumps(json.loads(text), separators=(",", ":"))
