@@ -211,7 +211,9 @@ def _factors(datum: RootDatum, lam: Coords) -> tuple[Crystal, Crystal, tuple]:
     with wt(c) = lam - varpi_k and eps_i(c) <= <varpi_k, alpha_i^vee> for
     every i.  The base is the smallest fundamental crystal, minuscule or
     quasi-minuscule in every type, and k is found by closing outwards from
-    the base over such tops, through fundamentals within the size cap.
+    the base over such tops, through fundamentals within the size cap,
+    smallest first, so each fundamental is reached from the smallest one
+    reached so far that has such a top.
     """
     if sum(lam) > 1:
         mu = tuple(x // 2 for x in lam)
@@ -222,8 +224,10 @@ def _factors(datum: RootDatum, lam: Coords) -> tuple[Crystal, Crystal, tuple]:
     base_weight = min(datum.fundamental_weights, key=lambda w: weyl_dim(datum, w))
     base = highest_weight_crystal(datum, base_weight)
     parts = {base_weight: None}
-    reached = [base_weight]
-    for k in reached:  # reached grows as it is read
+    pending = [base_weight]
+    while pending:
+        k = min(pending, key=lambda w: weyl_dim(datum, w))
+        pending.remove(k)
         for c in base.elements():
             w = add_weights(k, base.weight(c))
             if (
@@ -233,7 +237,7 @@ def _factors(datum: RootDatum, lam: Coords) -> tuple[Crystal, Crystal, tuple]:
                 and all(base.eps(i, c) <= k[i - 1] for i in datum.colours)
             ):
                 parts[w] = (k, c)
-                reached.append(w)
+                pending.append(w)
     k, c = parts[lam]
     return highest_weight_crystal(datum, k), base, (1, c)
 

@@ -15,13 +15,7 @@ from .braiding import cartan_projection, pair_braiding, right_ends
 from .crystal import highest_weight_crystal
 from .memo import memo
 from .report import VerificationReport
-from .rootdata import (
-    Coords,
-    RootDatum,
-    add_weights,
-    integer_rank,
-    weyl_group,
-)
+from .rootdata import Coords, RootDatum, add_weights, integer_rank
 
 Vertex = tuple[int, ...]
 Degree = tuple[int, ...]
@@ -270,26 +264,6 @@ def graph_of(colours: ColourSet) -> HigherRankGraph:
     """The graph of a colour set, built once and shared, so that its slices
     are computed once however many suites run on it."""
     return HigherRankGraph(colours)
-
-
-def weyl_vertex_map(graph: HigherRankGraph) -> dict[int, Vertex]:
-    """Map each Weyl group element w to the right-end tuple of the extremal
-    element of weight w(rho_C); injective on cosets of the stabilizer."""
-    datum = graph.datum
-    group = weyl_group(datum)
-    rho = graph.colours.rho
-    crystal = highest_weight_crystal(datum, rho)
-    out: dict[int, Vertex] = {}
-    for k, element in enumerate(group.elements):
-        b = crystal.highest
-        for i in reversed(element.word):
-            for _ in range(crystal.phi(i, b)):
-                b = crystal.f(i, b)
-        out[k] = right_ends(crystal, b, graph.colours.colours)
-    cosets = group.order // group.stabilizer_order(rho)
-    if len(set(out.values())) != cosets:
-        raise RuntimeError("Weyl vertex map is not injective on cosets")
-    return out
 
 
 def graph_tables_from_json(text: str):

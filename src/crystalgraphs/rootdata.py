@@ -2,8 +2,9 @@
 
 Weights are integer coordinate tuples in the fundamental-weight basis, so the
 natural pairing with a simple coroot is a coordinate lookup.  Everything
-derived from the Cartan matrix (roots, Weyl groups, Weyl dimensions, ranks)
-is integer arithmetic; no fraction or floating point enters.
+derived from the Cartan matrix (roots, the order and longest word of the Weyl
+group, Weyl dimensions, ranks) is integer arithmetic; no fraction or floating
+point enters, and nothing enumerates the Weyl group.
 """
 
 from __future__ import annotations
@@ -14,15 +15,9 @@ from .memo import memo
 
 Coords = tuple[int, ...]
 
-WEYL_CAP = 51840  # the most elements weyl_group enumerates
-
 
 class CartanTypeError(ValueError):
     """Raised for labels that do not name a finite Cartan type."""
-
-
-class WeylSizeError(ValueError):
-    """Raised when a Weyl group would exceed the enumeration cap."""
 
 
 def parse_cartan_label(label: str) -> tuple[str, int]:
@@ -164,8 +159,8 @@ class RootDatum(NamedTuple):
         """<weight, alpha_i^vee> in the fundamental-weight basis."""
         return weight[i - 1]
 
-    def reflect(self, weight, i: int):
-        """Simple reflection s_i applied to a weight (int or Fraction coords)."""
+    def reflect(self, weight: Coords, i: int) -> Coords:
+        """Simple reflection s_i applied to a weight."""
         c = weight[i - 1]
         alpha = self.simple_roots[i - 1]
         return tuple(w - c * ai for w, ai in zip(weight, alpha))
@@ -236,89 +231,50 @@ def _weyl_dim(datum: RootDatum, lam: Coords) -> int:
     return dim
 
 
-class WeylElement(NamedTuple):
-    images: tuple[Coords, ...]  # images of the fundamental weights
-    word: tuple[int, ...]  # lexicographically least reduced word
+class WeylGroup(NamedTuple):
+    """The Weyl data the package reads, off the root datum alone: the order
+    and the lexicographically least reduced word for the longest element."""
 
-
-class WeylGroup:
-    """A finite Weyl group, fully enumerated with one reduced word per element."""
-
-    def __init__(self, datum: RootDatum, elements: list[WeylElement]):
-        self.datum = datum
-        self.elements = tuple(elements)
-        self.longest = len(elements) - 1
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @property
-    def longest_word(self) -> tuple[int, ...]:
-        return self.elements[self.longest].word
-
-    def apply(self, k: int, weight: Coords) -> Coords:
-        images = self.elements[k].images
-        rank = self.datum.rank
-        return tuple(
-            sum(weight[j] * images[j][i] for j in range(rank)) for i in range(rank)
-        )
-
-    def word_action(self, word: tuple[int, ...]) -> tuple[Coords, ...]:
-        """Images of the fundamental weights under s_{i_1} ... s_{i_k}."""
-        images = list(self.datum.fundamental_weights)
-        for i in reversed(word):
-            images = [self.datum.reflect(w, i) for w in images]
-        return tuple(images)
+    datum: RootDatum
+    order: int
+    longest_word: tuple[int, ...]
 
     def is_reduced_word_for_longest(self, word: tuple[int, ...]) -> bool:
+        """A word of |positive roots| letters is reduced for w0 exactly when
+        s_{i_1} ... s_{i_k} sends rho to -rho: rho is regular, so only w0
+        does."""
         if len(word) != len(self.datum.positive_roots):
             return False
         if any(i < 1 or i > self.datum.rank for i in word):
             return False
-        return self.word_action(word) == self.elements[self.longest].images
-
-    def stabilizer_order(self, weight: Coords) -> int:
-        return sum(1 for k in range(self.order) if self.apply(k, weight) == weight)
+        x = self.datum.rho
+        for i in reversed(word):
+            x = self.datum.reflect(x, i)
+        return x == neg_weights(self.datum.rho)
 
 
 @memo
 def weyl_group(datum: RootDatum) -> WeylGroup:
-    """Enumerate the Weyl group by breadth-first closure of simple reflections.
+    """|W| and the longest word, with nothing enumerated.
 
-    The stored word of each element is the lexicographically smallest among its
-    shortest words; the last element enumerated is the longest element.
+    i is a left descent of w exactly when <w(rho), alpha_i^vee> < 0, so the
+    least reduced word for w0 starts from w0(rho) = -rho, strips the least
+    such i and repeats until rho.  |W| is the product over the positive
+    roots of (ht + 1) / ht, which is the product of (m + 1) over the
+    exponents m.
     """
-    identity = WeylElement(datum.fundamental_weights, ())
-    elements = [identity]
-    seen = {identity.images: 0}
-    frontier = [0]
-    while frontier:
-        fresh = []
-        for k in frontier:
-            el = elements[k]
-            for i in datum.colours:
-                # (w s_i)(varpi_j) differs from w(varpi_j) only at j = i
-                w_alpha = tuple(
-                    sum(
-                        datum.simple_root(i)[m] * el.images[m][t]
-                        for m in range(datum.rank)
-                    )
-                    for t in range(datum.rank)
-                )
-                images = list(el.images)
-                images[i - 1] = sub_weights(images[i - 1], w_alpha)
-                images = tuple(images)
-                if images not in seen:
-                    if len(elements) >= WEYL_CAP:
-                        raise WeylSizeError(
-                            f"Weyl group of {datum.label} exceeds the cap {WEYL_CAP}"
-                        )
-                    seen[images] = len(elements)
-                    elements.append(WeylElement(images, el.word + (i,)))
-                    fresh.append(seen[images])
-        frontier = fresh
-    group = WeylGroup(datum, elements)
-    if len(group.longest_word) != len(datum.positive_roots):
+    word, x = [], neg_weights(datum.rho)
+    while x != datum.rho:  # x = w(rho) is regular, so it has a negative coordinate
+        i = next(j for j, c in enumerate(x, start=1) if c < 0)
+        word.append(i)
+        x = datum.reflect(x, i)
+    num = den = 1
+    for coeffs in datum.positive_root_coeffs:
+        num *= sum(coeffs) + 1
+        den *= sum(coeffs)
+    order, remainder = divmod(num, den)
+    if remainder:
+        raise RuntimeError(f"Weyl group order of {datum.label} is not integral")
+    if len(word) != len(datum.positive_roots):
         raise RuntimeError(f"longest word of {datum.label} is not of length |positive roots|")
-    return group
+    return WeylGroup(datum, order, tuple(word))

@@ -19,7 +19,10 @@ is the hexagon oracle: it moves each operand into the standalone crystal of
 its component, braids there and moves back, where the library composes
 adjacent pair tables.  Row reduction over Fraction (rank and inverse) is the
 oracle of the library's fraction-free integer rank, and the bilinear form
-over Fraction serves the braiding oracles.
+over Fraction serves the braiding oracles.  The Weyl group enumerated
+breadth-first (`weyl_bfs`) is the oracle of the order and longest word the
+library reads off the root datum, and its elements' words lower B(rho_C) to
+the Weyl vertices (`weyl_vertex_map`).
 """
 
 import functools
@@ -28,7 +31,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import permutations, product as iter_product
 
-from crystalgraphs.braiding import pair_braiding
+from crystalgraphs.braiding import pair_braiding, right_ends
 from crystalgraphs.crystal import (
     Crystal,
     canonical_morphism,
@@ -98,6 +101,80 @@ def bilinear(datum, mu, nu):
         (mu[i] * nu[j] * g[i][j] for i in range(datum.rank) for j in range(datum.rank)),
         Fraction(0),
     )
+
+
+class WeylBFS:
+    """A finite Weyl group enumerated by breadth-first closure of simple
+    reflections, each element stored as the images of the fundamental weights
+    with its lexicographically least reduced word; the last element found is
+    the longest.  The oracle of `rootdata.weyl_group`'s closed forms."""
+
+    def __init__(self, datum):
+        self.datum = datum
+        elements = [(datum.fundamental_weights, ())]
+        seen = {datum.fundamental_weights}
+        for images, word in elements:  # elements grows as it is read
+            for i in datum.colours:
+                # (w s_i)(varpi_j) differs from w(varpi_j) only at j = i
+                w_alpha = self.apply_images(images, datum.simple_root(i))
+                moved = list(images)
+                moved[i - 1] = sub_weights(moved[i - 1], w_alpha)
+                moved = tuple(moved)
+                if moved not in seen:
+                    seen.add(moved)
+                    elements.append((moved, word + (i,)))
+        self.elements = tuple(elements)
+        self.longest = len(elements) - 1
+
+    @property
+    def order(self):
+        return len(self.elements)
+
+    @property
+    def longest_word(self):
+        return self.elements[self.longest][1]
+
+    def apply_images(self, images, weight):
+        rank = self.datum.rank
+        return tuple(sum(weight[j] * images[j][i] for j in range(rank)) for i in range(rank))
+
+    def apply(self, k, weight):
+        return self.apply_images(self.elements[k][0], weight)
+
+    def word_action(self, word):
+        """Images of the fundamental weights under s_{i_1} ... s_{i_k}."""
+        images = list(self.datum.fundamental_weights)
+        for i in reversed(word):
+            images = [self.datum.reflect(w, i) for w in images]
+        return tuple(images)
+
+    def stabilizer_order(self, weight):
+        return sum(1 for k in range(self.order) if self.apply(k, weight) == weight)
+
+
+@functools.cache
+def weyl_bfs(datum):
+    return WeylBFS(datum)
+
+
+def weyl_vertex_map(graph):
+    """Map each Weyl group element w (by its index in `weyl_bfs`) to the
+    right-end tuple of the extremal element of weight w(rho_C), found by
+    lowering the top of B(rho_C) along w's stored word; checks that the map
+    is injective on cosets of the stabilizer of rho_C."""
+    group = weyl_bfs(graph.datum)
+    rho = graph.colours.rho
+    crystal = highest_weight_crystal(graph.datum, rho)
+    out = {}
+    for k, (_, word) in enumerate(group.elements):
+        b = crystal.highest
+        for i in reversed(word):
+            for _ in range(crystal.phi(i, b)):
+                b = crystal.f(i, b)
+        out[k] = right_ends(crystal, b, graph.colours.colours)
+    if len(set(out.values())) != group.order // group.stabilizer_order(rho):
+        raise RuntimeError("Weyl vertex map is not injective on cosets")
+    return out
 
 
 def _to_q(v):

@@ -6,11 +6,11 @@ from itertools import permutations, product as iter_product
 
 from crystalgraphs.braiding import pair_braiding, sigma_word
 from crystalgraphs.crystal import highest_weight_crystal, tensor_of
-from crystalgraphs.hrgraph import colour_set, graph_of, weyl_vertex_map
-from crystalgraphs.rootdata import build_root_datum, weyl_dim, weyl_group
+from crystalgraphs.hrgraph import colour_set, graph_of
+from crystalgraphs.rootdata import build_root_datum, weyl_dim
 from crystalgraphs.soibelman import SoibelmanModel
 
-from helpers import cartan_braiding, monomial_matrix
+from helpers import cartan_braiding, monomial_matrix, weyl_bfs, weyl_vertex_map
 
 
 def _report(number: int, limit: float, started: float, description: str) -> None:
@@ -208,7 +208,7 @@ def test_criterion_10_dimension_oracle():
     start = time.perf_counter()
     for label in ("A1", "A2", "A3", "B2", "C2", "G2"):
         datum = build_root_datum(label)
-        group = weyl_group(datum)
+        group = weyl_bfs(datum)
         for lam in iter_product(range(3), repeat=datum.rank):
             crystal = highest_weight_crystal(datum, lam)
             assert crystal.size == weyl_dim(datum, lam)

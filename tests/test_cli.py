@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from crystalgraphs.cli import main
+from crystalgraphs.memo import cache_stats, clear_caches
 from crystalgraphs.rootdata import build_root_datum, weyl_group
 
 from helpers import braid_moved_word
@@ -167,12 +168,15 @@ def test_an_invalid_word_is_rejected_by_every_suite(capsys, suite):
 
 
 def test_suites_without_a_word_need_no_weyl_group(capsys):
-    # |W(A8)| is above the enumeration cap; the crystal suite never reads W
+    # the crystal suite never reads W; a word given to it is still checked
     argv = ["verify", "--type", "A8", "--suite", "crystal", "--colours", "1,0,0,0,0,0,0,0"]
+    clear_caches()
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out.startswith("PASS crystal: sizes and axioms")
+    assert cache_stats()["crystalgraphs.rootdata.weyl_group"][1] == 0
     code, _, err = run(capsys, *argv, "--word", "1")
-    assert code == 2 and "exceeds the cap" in err
+    assert code == 2
+    assert "is not a reduced word for the longest element of W(A8)" in err
 
 
 def test_a_crystal_above_the_size_cap_is_a_usage_error(capsys):

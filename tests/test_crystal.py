@@ -10,7 +10,7 @@ from crystalgraphs.crystal import (
     tensor_of,
 )
 from crystalgraphs.memo import clear_caches
-from crystalgraphs.rootdata import build_root_datum, weyl_dim, weyl_group
+from crystalgraphs.rootdata import build_root_datum, weyl_dim
 
 from helpers import (
     cartan_project,
@@ -19,6 +19,7 @@ from helpers import (
     raise_to_top,
     signature_rule,
     transport,
+    weyl_bfs,
 )
 
 A2 = build_root_datum("A2")
@@ -176,6 +177,15 @@ def test_string_tables_match_the_path_model(label, lam):
         assert crystal.string_table(i) == oracle["string_table"][i]
 
 
+def test_a_fundamental_is_built_on_the_smallest_fundamental_that_reaches_it():
+    # from the base B(varpi7) of E7, varpi3 (8,645 elements) is the component
+    # of a product with B(varpi2) (912) as well as with B(varpi5) (27,664)
+    e7 = build_root_datum("E7")
+    first, base, _ = crystal_module._factors(e7, e7.fundamental_weights[2])
+    assert first.highest_weight == e7.fundamental_weights[1]
+    assert base.highest_weight == e7.fundamental_weights[6]
+
+
 def test_a_base_crystal_missing_an_edge_is_caught(monkeypatch):
     # G2's varpi2 is the component of a product with the quasi-minuscule base
     # B(varpi1); drop the base's last f-edge and the build of varpi2 must
@@ -231,7 +241,7 @@ def test_crystal_axioms(datum, lam):
     bottoms = [x for x in b.elements() if all(b.phi(i, x) == 0 for i in datum.colours)]
     assert tops == [1]
     assert len(bottoms) == 1
-    group = weyl_group(datum)
+    group = weyl_bfs(datum)
     assert b.weight(bottoms[0]) == group.apply(group.longest, lam)
     for x in b.elements():
         for i in datum.colours:
@@ -259,7 +269,7 @@ def test_weight_multiplicities_weyl_invariant(datum, lam):
     mult = {}
     for x in b.elements():
         mult[b.weight(x)] = mult.get(b.weight(x), 0) + 1
-    group = weyl_group(datum)
+    group = weyl_bfs(datum)
     for w in mult:
         for k in range(group.order):
             assert mult.get(group.apply(k, w)) == mult[w]

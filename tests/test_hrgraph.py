@@ -10,11 +10,17 @@ from crystalgraphs.hrgraph import (
     colour_set,
     graph_of,
     graph_tables_from_json,
+)
+from crystalgraphs.rootdata import build_root_datum
+
+from helpers import (
+    composite,
+    lowest,
+    scanned_slice,
+    transport,
+    weyl_bfs,
     weyl_vertex_map,
 )
-from crystalgraphs.rootdata import build_root_datum, weyl_group
-
-from helpers import composite, lowest, scanned_slice, transport
 
 A2 = build_root_datum("A2")
 C2 = build_root_datum("C2")
@@ -329,7 +335,7 @@ def test_source_below_range_and_extreme_vertices():
 def test_weyl_vertex_map_a2_bijection():
     g = a2_graph()
     table = weyl_vertex_map(g)
-    group = weyl_group(A2)
+    group = weyl_bfs(A2)
     assert len(table) == group.order == 6
     assert set(table.values()) == set(g.vertices)
     assert table[0] == (1, 1)  # identity hits the top tuple
@@ -355,7 +361,7 @@ def test_weyl_vertex_map_minuscule_type_a_factor_tuples():
         from crystalgraphs.crystal import canonical_morphism
 
         iso = canonical_morphism(crystal, tensor)
-        group = weyl_group(datum)
+        group = weyl_bfs(datum)
         table = weyl_vertex_map(g)
         for k in range(group.order):
             extremal = [

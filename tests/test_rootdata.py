@@ -7,10 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from crystalgraphs.memo import clear_caches
 from crystalgraphs.rootdata import (
     CartanTypeError,
-    WeylSizeError,
     build_root_datum,
     integer_rank,
     weyl_dim,
@@ -18,7 +16,7 @@ from crystalgraphs.rootdata import (
 )
 from hypothesis import given, settings, strategies as st
 
-from helpers import bilinear, invert_rational, rational_rank
+from helpers import bilinear, braid_moved_word, invert_rational, rational_rank, weyl_bfs
 
 
 def gauss_solve(matrix, rhs):
@@ -92,7 +90,18 @@ def test_bilinear_a2_against_hand_inverse():
 
 
 @pytest.mark.parametrize(
-    "label,order,length", [("A2", 6, 3), ("C2", 8, 4), ("A1", 2, 1), ("B2", 8, 4), ("G2", 12, 6)]
+    "label,order,length",
+    [
+        ("A2", 6, 3),
+        ("C2", 8, 4),
+        ("A1", 2, 1),
+        ("B2", 8, 4),
+        ("G2", 12, 6),
+        # beyond what an enumeration of W reaches in seconds
+        ("E6", 51840, 36),
+        ("E7", 2903040, 63),
+        ("E8", 696729600, 120),
+    ],
 )
 def test_weyl_group_orders(label, order, length):
     d = build_root_datum(label)
@@ -100,23 +109,58 @@ def test_weyl_group_orders(label, order, length):
     assert group.order == order
     assert len(group.longest_word) == length
     assert len(group.longest_word) == len(d.positive_roots)
+    assert group.is_reduced_word_for_longest(group.longest_word)
 
 
 def test_a2_longest_word_is_lex_least():
     assert weyl_group(build_root_datum("A2")).longest_word == (1, 2, 1)
 
 
-def test_weyl_cap_exceeded(monkeypatch):
-    clear_caches()
-    monkeypatch.setattr("crystalgraphs.rootdata.WEYL_CAP", 5)
-    with pytest.raises(WeylSizeError, match="Weyl group of A3 exceeds the cap 5"):
-        weyl_group(build_root_datum("A3"))
+# every finite type whose Weyl group has at most 2,000 elements
+SMALL_WEYL_LABELS = [f"A{n}" for n in range(1, 6)] + [
+    f"{family}{n}" for family in "BC" for n in range(2, 5)
+] + ["D3", "D4", "D5", "F4", "G2"]
+
+
+@pytest.mark.parametrize("label", SMALL_WEYL_LABELS)
+def test_weyl_group_matches_the_enumerated_group(label):
+    d = build_root_datum(label)
+    group, oracle = weyl_group(d), weyl_bfs(d)
+    assert group.order == oracle.order <= 2000
+    assert group.longest_word == oracle.longest_word
+
+
+@pytest.mark.parametrize("label", SMALL_WEYL_LABELS)
+def test_reduced_word_check_matches_the_enumerated_action(label):
+    d = build_root_datum(label)
+    group, oracle = weyl_group(d), weyl_bfs(d)
+    w0_images = oracle.elements[oracle.longest][0]
+    longest = group.longest_word
+    words = [longest] + [braid_moved_word(d, longest, seed) for seed in range(3)]
+    # near misses: one letter changed, one letter short, a letter out of range
+    words += [
+        longest[:k] + (j,) + longest[k + 1 :]
+        for k in range(len(longest))
+        for j in d.colours
+        if j != longest[k]
+    ]
+    words += [longest[:-1], longest[1:], longest[:-1] + (0,), longest[:-1] + (d.rank + 1,)]
+    verdicts = []
+    for word in words:
+        expected = (
+            len(word) == len(d.positive_roots)
+            and all(1 <= i <= d.rank for i in word)
+            and oracle.word_action(word) == w0_images
+        )
+        assert group.is_reduced_word_for_longest(word) == expected, word
+        verdicts.append(expected)
+    assert verdicts[:4] == [True] * 4 and not any(verdicts[4:])
 
 
 @pytest.mark.parametrize("label", ["A2", "C2", "G2"])
 def test_weyl_invariance_of_bilinear_form(label):
     d = build_root_datum(label)
-    group = weyl_group(d)
+    group = weyl_bfs(d)
     weights = [(1, 0), (0, 1), (2, 1), (1, 3)]
     for k in range(group.order):
         for mu, nu in iter_product(weights, repeat=2):
@@ -126,9 +170,9 @@ def test_weyl_invariance_of_bilinear_form(label):
 @pytest.mark.parametrize("label", ["A2", "C2", "B3"])
 def test_stored_words_multiply_to_actions(label):
     d = build_root_datum(label)
-    group = weyl_group(d)
-    for element in group.elements:
-        assert group.word_action(element.word) == element.images
+    group = weyl_bfs(d)
+    for images, word in group.elements:
+        assert group.word_action(word) == images
     # longest element is an involution sending the dominant chamber to minus itself
     w0 = group.longest
     rho = d.rho
