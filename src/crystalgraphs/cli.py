@@ -15,8 +15,9 @@ from itertools import product as iter_product
 from typing import Iterator
 
 from .braiding import longest_permutation_word, pair_braiding, sigma_word
-from .crystal import highest_weight_crystal, tensor_of
+from .crystal import SIZE_CAP, highest_weight_crystal, tensor_of
 from .hrgraph import colour_set, dot_colour, graph_of
+from .memo import cache_stats
 from .report import VerificationReport
 from .rootdata import build_root_datum, weyl_dim, weyl_group
 
@@ -136,7 +137,7 @@ def _run_verify(args, datum, colours) -> tuple[VerificationReport, str]:
     if kp:
         report.extend(model.verify_suite(cs, bound))
     if args.emit == "json":
-        return report, report.to_json() + "\n"
+        return report, report.to_json(caches=cache_stats()) + "\n"
     return report, str(report) + "\n"
 
 
@@ -287,8 +288,9 @@ def main(argv=None) -> int:
             return 0 if report.passed else 1
 
         if args.command == "info":
+            # the W data are closed forms; the graph is built last, and not
+            # at all when B(rho_C) is over the size cap
             group = weyl_group(datum)
-            graph = graph_of(colour_set(datum, colours))
             w0 = ",".join(str(i) for i in group.longest_word)
             lines = [
                 f"type {datum.label}",
@@ -296,8 +298,15 @@ def main(argv=None) -> int:
                 f"longest word length = {len(group.longest_word)}",
                 f"w0 = {w0}",
                 f"colours = {';'.join(','.join(str(x) for x in c) for c in colours)}",
-                f"vertices = {len(graph.vertices)}",
             ]
+            cs = colour_set(datum, colours)
+            dim = weyl_dim(datum, cs.rho)
+            if dim > SIZE_CAP:
+                lines.append(
+                    f"vertices = not built: B(rho_C) has {dim} elements, above cap {SIZE_CAP}"
+                )
+            else:
+                lines.append(f"vertices = {len(graph_of(cs).vertices)}")
             _emit("\n".join(lines) + "\n", args.out)
             return 0
     except (ValueError, OSError, argparse.ArgumentTypeError) as err:

@@ -6,8 +6,8 @@ quasi-minuscule crystal is read off its weights: f_i w = w - alpha_i where
 <w, alpha_i^vee> = 1, and f_i runs alpha_i -> z_i -> -alpha_i through one
 zero-weight element z_i per short simple root.  Every other B(lam) is the
 component of a highest element in a tensor product of two smaller crystals.
-Once built, a crystal keeps per colour only the table of its strings, which
-f, e, eps, phi and the tensor rule all read.
+Once built, a crystal keeps per colour one step table, b -> (eps_i b,
+phi_i b, f_i b, e_i b), which f, e, eps, phi and the tensor rule all read.
 
 The absorbing value 0 of crystal combinatorics is represented by ``None`` and
 propagates through every operation.
@@ -53,13 +53,33 @@ def _string_table(elements: Iterable, lower, is_top) -> StringTable:
     return lines, data
 
 
-class Crystal:
+class _CrystalLike:
+    """What a crystal and a tensor product share: the colour check, and the
+    string tables derived off f and e."""
+
+    datum: RootDatum
+
+    def _check_colour(self, i: int) -> None:
+        if not 1 <= i <= self.datum.rank:
+            raise ValueError(f"invalid colour index {i} for {self.datum.label}")
+
+    @memo
+    def string_table(self, i: int) -> StringTable:
+        """The i-string table, walked once off f and e, on first use."""
+        return _string_table(
+            self.elements(), lambda b: self.f(i, b), lambda b: self.e(i, b) is None
+        )
+
+
+class Crystal(_CrystalLike):
     """The crystal of an irreducible highest-weight module.
 
     Elements are integers 1..size, with 1 the highest-weight element; the
     indexing is the breadth-first discovery order from the highest-weight
     path, exploring colours in increasing order.  The crystal keeps its
-    weights and, per colour, its string table, which f, e, eps and phi read.
+    weights and, per colour i, its step table b -> (eps_i b, phi_i b, f_i b,
+    e_i b), so f, e, eps and phi are one lookup each; the colour is checked
+    only when that lookup misses.
     """
 
     def __init__(self, datum: RootDatum, highest_weight: Coords, weights: list[Coords],
@@ -67,13 +87,16 @@ class Crystal:
         self.datum = datum
         self.highest_weight = highest_weight
         self._weights = weights
-        lowered = {(i, j) for (i, _), j in f_edges.items()}
-        self._strings = {
-            i: _string_table(
-                self.elements(), lambda b: f_edges.get((i, b)), lambda b: (i, b) not in lowered
+        e_edges = {(i, j): b for (i, b), j in f_edges.items()}
+        self._steps = {}
+        for i in datum.colours:
+            _, data = _string_table(
+                self.elements(), lambda b: f_edges.get((i, b)), lambda b: (i, b) not in e_edges
             )
-            for i in datum.colours
-        }
+            self._steps[i] = {
+                b: (pos, length - pos, f_edges.get((i, b)), e_edges.get((i, b)))
+                for b, (_, pos, length) in data.items()
+            }
 
     @property
     def size(self) -> int:
@@ -92,36 +115,37 @@ class Crystal:
     def weight(self, b: int) -> Coords:
         return self._weights[b - 1]
 
-    def _check_colour(self, i: int) -> None:
-        if not 1 <= i <= self.datum.rank:
-            raise ValueError(f"invalid colour index {i} for {self.datum.label}")
-
-    def string_table(self, i: int) -> StringTable:
-        """The i-string table, built with the crystal."""
-        self._check_colour(i)
-        return self._strings[i]
-
     def f(self, i: int, b: int | None) -> int | None:
-        lines, data = self.string_table(i)
-        if b is None:
+        try:
+            return self._steps[i][b][2]
+        except KeyError:
+            self._check_colour(i)
+            if b is not None:
+                raise
             return None
-        sid, pos, length = data[b]
-        return lines[sid][pos + 1] if pos < length else None
 
     def e(self, i: int, b: int | None) -> int | None:
-        lines, data = self.string_table(i)
-        if b is None:
+        try:
+            return self._steps[i][b][3]
+        except KeyError:
+            self._check_colour(i)
+            if b is not None:
+                raise
             return None
-        sid, pos, _ = data[b]
-        return lines[sid][pos - 1] if pos else None
 
     def eps(self, i: int, b: int) -> int:
-        _, pos, _ = self.string_table(i)[1][b]
-        return pos
+        try:
+            return self._steps[i][b][0]
+        except KeyError:
+            self._check_colour(i)
+            raise
 
     def phi(self, i: int, b: int) -> int:
-        _, pos, length = self.string_table(i)[1][b]
-        return length - pos
+        try:
+            return self._steps[i][b][1]
+        except KeyError:
+            self._check_colour(i)
+            raise
 
     def __repr__(self) -> str:
         return f"Crystal({self.datum.label}, {self.highest_weight}, size={self.size})"
@@ -254,8 +278,19 @@ def _common_datum(factors: tuple[Crystal, ...]) -> RootDatum:
     return datum
 
 
-class TensorCrystal:
-    """Tensor product of irreducible crystals; elements are index tuples."""
+class TensorCrystal(_CrystalLike):
+    """Tensor product of irreducible crystals; elements are index tuples.
+
+    The tensor rule reads the factors' step tables directly.  For a pair it
+    is one comparison: f_i(c x b) = f_i c x b when phi_i(c) > eps_i(b), and
+    c x f_i b otherwise; e_i(c x b) = c x e_i b when eps_i(b) > phi_i(c),
+    and e_i c x b otherwise.  For n factors it is one pass of the signature
+    rule: factor k reads as eps_k minus signs then phi_k plus signs, adjacent
+    (+, -) pairs cancel, f_i lowers the factor of the leftmost plus left
+    over (backward, the leftmost k whose phi exceeds the eps of the factors
+    after it) and e_i raises the factor of the rightmost minus (forward, the
+    rightmost k whose eps exceeds the phi of the factors before it).
+    """
 
     def __init__(self, factors: Iterable[Crystal]):
         factors = tuple(factors)
@@ -266,8 +301,9 @@ class TensorCrystal:
         for c in factors:
             hw = add_weights(hw, c.highest_weight)
         self.highest_weight = hw
-        # per colour, the string table of each factor, which the tensor rule reads
-        self._tables = {i: tuple(c.string_table(i) for c in factors) for i in datum.colours}
+        # per colour, the step table of each factor
+        self._steps = {i: tuple(c._steps[i] for c in factors) for i in datum.colours}
+        self._pair = len(factors) == 2
 
     @property
     def size(self) -> int:
@@ -283,82 +319,112 @@ class TensorCrystal:
     def elements(self) -> Iterator[tuple]:
         return iter_product(*(c.elements() for c in self.factors))
 
+    def _check_length(self, t: tuple) -> None:
+        if len(t) != len(self.factors):
+            raise ValueError(
+                f"tensor element {t} has {len(t)} entries, expected {len(self.factors)}"
+            )
+
     def weight(self, t: tuple) -> Coords:
+        self._check_length(t)
         w = self.datum.zero
         for c, b in zip(self.factors, t):
             w = add_weights(w, c.weight(b))
         return w
 
-    # one colour check per call; the factor tables are then read directly
-    _check_colour = Crystal._check_colour
-
-    def _lowering(self, i: int, t: tuple) -> tuple[int, int]:
-        """(eps_i of t, the factor f_i acts on, or -1 when f_i t = 0), in one
-        backward pass of the signature rule: factor k reads as eps_k minus
-        signs then phi_k plus signs, adjacent (+, -) pairs cancel, and f_i
-        lowers the factor of the leftmost plus left over, the leftmost k with
-        phi_k above the eps of the factors after it."""
-        eps = 0
-        acts = -1
-        tables = self._tables[i]
+    def f(self, i: int, t: TensorElement) -> TensorElement:
+        try:
+            steps = self._steps[i]
+        except KeyError:
+            self._check_colour(i)
+            raise
+        if t is None:
+            return None
+        if self._pair:
+            c, b = t
+            first, second = steps
+            step = first[c]
+            if step[1] > second[b][0]:
+                return step[2], b
+            fb = second[b][2]
+            return None if fb is None else (c, fb)
+        self._check_length(t)
+        eps, acts = 0, -1
         for k in range(len(t) - 1, -1, -1):
-            _, ex, length = tables[k][1][t[k]]
-            px = length - ex
+            ex, px, _, _ = steps[k][t[k]]
             if px > eps:
                 eps, acts = ex, k
             else:
                 eps += ex - px
-        return eps, acts
-
-    def _raising(self, i: int, t: tuple) -> tuple[int, int]:
-        """(phi_i of t, the factor e_i acts on, or -1 when e_i t = 0), in one
-        forward pass of the signature rule: e_i raises the factor of the
-        rightmost minus left over, the rightmost k with eps_k above the phi
-        of the factors before it."""
-        phi = 0
-        acts = -1
-        for k, (_, data) in enumerate(self._tables[i]):
-            _, ex, length = data[t[k]]
-            if ex > phi:
-                phi, acts = length - ex, k
-            else:
-                phi += length - 2 * ex
-        return phi, acts
-
-    def eps(self, i: int, t: tuple) -> int:
-        self._check_colour(i)
-        return self._lowering(i, t)[0]
-
-    def phi(self, i: int, t: tuple) -> int:
-        self._check_colour(i)
-        return self._raising(i, t)[0]
-
-    def f(self, i: int, t: TensorElement) -> TensorElement:
-        if t is None:
+        if acts < 0:
             return None
-        self._check_colour(i)
-        return self._move(i, t, self._lowering(i, t)[1], 1)
+        return t[:acts] + (steps[acts][t[acts]][2],) + t[acts + 1 :]
 
     def e(self, i: int, t: TensorElement) -> TensorElement:
+        try:
+            steps = self._steps[i]
+        except KeyError:
+            self._check_colour(i)
+            raise
         if t is None:
             return None
-        self._check_colour(i)
-        return self._move(i, t, self._raising(i, t)[1], -1)
-
-    def _move(self, i: int, t: tuple, k: int, step: int) -> TensorElement:
-        """t with factor k moved step places down its i-string; None if k < 0."""
-        if k < 0:
+        if self._pair:
+            c, b = t
+            first, second = steps
+            step = second[b]
+            if step[0] > first[c][1]:
+                return c, step[3]
+            ec = first[c][3]
+            return None if ec is None else (ec, b)
+        self._check_length(t)
+        phi, acts = 0, -1
+        for k, x in enumerate(t):
+            ex, px, _, _ = steps[k][x]
+            if ex > phi:
+                phi, acts = px, k
+            else:
+                phi += px - ex
+        if acts < 0:
             return None
-        lines, data = self._tables[i][k]
-        sid, pos, _ = data[t[k]]
-        return t[:k] + (lines[sid][pos + step],) + t[k + 1 :]
+        return t[:acts] + (steps[acts][t[acts]][3],) + t[acts + 1 :]
 
-    @memo
-    def string_table(self, i: int) -> StringTable:
-        """The i-string table, walked once off f and e like a crystal's."""
-        return _string_table(
-            self.elements(), lambda t: self.f(i, t), lambda t: self.e(i, t) is None
-        )
+    def eps(self, i: int, t: tuple) -> int:
+        try:
+            steps = self._steps[i]
+        except KeyError:
+            self._check_colour(i)
+            raise
+        if self._pair:
+            c, b = t
+            first, second = steps
+            ec, pc, _, _ = first[c]
+            eb = second[b][0]
+            return ec if pc > eb else ec + eb - pc
+        self._check_length(t)
+        eps = 0
+        for k in range(len(t) - 1, -1, -1):
+            ex, px, _, _ = steps[k][t[k]]
+            eps = ex if px > eps else eps + ex - px
+        return eps
+
+    def phi(self, i: int, t: tuple) -> int:
+        try:
+            steps = self._steps[i]
+        except KeyError:
+            self._check_colour(i)
+            raise
+        if self._pair:
+            c, b = t
+            first, second = steps
+            pc = first[c][1]
+            eb, pb, _, _ = second[b]
+            return pb if eb > pc else pc + pb - eb
+        self._check_length(t)
+        phi = 0
+        for k, x in enumerate(t):
+            ex, px, _, _ = steps[k][x]
+            phi = px if ex > phi else phi + px - ex
+        return phi
 
     def eta(self, t: TensorElement) -> int:
         """Indicator of the Cartan component (0 on the absorbing value)."""
@@ -367,7 +433,6 @@ class TensorCrystal:
     def __repr__(self) -> str:
         hw = "x".join(str(c.highest_weight) for c in self.factors)
         return f"TensorCrystal({self.datum.label}, {hw})"
-
 
 def tensor_of(datum: RootDatum, weights: Iterable[Coords]) -> TensorCrystal:
     return _tensor_of(datum, tuple(map(tuple, weights)))
@@ -403,14 +468,12 @@ def _walk(source, top, target) -> dict:
         )
     walk = {top: target.highest}
     queue = [top]
-    pos = 0
-    while pos < len(queue):
-        x = queue[pos]
-        pos += 1
+    lower_source, lower_target = source.f, target.f
+    for x in queue:  # queue grows as it is read
         y = walk[x]
         for i in colours:
-            fx = source.f(i, x)
-            fy = target.f(i, y)
+            fx = lower_source(i, x)
+            fy = lower_target(i, y)
             if (fx is None) != (fy is None):
                 raise RuntimeError("components are not isomorphic")
             if fx is None:

@@ -119,7 +119,8 @@ class VerificationReport:
     def __str__(self) -> str:
         return "\n".join(self.lines())
 
-    def to_json(self) -> str:
+    def to_json(self, **extra) -> str:
+        """The report as JSON, with each keyword in extra as one more field."""
         import json  # only JSON output pays for the import
 
         return json.dumps(
@@ -139,5 +140,6 @@ class VerificationReport:
                     }
                     for c, seconds in zip(self.checks, self.elapsed)
                 ],
+                **extra,
             }
         )

@@ -30,6 +30,18 @@ def test_info(capsys):
     assert "vertices = 6" in out
 
 
+def test_info_reads_w_on_e6_and_skips_a_graph_over_the_cap(capsys):
+    # B(rho) of E6 has 2^36 elements; the W data are closed forms
+    code, out, err = run(capsys, "info", "--type", "E6")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[1] == "|W| = 51840"
+    assert lines[2] == "longest word length = 36"
+    assert lines[-1] == (
+        "vertices = not built: B(rho_C) has 68719476736 elements, above cap 100000"
+    )
+
+
 def test_graph_json_counts_and_determinism(capsys):
     args = ["graph", "--type", "A2", "--colours", "1,0;0,1", "--bound", "1,1", "--emit", "json"]
     code, out, _ = run(capsys, *args)
@@ -186,15 +198,15 @@ def test_a_crystal_above_the_size_cap_is_a_usage_error(capsys):
     assert err == "error: crystal of weight (60, 60) has 226981 elements, above cap 100000\n"
 
 
-def test_a_tampered_string_table_fails_the_crystal_suite(capsys, monkeypatch):
-    # eps and phi are read off the string table, weights are not, so the
-    # check phi - eps = <wt, alpha_i^vee> must see one wrong string length
+def test_a_tampered_step_table_fails_the_crystal_suite(capsys, monkeypatch):
+    # eps and phi are read off the step table, weights are not, so the
+    # check phi - eps = <wt, alpha_i^vee> must see one wrong phi
     from crystalgraphs.crystal import highest_weight_crystal
 
     rho = highest_weight_crystal(build_root_datum("A2"), (1, 1))
-    _, data = rho.string_table(1)
-    assert data[1] == (0, 0, 1)
-    monkeypatch.setitem(data, 1, (0, 0, 2))
+    steps = rho._steps[1]
+    assert steps[1] == (0, 1, 2, None)
+    monkeypatch.setitem(steps, 1, (0, 2, 2, None))
     code, out, _ = run(capsys, "verify", "--type", "A2", "--suite", "crystal")
     assert code == 1
     assert out.startswith("FAIL crystal: sizes and axioms")
@@ -492,6 +504,16 @@ def test_verify_json_splits_computed_and_implied(capsys):
         assert check["computed"] + check["implied"] == check["cases"]
         assert (check["computed"], check["implied"]) == certified.get(tag, (check["cases"], 0))
         assert check["lemma_cases"] == lemma.get(tag, 0)
+
+
+def test_verify_json_carries_the_cache_statistics(capsys):
+    clear_caches()
+    code, out, _ = run(capsys, "verify", "--type", "C2", "--suite", "kp", "--emit", "json")
+    assert code == 0
+    caches = json.loads(out)["caches"]
+    assert set(caches) == set(cache_stats())
+    hits, misses, entries = caches["crystalgraphs.crystal._walk"]
+    assert entries == misses > 0 and hits > 0
 
 
 def test_verify_json_counts_each_checks_failed_cases(capsys, monkeypatch):

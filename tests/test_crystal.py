@@ -23,6 +23,8 @@ from helpers import (
 )
 
 A2 = build_root_datum("A2")
+A3 = build_root_datum("A3")
+B2 = build_root_datum("B2")
 C2 = build_root_datum("C2")
 G2 = build_root_datum("G2")
 
@@ -107,10 +109,11 @@ def test_tensor_rule_examples():
     assert tt.e(1, (1, 1)) is None
 
 
-@pytest.mark.parametrize("datum", [A2, C2, G2], ids=lambda d: d.label)
+@pytest.mark.parametrize("datum", [A2, B2, C2, G2, A3], ids=lambda d: d.label)
 @pytest.mark.parametrize("factors", [2, 3])
 def test_tensor_rule_matches_the_signature_rule(datum, factors):
-    # pairs of fundamentals and rho, triples of fundamentals
+    # pairs of fundamentals and rho read the one-comparison pair rule,
+    # triples of fundamentals the pass over the factors
     weights = datum.fundamental_weights + ((datum.rho,) if factors == 2 else ())
     for combo in iter_product(weights, repeat=factors):
         tc = tensor_of(datum, combo)
@@ -122,6 +125,17 @@ def test_tensor_rule_matches_the_signature_rule(datum, factors):
                     t,
                     i,
                 )
+
+
+def test_a_tensor_element_of_the_wrong_length_is_rejected():
+    pair = tensor_of(A2, ((1, 0), (0, 1)))
+    triple = tensor_of(A2, ((1, 0), (0, 1), (1, 0)))
+    for tc, t in [(pair, (1,)), (pair, (1, 1, 1)), (triple, (1, 1)), (triple, (1, 1, 1, 1))]:
+        for op in (tc.f, tc.e, tc.eps, tc.phi):
+            with pytest.raises(ValueError):
+                op(1, t)
+        with pytest.raises(ValueError):
+            tc.weight(t)
 
 
 def test_tensor_crystal_axiom():
@@ -435,5 +449,8 @@ def test_crystals_and_tensor_products_reject_a_colour_outside_the_rank(i):
         for op in (obj.f, obj.e, obj.eps, obj.phi):
             with pytest.raises(ValueError, match=f"invalid colour index {i} for A2"):
                 op(i, element)
+        for op in (obj.f, obj.e):
+            with pytest.raises(ValueError, match=f"invalid colour index {i} for A2"):
+                op(i, None)
         with pytest.raises(ValueError, match=f"invalid colour index {i} for A2"):
             obj.string_table(i)

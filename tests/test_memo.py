@@ -20,7 +20,7 @@ TABLES = {
     "crystalgraphs.crystal._build_crystal",
     "crystalgraphs.crystal._tensor_of",
     "crystalgraphs.crystal._walk",
-    "crystalgraphs.crystal.TensorCrystal.string_table",
+    "crystalgraphs.crystal._CrystalLike.string_table",
     "crystalgraphs.hrgraph.ColourSet._weight_of",
     "crystalgraphs.hrgraph.HigherRankGraph._slice",
     "crystalgraphs.hrgraph.graph_of",
@@ -32,7 +32,6 @@ TABLES = {
 UNREUSED = {
     "crystalgraphs.rootdata.build_root_datum",
     "crystalgraphs.rootdata.weyl_group",
-    "crystalgraphs.crystal.TensorCrystal.string_table",
     "crystalgraphs.hrgraph.graph_of",
 }
 
