@@ -15,7 +15,7 @@ from itertools import product as iter_product
 from typing import Iterator
 
 from .braiding import longest_permutation_word, pair_braiding, sigma_word
-from .crystal import SIZE_CAP, highest_weight_crystal, tensor_of
+from .crystal import highest_weight_crystal, over_cap, tensor_of
 from .hrgraph import colour_set, dot_colour, graph_of
 from .memo import cache_stats
 from .report import VerificationReport
@@ -300,11 +300,9 @@ def main(argv=None) -> int:
                 f"colours = {';'.join(','.join(str(x) for x in c) for c in colours)}",
             ]
             cs = colour_set(datum, colours)
-            dim = weyl_dim(datum, cs.rho)
-            if dim > SIZE_CAP:
-                lines.append(
-                    f"vertices = not built: B(rho_C) has {dim} elements, above cap {SIZE_CAP}"
-                )
+            reason = over_cap(datum, cs.rho)
+            if reason is not None:
+                lines.append(f"vertices = not built: {reason}")
             else:
                 lines.append(f"vertices = {len(graph_of(cs).vertices)}")
             _emit("\n".join(lines) + "\n", args.out)

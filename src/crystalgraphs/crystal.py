@@ -151,14 +151,22 @@ class Crystal(_CrystalLike):
         return f"Crystal({self.datum.label}, {self.highest_weight}, size={self.size})"
 
 
+def over_cap(datum: RootDatum, lam: Coords) -> str | None:
+    """Why B(lam) is too large to build, or None when it is within the cap."""
+    dim = weyl_dim(datum, lam)
+    if dim > SIZE_CAP:
+        return f"crystal of weight {tuple(lam)} has {dim} elements, above cap {SIZE_CAP}"
+    return None
+
+
 def highest_weight_crystal(datum: RootDatum, lam: Coords) -> Crystal:
     """B(lam), built by integer lowering walks (see `_build_crystal`); the
     size cap is checked before anything is built."""
     lam = tuple(lam)
-    dim = weyl_dim(datum, lam)
-    if dim > SIZE_CAP:
-        raise ValueError(f"crystal of weight {lam} has {dim} elements, above cap {SIZE_CAP}")
-    return _build_crystal(datum, lam, dim)
+    reason = over_cap(datum, lam)
+    if reason is not None:
+        raise ValueError(reason)
+    return _build_crystal(datum, lam, weyl_dim(datum, lam))
 
 
 @memo
@@ -332,8 +340,42 @@ class TensorCrystal(_CrystalLike):
             w = add_weights(w, c.weight(b))
         return w
 
-    def f(self, i: int, t: TensorElement) -> TensorElement:
+    def _colour_steps(self, i: int) -> tuple:
+        """The factors' step tables of colour i, checking i only on a miss."""
         try:
+            return self._steps[i]
+        except KeyError:
+            self._check_colour(i)
+            raise
+
+    def _backward(self, steps: tuple, t: tuple) -> tuple[int, int]:
+        """(eps_i of t, the factor f_i acts on, or -1 when f_i t = 0), in one
+        backward pass of the signature rule over the colour's step tables."""
+        self._check_length(t)
+        eps, acts = 0, -1
+        for k in range(len(t) - 1, -1, -1):
+            ex, px, _, _ = steps[k][t[k]]
+            if px > eps:
+                eps, acts = ex, k
+            else:
+                eps += ex - px
+        return eps, acts
+
+    def _forward(self, steps: tuple, t: tuple) -> tuple[int, int]:
+        """(phi_i of t, the factor e_i acts on, or -1 when e_i t = 0), in one
+        forward pass of the signature rule over the colour's step tables."""
+        self._check_length(t)
+        phi, acts = 0, -1
+        for k, x in enumerate(t):
+            ex, px, _, _ = steps[k][x]
+            if ex > phi:
+                phi, acts = px, k
+            else:
+                phi += px - ex
+        return phi, acts
+
+    def f(self, i: int, t: TensorElement) -> TensorElement:
+        try:  # inline, not _colour_steps: this is every lockstep walk's step
             steps = self._steps[i]
         except KeyError:
             self._check_colour(i)
@@ -348,24 +390,13 @@ class TensorCrystal(_CrystalLike):
                 return step[2], b
             fb = second[b][2]
             return None if fb is None else (c, fb)
-        self._check_length(t)
-        eps, acts = 0, -1
-        for k in range(len(t) - 1, -1, -1):
-            ex, px, _, _ = steps[k][t[k]]
-            if px > eps:
-                eps, acts = ex, k
-            else:
-                eps += ex - px
-        if acts < 0:
+        k = self._backward(steps, t)[1]
+        if k < 0:
             return None
-        return t[:acts] + (steps[acts][t[acts]][2],) + t[acts + 1 :]
+        return t[:k] + (steps[k][t[k]][2],) + t[k + 1 :]
 
     def e(self, i: int, t: TensorElement) -> TensorElement:
-        try:
-            steps = self._steps[i]
-        except KeyError:
-            self._check_colour(i)
-            raise
+        steps = self._colour_steps(i)
         if t is None:
             return None
         if self._pair:
@@ -376,55 +407,16 @@ class TensorCrystal(_CrystalLike):
                 return c, step[3]
             ec = first[c][3]
             return None if ec is None else (ec, b)
-        self._check_length(t)
-        phi, acts = 0, -1
-        for k, x in enumerate(t):
-            ex, px, _, _ = steps[k][x]
-            if ex > phi:
-                phi, acts = px, k
-            else:
-                phi += px - ex
-        if acts < 0:
+        k = self._forward(steps, t)[1]
+        if k < 0:
             return None
-        return t[:acts] + (steps[acts][t[acts]][3],) + t[acts + 1 :]
+        return t[:k] + (steps[k][t[k]][3],) + t[k + 1 :]
 
     def eps(self, i: int, t: tuple) -> int:
-        try:
-            steps = self._steps[i]
-        except KeyError:
-            self._check_colour(i)
-            raise
-        if self._pair:
-            c, b = t
-            first, second = steps
-            ec, pc, _, _ = first[c]
-            eb = second[b][0]
-            return ec if pc > eb else ec + eb - pc
-        self._check_length(t)
-        eps = 0
-        for k in range(len(t) - 1, -1, -1):
-            ex, px, _, _ = steps[k][t[k]]
-            eps = ex if px > eps else eps + ex - px
-        return eps
+        return self._backward(self._colour_steps(i), t)[0]
 
     def phi(self, i: int, t: tuple) -> int:
-        try:
-            steps = self._steps[i]
-        except KeyError:
-            self._check_colour(i)
-            raise
-        if self._pair:
-            c, b = t
-            first, second = steps
-            pc = first[c][1]
-            eb, pb, _, _ = second[b]
-            return pb if eb > pc else pc + pb - eb
-        self._check_length(t)
-        phi = 0
-        for k, x in enumerate(t):
-            ex, px, _, _ = steps[k][x]
-            phi = px if ex > phi else phi + px - ex
-        return phi
+        return self._forward(self._colour_steps(i), t)[0]
 
     def eta(self, t: TensorElement) -> int:
         """Indicator of the Cartan component (0 on the absorbing value)."""

@@ -119,27 +119,27 @@ class VerificationReport:
     def __str__(self) -> str:
         return "\n".join(self.lines())
 
-    def to_json(self, **extra) -> str:
-        """The report as JSON, with each keyword in extra as one more field."""
+    def to_json(self, caches: dict | None = None) -> str:
+        """The report as JSON, with the cache statistics when given."""
         import json  # only JSON output pays for the import
 
-        return json.dumps(
-            {
-                "passed": self.passed,
-                "checks": [
-                    {
-                        "name": c.name,
-                        "passed": c.passed,
-                        "cases": c.cases,
-                        "computed": c.computed,
-                        "implied": c.implied,
-                        "lemma_cases": c.lemma_cases,
-                        "failed": c.failed,
-                        "detail": c.detail,
-                        "elapsed_s": round(seconds, 6),
-                    }
-                    for c, seconds in zip(self.checks, self.elapsed)
-                ],
-                **extra,
-            }
-        )
+        out = {
+            "passed": self.passed,
+            "checks": [
+                {
+                    "name": c.name,
+                    "passed": c.passed,
+                    "cases": c.cases,
+                    "computed": c.computed,
+                    "implied": c.implied,
+                    "lemma_cases": c.lemma_cases,
+                    "failed": c.failed,
+                    "detail": c.detail,
+                    "elapsed_s": round(seconds, 6),
+                }
+                for c, seconds in zip(self.checks, self.elapsed)
+            ],
+        }
+        if caches is not None:
+            out["caches"] = caches
+        return json.dumps(out)

@@ -38,7 +38,7 @@ def test_info_reads_w_on_e6_and_skips_a_graph_over_the_cap(capsys):
     assert lines[1] == "|W| = 51840"
     assert lines[2] == "longest word length = 36"
     assert lines[-1] == (
-        "vertices = not built: B(rho_C) has 68719476736 elements, above cap 100000"
+        "vertices = not built: crystal of weight (1, 1, 1, 1, 1, 1) has 68719476736 elements, above cap 100000"
     )
 
 
