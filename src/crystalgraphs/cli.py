@@ -16,7 +16,7 @@ from typing import Iterator
 
 from .braiding import longest_permutation_word, pair_braiding, sigma_word
 from .crystal import highest_weight_crystal, over_cap, tensor_of
-from .hrgraph import colour_set, dot_colour, graph_of
+from .hrgraph import Degree, colour_set, dot_colour, graph_of
 from .memo import cache_stats
 from .report import VerificationReport
 from .rootdata import build_root_datum, weyl_dim, weyl_group
@@ -131,25 +131,25 @@ def _run_verify(args, datum, colours) -> tuple[VerificationReport, str]:
         report.certify("braiding: morphism, braid, longest-word", _braiding_suite(datum, cs))
     if args.suite in ("graph", "all"):
         graph = graph_of(cs)
-        for m, n in _degree_splits(bound):
+        for m, n in _degree_splits(graph, bound):
             report.extend(graph.check_factorization(m, n))
         report.extend(graph.degree_counts_and_sources(bound))
     if kp:
         report.extend(model.verify_suite(cs, bound))
     if args.emit == "json":
-        return report, report.to_json(caches=cache_stats()) + "\n"
+        import resource  # only JSON output reads the peak
+
+        # Linux reports ru_maxrss in KiB
+        peak_rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2)
+        return report, report.to_json(caches=cache_stats(), peak_rss_mb=peak_rss_mb) + "\n"
     return report, str(report) + "\n"
 
 
-def _degree_splits(bound):
-    out = []
-    for total in iter_product(*(range(b + 1) for b in bound)):
-        if not any(total):
-            continue
+def _degree_splits(graph, bound) -> Iterator[tuple[Degree, Degree]]:
+    """Every split m + n of every nonzero degree up to bound."""
+    for total in graph.nonzero_degrees(bound):
         for m in iter_product(*(range(t + 1) for t in total)):
-            n = tuple(t - a for t, a in zip(total, m))
-            out.append((m, n))
-    return out
+            yield m, tuple(t - a for t, a in zip(total, m))
 
 
 def _crystal_suite(datum, cs) -> Iterator[str]:

@@ -31,47 +31,12 @@ from .rootdata import (
 SIZE_CAP = 100_000  # the most elements highest_weight_crystal builds
 
 
-# per colour i: the i-strings, each from its top down, and per element its
-# (string id, position from the top, string length)
-StringTable = tuple[list[list], dict]
+def _check_colour(datum: RootDatum, i: int) -> None:
+    if not 1 <= i <= datum.rank:
+        raise ValueError(f"invalid colour index {i} for {datum.label}")
 
 
-def _string_table(elements: Iterable, lower, is_top) -> StringTable:
-    """The strings of one colour, walked down by `lower` (None below the
-    bottom) from the elements where `is_top` holds, taken in element order."""
-    lines: list[list] = []
-    data: dict = {}
-    for top in elements:
-        if not is_top(top):
-            continue
-        line = [top]
-        while (b := lower(line[-1])) is not None:
-            line.append(b)
-        for pos, b in enumerate(line):
-            data[b] = (len(lines), pos, len(line) - 1)
-        lines.append(line)
-    return lines, data
-
-
-class _CrystalLike:
-    """What a crystal and a tensor product share: the colour check, and the
-    string tables derived off f and e."""
-
-    datum: RootDatum
-
-    def _check_colour(self, i: int) -> None:
-        if not 1 <= i <= self.datum.rank:
-            raise ValueError(f"invalid colour index {i} for {self.datum.label}")
-
-    @memo
-    def string_table(self, i: int) -> StringTable:
-        """The i-string table, walked once off f and e, on first use."""
-        return _string_table(
-            self.elements(), lambda b: self.f(i, b), lambda b: self.e(i, b) is None
-        )
-
-
-class Crystal(_CrystalLike):
+class Crystal:
     """The crystal of an irreducible highest-weight module.
 
     Elements are integers 1..size, with 1 the highest-weight element; the
@@ -90,13 +55,15 @@ class Crystal(_CrystalLike):
         e_edges = {(i, j): b for (i, b), j in f_edges.items()}
         self._steps = {}
         for i in datum.colours:
-            _, data = _string_table(
-                self.elements(), lambda b: f_edges.get((i, b)), lambda b: (i, b) not in e_edges
-            )
-            self._steps[i] = {
-                b: (pos, length - pos, f_edges.get((i, b)), e_edges.get((i, b)))
-                for b, (_, pos, length) in data.items()
-            }
+            steps = self._steps[i] = {}
+            for top in self.elements():  # each i-string, walked down from its top
+                if (i, top) in e_edges:
+                    continue
+                line = [top]
+                while (b := f_edges.get((i, line[-1]))) is not None:
+                    line.append(b)
+                for pos, b in enumerate(line):
+                    steps[b] = (pos, len(line) - 1 - pos, f_edges.get((i, b)), e_edges.get((i, b)))
 
     @property
     def size(self) -> int:
@@ -119,7 +86,7 @@ class Crystal(_CrystalLike):
         try:
             return self._steps[i][b][2]
         except KeyError:
-            self._check_colour(i)
+            _check_colour(self.datum, i)
             if b is not None:
                 raise
             return None
@@ -128,7 +95,7 @@ class Crystal(_CrystalLike):
         try:
             return self._steps[i][b][3]
         except KeyError:
-            self._check_colour(i)
+            _check_colour(self.datum, i)
             if b is not None:
                 raise
             return None
@@ -137,14 +104,14 @@ class Crystal(_CrystalLike):
         try:
             return self._steps[i][b][0]
         except KeyError:
-            self._check_colour(i)
+            _check_colour(self.datum, i)
             raise
 
     def phi(self, i: int, b: int) -> int:
         try:
             return self._steps[i][b][1]
         except KeyError:
-            self._check_colour(i)
+            _check_colour(self.datum, i)
             raise
 
     def __repr__(self) -> str:
@@ -286,7 +253,7 @@ def _common_datum(factors: tuple[Crystal, ...]) -> RootDatum:
     return datum
 
 
-class TensorCrystal(_CrystalLike):
+class TensorCrystal:
     """Tensor product of irreducible crystals; elements are index tuples.
 
     The tensor rule reads the factors' step tables directly.  For a pair it
@@ -345,7 +312,7 @@ class TensorCrystal(_CrystalLike):
         try:
             return self._steps[i]
         except KeyError:
-            self._check_colour(i)
+            _check_colour(self.datum, i)
             raise
 
     def _backward(self, steps: tuple, t: tuple) -> tuple[int, int]:
@@ -378,7 +345,7 @@ class TensorCrystal(_CrystalLike):
         try:  # inline, not _colour_steps: this is every lockstep walk's step
             steps = self._steps[i]
         except KeyError:
-            self._check_colour(i)
+            _check_colour(self.datum, i)
             raise
         if t is None:
             return None

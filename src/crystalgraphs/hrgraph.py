@@ -214,12 +214,8 @@ class HigherRankGraph:
         return report
 
     def nonzero_degrees(self, bound: Degree) -> list[Degree]:
-        out = [
-            deg
-            for deg in iter_product(*(range(b + 1) for b in bound))
-            if any(deg)
-        ]
-        return sorted(out)
+        """Every nonzero degree up to bound, in lexicographic order."""
+        return [deg for deg in iter_product(*(range(b + 1) for b in bound)) if any(deg)]
 
     def export_json(self, bound: Degree) -> str:
         data = {

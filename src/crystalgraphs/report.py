@@ -119,8 +119,9 @@ class VerificationReport:
     def __str__(self) -> str:
         return "\n".join(self.lines())
 
-    def to_json(self, caches: dict | None = None) -> str:
-        """The report as JSON, with the cache statistics when given."""
+    def to_json(self, caches: dict | None = None, peak_rss_mb: float | None = None) -> str:
+        """The report as JSON, with the cache statistics and the process's
+        peak resident set size in MiB when given."""
         import json  # only JSON output pays for the import
 
         out = {
@@ -142,4 +143,6 @@ class VerificationReport:
         }
         if caches is not None:
             out["caches"] = caches
+        if peak_rss_mb is not None:
+            out["peak_rss_mb"] = peak_rss_mb
         return json.dumps(out)

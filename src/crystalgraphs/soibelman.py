@@ -38,6 +38,18 @@ def _mutually_inverse(table: dict, back: dict) -> bool:
     )
 
 
+def _string(crystal_like, i: int, x) -> tuple[int, list]:
+    """x's i-string from x down, walked off e_i and f_i alone: (the position
+    of x from the top, [x and every element below it])."""
+    top, y = 0, crystal_like.e(i, x)
+    while y is not None:
+        top, y = top + 1, crystal_like.e(i, y)
+    below = [x]
+    while (y := crystal_like.f(i, below[-1])) is not None:
+        below.append(y)
+    return top, below
+
+
 class SoibelmanModel:
     """The q=0 representation of the generator matrix coefficients, as exact
     shift-operator elements over a fixed reduced word for the longest Weyl
@@ -90,8 +102,10 @@ class SoibelmanModel:
 
     def _sweep(self, crystal_like, label: Coords) -> dict[Hashable, dict[tuple[int, ...], int]]:
         """The f-image terms of the component of the highest element of a
-        crystal or tensor product, read off its string tables and keyed by
-        every element with a nonzero image.
+        crystal or tensor product, keyed by every element with a nonzero
+        image.  Its strings are walked off e and f through the step tables
+        (`_string`), never read off the stored eps or phi, so the images are
+        a function of the crystal graph.
 
         The f-image of x sums, over the paths that climb from x to the
         highest element one letter of the word at a time (at letter i, from
@@ -103,12 +117,12 @@ class SoibelmanModel:
         # element -> {slot triples of the letters still to read, then label: coefficient}
         reach: dict[Hashable, dict[tuple[int, ...], int]] = {crystal_like.highest: {label: 1}}
         for i in reversed(self.word):
-            lines, data = crystal_like.string_table(i)
             fresh: dict[Hashable, dict[tuple[int, ...], int]] = {}
             for y, suffixes in reach.items():
-                sid, top, length = data[y]
+                top, below = _string(crystal_like, i, y)
+                length = top + len(below) - 1
                 # on or below the diagonal: never 0
-                for pos, x in enumerate(lines[sid][top:], top):
+                for pos, x in enumerate(below, top):
                     slot = string_slot(length, pos, top)
                     out = fresh.setdefault(x, {})
                     for key, c in suffixes.items():
@@ -127,8 +141,8 @@ class SoibelmanModel:
         product by `__mul__` must be string_slot(J, P, T) when (p1, p2) and
         (t1, t2) lie on one string of B(m1) x B(m2), of length J and at
         positions P and T (so 0 when P < T), and 0 otherwise; the strings are
-        those of the A1 tensor crystal.  Stored terms are compared, which is
-        stronger than operator equality.
+        those of the A1 tensor crystal, walked off e and f (`_string`).
+        Stored terms are compared, which is stronger than operator equality.
         """
 
         def slots(m: int) -> list[tuple[int, int, OperatorElement]]:
@@ -140,15 +154,18 @@ class SoibelmanModel:
 
         pair = tensor_of(build_root_datum("A1"), ((m1,), (m2,)))
         # each factor is one string; its elements by position from the top
-        (one,), (two,) = (c.string_table(1)[0] for c in pair.factors)
-        _, data = pair.string_table(1)
+        one, two = (_string(c, 1, c.highest)[1] for c in pair.factors)
         first, second = slots(m1), slots(m2)
         holds = True
         for p1, t1, x in first:
             for p2, t2, y in second:
-                sid, pos, length = data[one[p1], two[p2]]
-                sid_t, top, _ = data[one[t1], two[t2]]
-                slot = string_slot(length, pos, top) if sid == sid_t else None
+                at = one[p1], two[p2]
+                top, below = _string(pair, 1, (one[t1], two[t2]))
+                slot = (
+                    string_slot(top + len(below) - 1, top + below.index(at), top)
+                    if at in below
+                    else None
+                )
                 holds = holds and (x * y).terms == ({} if slot is None else {slot: 1})
         return len(first) * len(second), holds
 
@@ -163,7 +180,11 @@ class SoibelmanModel:
         for lam in {w for pair in weight_pairs for w in pair}:
             crystal = highest_weight_crystal(self.datum, lam)
             for i in letters:
-                lengths[lam, i] = {len(line) - 1 for line in crystal.string_table(i)[0]}
+                lengths[lam, i] = {
+                    len(_string(crystal, i, b)[1]) - 1
+                    for b in crystal.elements()
+                    if crystal.e(i, b) is None
+                }
         pairs = {
             pair
             for lam, lamp in weight_pairs
@@ -288,9 +309,10 @@ class SoibelmanModel:
           pair steps along one string of B(lam) x B(lam'); the product is
           then the key of that path of (i, j) in the sweep of
           B(lam) x B(lam') from (1, 1), with the label lam+lam'.  That sweep
-          stays inside C, which the canonical isomorphism onto B(lam+lam')
-          carries string for string, position for position, so its image of
-          (i, j) is f_m term for term.  Premises: the rank-one lemma for
+          walks e and f through the step tables, so it stays inside C, which
+          the canonical isomorphism onto B(lam+lam') carries string for
+          string, position for position (both are walks of the crystal
+          graph), so its image of (i, j) is f_m term for term.  Premises: the rank-one lemma for
           every pair of string lengths that meet at one letter (its cases
           are counted on the split line only), and R4 (v = f* on every
           B(lam) of the list; on B(lam+lam') the v-images are the adjoints

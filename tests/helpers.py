@@ -1,7 +1,8 @@
 """Shared independent oracles for the test suite.
 
-These deliberately avoid the library's own string-table, lockstep-morphism
-and normal-form code paths: the path-model reads take eps, phi and weights
+These deliberately avoid the library's own lockstep-morphism and
+normal-form code paths: the string tables walk whole strings off f and e
+(`string_table`), the path-model reads take eps, phi and weights
 from Littelmann paths over Fraction (`f_path`), the oracle of the library's
 integer lowering walks, the string readers apply the tensor rule in closed
 form, the signature rule writes the tensor rule out sign by sign,
@@ -285,11 +286,29 @@ def phi_path(chain, i):
     return int(val)
 
 
+def string_table(crystal_like, i):
+    """The i-strings of a crystal or tensor product, walked off f and e
+    alone: (lines, data), each string from its top down, the tops (no e_i)
+    taken in element order, and per element its (string id, position from
+    the top, string length)."""
+    lines, data = [], {}
+    for top in crystal_like.elements():
+        if crystal_like.e(i, top) is not None:
+            continue
+        line = [top]
+        while (b := crystal_like.f(i, line[-1])) is not None:
+            line.append(b)
+        for pos, b in enumerate(line):
+            data[b] = (len(lines), pos, len(line) - 1)
+        lines.append(line)
+    return lines, data
+
+
 def path_model_reads(datum, lam):
     """B(lam) read off Littelmann paths alone, numbered in breadth-first
     order from the straight-line path with colours in increasing order:
     {"f": {(i, b): f_i b}, "weight": [...], "eps"/"phi": {(i, b): value},
-    "string_table": {i: (lines, data) as `Crystal.string_table(i)` returns
+    "string_table": {i: (lines, data) as `string_table(crystal, i)` returns
     it}}.  Every endpoint and every eps/phi must be integral."""
     seed = _chain_from_steps([_to_q(lam)])
     chains, index, f = [seed], {seed: 1}, {}
@@ -662,7 +681,7 @@ def slotwise_generator(model, lam, a):
     crystal = highest_weight_crystal(model.datum, lam)
     frontier = {a: OperatorElement.unit(0, model.rank)}
     for i in model.word:
-        lines, data = crystal.string_table(i)
+        lines, data = string_table(crystal, i)
         fresh = {}
         for k, acc in frontier.items():
             sid, pos, length = data[k]
@@ -704,7 +723,7 @@ def braid_moved_word(datum, word, seed=0):
 def restriction_limit(crystal, i, a, b):
     """Limit of the (a, b) matrix coefficient restricted to the SU(2) of
     colour i: zero across different i-strings, a string coefficient within."""
-    _, data = crystal.string_table(i)
+    _, data = string_table(crystal, i)
     sid_a, pos_a, length = data[a]
     sid_b, pos_b, _ = data[b]
     rank = crystal.datum.rank
@@ -721,8 +740,8 @@ def component_strings(first, second, i):
     f_i acts max(0, phi1 - eps2) times on the first factor, then on the
     second.  y -> (position of y from the top, string length, the string
     from y down)."""
-    lines1, data1 = first.string_table(i)
-    lines2, data2 = second.string_table(i)
+    lines1, data1 = string_table(first, i)
+    lines2, data2 = string_table(second, i)
 
     def below(y):
         y1, y2 = y

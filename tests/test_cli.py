@@ -516,6 +516,16 @@ def test_verify_json_carries_the_cache_statistics(capsys):
     assert entries == misses > 0 and hits > 0
 
 
+def test_verify_json_carries_the_peak_rss(capsys):
+    code, out, _ = run(capsys, "verify", "--type", "A2", "--suite", "crystal", "--emit", "json")
+    assert code == 0
+    peak = json.loads(out)["peak_rss_mb"]
+    assert isinstance(peak, float) and peak > 0
+    # the text report stays as it was
+    code, text, _ = run(capsys, "verify", "--type", "A2", "--suite", "crystal")
+    assert code == 0 and "peak" not in text
+
+
 def test_verify_json_counts_each_checks_failed_cases(capsys, monkeypatch):
     from crystalgraphs.hrgraph import colour_set, graph_of
     from crystalgraphs.soibelman import SoibelmanModel

@@ -20,7 +20,6 @@ TABLES = {
     "crystalgraphs.crystal._build_crystal",
     "crystalgraphs.crystal._tensor_of",
     "crystalgraphs.crystal._walk",
-    "crystalgraphs.crystal._CrystalLike.string_table",
     "crystalgraphs.hrgraph.ColourSet._weight_of",
     "crystalgraphs.hrgraph.HigherRankGraph._slice",
     "crystalgraphs.hrgraph.graph_of",

@@ -5,6 +5,7 @@ import pytest
 from crystalgraphs.braiding import pair_braiding
 from crystalgraphs.crystal import highest_weight_crystal, tensor_of
 from crystalgraphs.hrgraph import GraphPath, HigherRankGraph, colour_set, graph_of
+from crystalgraphs.memo import clear_caches
 from crystalgraphs.rootdata import add_weights, build_root_datum, weyl_group
 from crystalgraphs.soibelman import SoibelmanModel
 from crystalgraphs.toeplitz import OperatorElement
@@ -28,6 +29,7 @@ from helpers import (
     sl2_limit,
     slot_strings,
     slotwise_generator,
+    string_table,
 )
 
 A1 = build_root_datum("A1")
@@ -37,9 +39,9 @@ C2 = build_root_datum("C2")
 
 def test_string_decomposition_a2():
     b = highest_weight_crystal(A2, (1, 0))
-    lines, data = b.string_table(1)
+    lines, data = string_table(b, 1)
     assert lines == [[1, 2], [3]]
-    assert b.string_table(2)[0] == [[1], [2, 3]]
+    assert string_table(b, 2)[0] == [[1], [2, 3]]
     assert data[1] == (0, 0, 1) and data[2] == (0, 1, 1) and data[3] == (1, 0, 0)
 
 
@@ -146,6 +148,25 @@ def test_generators_store_the_slotwise_terms(label, word):
             assert m.pi0_generator(lam, a, "v").terms == oracle.adjoint().terms
 
 
+@pytest.mark.parametrize("field", [0, 1], ids=["eps", "phi"])
+def test_generator_images_ignore_a_tampered_eps_or_phi(monkeypatch, field):
+    # the sweep walks its strings off e and f, so the images are a function
+    # of the crystal graph: one stored eps_1 or phi_1 of B(rho_C) off by one
+    # must leave every f-image of rho_C as it was
+    clear_caches()
+    try:
+        graph_of(colour_set(C2, C2.fundamental_weights))
+        expected = [f.terms for f in SoibelmanModel(C2)._generator_table((1, 1), "f")]
+        steps = highest_weight_crystal(C2, (1, 1))._steps[1]
+        step = steps[5]
+        assert step[:2] == (1, 2)
+        monkeypatch.setitem(steps, 5, step[:field] + (step[field] + 1,) + step[field + 1 :])
+        tampered = [f.terms for f in SoibelmanModel(C2)._generator_table((1, 1), "f")]
+    finally:
+        clear_caches()  # no tampered crystal outlives the test
+    assert tampered == expected
+
+
 def _default_pairs(datum):
     """Every pair (lam, lam') that verify_relations builds by default: 0, the
     fundamentals and rho."""
@@ -185,7 +206,7 @@ def test_component_strings_follow_the_tensor_rule(label):
         pair = tensor_of(datum, (lam, lamp))
         for i in datum.colours:
             below = component_strings(*pair.factors, i)
-            lines, data = pair.string_table(i)
+            lines, data = string_table(pair, i)
             assert sorted(data) == sorted(pair.elements())
             for t in pair.elements():
                 walk = [t]
@@ -708,7 +729,7 @@ def _slot_oracle(m1, m2, p1, t1, p2, t2):
     """The slot the rank-one lemma predicts for string_slot(m1, p1, t1) times
     string_slot(m2, p2, t2), with the strings of B(m1) x B(m2) read off the
     A1 tensor crystal (element b of B(m) sits at position b - 1)."""
-    _, data = tensor_of(A1, ((m1,), (m2,))).string_table(1)
+    _, data = string_table(tensor_of(A1, ((m1,), (m2,))), 1)
     sid, pos, length = data[p1 + 1, p2 + 1]
     sid_t, top, _ = data[t1 + 1, t2 + 1]
     return sl2_limit(length, pos, top) if sid == sid_t else OperatorElement.zero(1, 0)
@@ -718,7 +739,7 @@ def test_slot_strings_follow_the_a1_tensor_crystal():
     # the strings _rank_one reads off the A1 tensor crystal, against the
     # closed form (element b of B(m) sits at position b - 1)
     for m1, m2 in iter_product(range(10), repeat=2):
-        _, data = tensor_of(A1, ((m1,), (m2,))).string_table(1)
+        _, data = string_table(tensor_of(A1, ((m1,), (m2,))), 1)
         shifted = {(b1 - 1, b2 - 1): entry for (b1, b2), entry in data.items()}
         assert shifted == slot_strings(m1, m2)
 
