@@ -1,18 +1,13 @@
-"""The Cartan braiding and projection on pairs of irreducible crystals, the
-induced partial symmetric-group action, and the right ends."""
+"""The Cartan braiding and projection on pairs of irreducible crystals and
+the induced partial symmetric-group action.  Every table here is a
+canonical matching that starts at a product of two irreducible crystals."""
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .crystal import (
-    Crystal,
-    TensorCrystal,
-    canonical_morphism,
-    highest_weight_crystal,
-    tensor_of,
-)
-from .rootdata import Coords, RootDatum, add_weights, sub_weights
+from .crystal import TensorCrystal, canonical_morphism, highest_weight_crystal, tensor_of
+from .rootdata import Coords, RootDatum, add_weights
 
 
 def pair_braiding(datum: RootDatum, lam: Coords, lamp: Coords) -> dict:
@@ -62,20 +57,3 @@ def longest_permutation_word(n: int) -> tuple[int, ...]:
     for k in range(1, n):
         word.extend(range(k, 0, -1))
     return tuple(word)
-
-
-def right_ends(crystal: Crystal, b, weights: Iterable[Coords]):
-    """For each mu in weights, the B(mu)-factor of the element b of
-    crystal = B(lam) under the embedding of B(lam) into B(lam-mu) (x) B(mu);
-    None when b is None."""
-    if b is None:
-        return None
-    datum = crystal.datum
-    lam = crystal.highest_weight
-    ends = []
-    for mu in weights:
-        nu = sub_weights(lam, mu)
-        if not datum.is_dominant(nu):
-            raise ValueError(f"difference {nu} of {lam} and {mu} is not dominant")
-        ends.append(canonical_morphism(crystal, tensor_of(datum, (nu, mu)))[b][1])
-    return tuple(ends)

@@ -137,12 +137,20 @@ def _run_verify(args, datum, colours) -> tuple[VerificationReport, str]:
     if kp:
         report.extend(model.verify_suite(cs, bound))
     if args.emit == "json":
-        import resource  # only JSON output reads the peak
-
-        # Linux reports ru_maxrss in KiB
-        peak_rss_mb = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2)
-        return report, report.to_json(caches=cache_stats(), peak_rss_mb=peak_rss_mb) + "\n"
+        return report, report.to_json(caches=cache_stats(), peak_rss_mb=_peak_rss_mb()) + "\n"
     return report, str(report) + "\n"
+
+
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set size in MiB, or None where the
+    platform has no ``resource`` module (Windows)."""
+    try:
+        import resource  # only JSON output reads the peak
+    except ImportError:
+        return None
+    # macOS reports ru_maxrss in bytes, Linux in KiB
+    unit = 1024 * 1024 if sys.platform == "darwin" else 1024
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit, 2)
 
 
 def _degree_splits(graph, bound) -> Iterator[tuple[Degree, Degree]]:

@@ -1,9 +1,11 @@
 """Higher-rank graphs built from right ends of crystal elements.
 
-Vertices are tuples of right ends of B(rho_C); a path of degree lam is a pair
-(vertex, element of B(lam)) subject to the per-colour Cartan-component
-condition.  The graph is an infinite category; slices are materialized on
-demand by degree.
+Vertices are tuples of right ends of B(rho_C): the B(theta) factor of each
+element under the inverse of the Cartan projection of
+B(rho_C - theta) (x) B(theta) onto B(rho_C), one projection per colour
+theta.  A path of degree lam is a pair (vertex, element of B(lam)) subject to
+the per-colour Cartan-component condition.  The graph is an infinite
+category; slices are materialized on demand by degree.
 """
 
 from __future__ import annotations
@@ -11,11 +13,10 @@ from __future__ import annotations
 from itertools import product as iter_product
 from typing import Iterable, NamedTuple
 
-from .braiding import cartan_projection, pair_braiding, right_ends
-from .crystal import highest_weight_crystal
+from .braiding import cartan_projection, pair_braiding
 from .memo import memo
 from .report import VerificationReport
-from .rootdata import Coords, RootDatum, add_weights, integer_rank
+from .rootdata import Coords, RootDatum, add_weights, integer_rank, sub_weights
 
 Vertex = tuple[int, ...]
 Degree = tuple[int, ...]
@@ -91,12 +92,17 @@ class HigherRankGraph:
     def __init__(self, colours: ColourSet):
         self.colours = colours
         self.datum = colours.datum
-        rho_crystal = highest_weight_crystal(self.datum, colours.rho)
-        verts = {
-            right_ends(rho_crystal, b, colours.colours)
-            for b in rho_crystal.elements()
-        }
-        self.vertices: tuple[Vertex, ...] = tuple(sorted(verts))
+        # each projection reaches all of B(rho_C) = 1..|B(rho_C)|, and
+        # rho_C - theta, the sum of the other colours, is dominant; ends[k]
+        # maps b - 1 to the B(theta_k) factor of b's key
+        ends = []
+        for theta in colours.colours:
+            into = cartan_projection(self.datum, sub_weights(colours.rho, theta), theta)
+            end = [0] * len(into)
+            for (_, c), b in into.items():
+                end[b - 1] = c
+            ends.append(end)
+        self.vertices: tuple[Vertex, ...] = tuple(sorted(set(zip(*ends))))
         self.vertex_ids = {v: k for k, v in enumerate(self.vertices)}
 
     @memo

@@ -23,7 +23,11 @@ oracle of the library's fraction-free integer rank, and the bilinear form
 over Fraction serves the braiding oracles.  The Weyl group enumerated
 breadth-first (`weyl_bfs`) is the oracle of the order and longest word the
 library reads off the root datum, and its elements' words lower B(rho_C) to
-the Weyl vertices (`weyl_vertex_map`).
+the Weyl vertices (`weyl_vertex_map`).  The right ends walk each element of
+B(rho_C) into B(rho_C - theta) x B(theta) (`right_ends`), where the library
+inverts one Cartan projection per colour.  The hexagon at highest-weight
+elements (`hexagon_at_tops`) evaluates `_hexagon`'s chain at the tops of
+B(nu) x B(mu) only.
 """
 
 import functools
@@ -32,7 +36,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import permutations, product as iter_product
 
-from crystalgraphs.braiding import pair_braiding, right_ends
+from crystalgraphs.braiding import cartan_projection, pair_braiding
 from crystalgraphs.crystal import (
     Crystal,
     canonical_morphism,
@@ -156,6 +160,25 @@ class WeylBFS:
 @functools.cache
 def weyl_bfs(datum):
     return WeylBFS(datum)
+
+
+def right_ends(crystal, b, weights):
+    """For each mu in weights, the B(mu)-factor of the element b of
+    crystal = B(lam) under the embedding of B(lam) into B(lam-mu) (x) B(mu);
+    None when b is None.  The oracle of the graph's vertices, which the
+    library reads off the inverse Cartan projections instead: this walks from
+    the crystal into the product, one element at a time."""
+    if b is None:
+        return None
+    datum = crystal.datum
+    lam = crystal.highest_weight
+    ends = []
+    for mu in weights:
+        nu = sub_weights(lam, mu)
+        if not datum.is_dominant(nu):
+            raise ValueError(f"difference {nu} of {lam} and {mu} is not dominant")
+        ends.append(canonical_morphism(crystal, tensor_of(datum, (nu, mu)))[b][1])
+    return tuple(ends)
 
 
 def weyl_vertex_map(graph):
@@ -770,6 +793,50 @@ def component_table(model, lam, lamp):
     pair = tensor_of(model.datum, (lam, lamp))
     reach = model._sweep(pair, add_weights(lam, lamp))
     return {x: OperatorElement(model.length, model.rank, terms) for x, terms in reach.items()}
+
+
+def peelings(colours):
+    """(nu_k, theta_k, nu_(k+1)) from k = N-1 down to 1, so nu_1 = rho_C,
+    as the relation checks peel rho_C."""
+    out = []
+    rest = colours.colours[-1]
+    for theta in reversed(colours.colours[:-1]):
+        out.append((add_weights(theta, rest), theta, rest))
+        rest = out[-1][0]
+    return out
+
+
+def hexagon_at_tops(model, colours):
+    """The hexagon identity at the highest-weight elements only: for every
+    peeling (nu, theta, rest) and relation weight mu, the forward chain of
+    `_hexagon` at each highest-weight element (1, b) of B(nu) x B(mu), those
+    with eps_i(b) <= <nu, alpha_i^vee> for every i, must equal
+    sigma_{nu,mu}(1, b), and it must be (1, 1) exactly when b = 1.  Returns
+    (cases, whether all hold)."""
+    datum = model.datum
+    cases, holds = 0, True
+    for nu, theta, rest in peelings(colours):
+        into = cartan_projection(datum, theta, rest)
+        l1, l2 = next(pair for pair, m in into.items() if m == 1)
+        for mu in model._relation_weights(colours):
+            outer = pair_braiding(datum, theta, mu)
+            inner = pair_braiding(datum, rest, mu)
+            sigma = pair_braiding(datum, nu, mu)
+            crystal = highest_weight_crystal(datum, mu)
+            for b in crystal.elements():
+                if any(crystal.eps(i, b) > nu[i - 1] for i in datum.colours):
+                    continue
+                cases += 1
+                chain = inner.get((l2, b))
+                if chain is not None:
+                    k, i2 = chain
+                    chain = outer.get((l1, k))
+                    if chain is not None:
+                        k, i1 = chain
+                        top = into.get((i1, i2))
+                        chain = None if top is None else (k, top)
+                holds = holds and chain == sigma.get((1, b)) and (chain == (1, 1)) == (b == 1)
+    return cases, holds
 
 
 def exhaustive_relations(model, lams):

@@ -4,13 +4,20 @@ from crystalgraphs.braiding import (
     cartan_projection,
     longest_permutation_word,
     pair_braiding,
-    right_ends,
     sigma_word,
 )
 from crystalgraphs.crystal import canonical_morphism, highest_weight_crystal, tensor_of
 from crystalgraphs.rootdata import add_weights, build_root_datum, weyl_dim
 
-from helpers import bilinear, cartan_braiding, component_sizes, left_end, lowest, raise_to_top
+from helpers import (
+    bilinear,
+    cartan_braiding,
+    component_sizes,
+    left_end,
+    lowest,
+    raise_to_top,
+    right_ends,
+)
 
 A2 = build_root_datum("A2")
 C2 = build_root_datum("C2")

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -524,6 +525,27 @@ def test_verify_json_carries_the_peak_rss(capsys):
     # the text report stays as it was
     code, text, _ = run(capsys, "verify", "--type", "A2", "--suite", "crystal")
     assert code == 0 and "peak" not in text
+
+
+def test_verify_json_without_resource_omits_the_peak(capsys, monkeypatch):
+    # Windows has no resource module; a None entry makes its import fail
+    monkeypatch.setitem(sys.modules, "resource", None)
+    code, out, _ = run(capsys, "verify", "--type", "A2", "--suite", "crystal", "--emit", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] and "peak_rss_mb" not in report
+
+
+@pytest.mark.parametrize("platform, maxrss", [("darwin", 48 * 1024 * 1024), ("linux", 48 * 1024)])
+def test_verify_json_reads_the_peak_in_the_platforms_unit(capsys, monkeypatch, platform, maxrss):
+    # macOS reports ru_maxrss in bytes, Linux in KiB
+    usage = types.SimpleNamespace(ru_maxrss=maxrss)
+    fake = types.SimpleNamespace(RUSAGE_SELF=0, getrusage=lambda who: usage)
+    monkeypatch.setitem(sys.modules, "resource", fake)
+    monkeypatch.setattr(sys, "platform", platform)
+    code, out, _ = run(capsys, "verify", "--type", "A2", "--suite", "crystal", "--emit", "json")
+    assert code == 0
+    assert json.loads(out)["peak_rss_mb"] == 48.0
 
 
 def test_verify_json_counts_each_checks_failed_cases(capsys, monkeypatch):

@@ -16,6 +16,7 @@ from crystalgraphs.rootdata import build_root_datum
 from helpers import (
     composite,
     lowest,
+    right_ends,
     scanned_slice,
     transport,
     weyl_bfs,
@@ -87,6 +88,30 @@ def test_c2_vertex_table():
     }
 
 
+@pytest.mark.parametrize(
+    "label, colours",
+    [
+        ("A1", None),
+        ("A2", None),
+        ("C2", None),
+        ("G2", None),
+        ("B3", None),
+        ("A4", None),
+        ("C2", ((0, 1), (1, 0))),
+        ("A2", ((2, 0), (0, 1))),
+        ("B3", ((0, 0, 1), (0, 1, 0), (1, 0, 0))),
+    ],
+)
+def test_vertices_match_the_right_ends_oracle(label, colours):
+    # the graph reads its vertices off the inverse Cartan projections; the
+    # oracle walks each element of B(rho_C) into every B(rho_C - theta) x B(theta)
+    datum = build_root_datum(label)
+    cs = colour_set(datum, colours or datum.fundamental_weights)
+    rho_crystal = highest_weight_crystal(datum, cs.rho)
+    want = {right_ends(rho_crystal, b, cs.colours) for b in rho_crystal.elements()}
+    assert graph_of(cs).vertices == tuple(sorted(want))
+
+
 def test_a2_single_colour_sphere_graph():
     g = graph_of(colour_set(A2, [(1, 0)]))
     assert g.vertices == ((1,), (2,), (3,))
@@ -141,7 +166,6 @@ def test_paths_reject_bad_degrees():
 def test_path_validity_matches_rho_tensor_condition():
     g = a2_graph()
     rho_crystal = highest_weight_crystal(A2, (1, 1))
-    from crystalgraphs.braiding import right_ends
 
     reps = {}
     for c in rho_crystal.elements():

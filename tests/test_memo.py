@@ -3,7 +3,7 @@ from pathlib import Path
 
 from crystalgraphs import cli
 from crystalgraphs.braiding import pair_braiding
-from crystalgraphs.crystal import highest_weight_crystal, tensor_of
+from crystalgraphs.crystal import TensorCrystal, highest_weight_crystal, tensor_of
 from crystalgraphs.hrgraph import colour_set, graph_of
 from crystalgraphs.memo import cache_stats, clear_caches
 from crystalgraphs.rootdata import build_root_datum
@@ -109,3 +109,27 @@ def test_kp_builds_no_crystal_for_a_weight_sum_only_r1_reads(capsys):
         highest_weight_crystal(build_root_datum("A1"), (m,))
     hits, misses, entries = cache_stats()["crystalgraphs.crystal._build_crystal"]
     assert (hits, misses, entries) == (built[0] + 10, built[1], 10)
+
+
+def test_every_walk_starts_at_a_product(monkeypatch):
+    # every matching in the package, the graph's vertices included, is read
+    # off a product of irreducible crystals, never off a crystal B(lam)
+    from crystalgraphs import crystal as crystal_module
+
+    walk = crystal_module._walk
+    sources = []
+
+    def recording(source, top, target):
+        sources.append(source)
+        return walk(source, top, target)
+
+    monkeypatch.setattr(crystal_module, "_walk", recording)
+    runs = [("C2", None, (2, 1)), ("A2", ((2, 0), (0, 1)), (1, 1))]
+    for label, colours, bound in runs:
+        datum = build_root_datum(label)
+        cs = colour_set(datum, colours or datum.fundamental_weights)
+        clear_caches()
+        graph_of(cs)
+        assert SoibelmanModel(datum).verify_suite(cs, bound).passed
+    assert sources
+    assert {type(source) for source in sources} == {TensorCrystal}

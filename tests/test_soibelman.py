@@ -23,9 +23,12 @@ from helpers import (
     exhaustive_kp3,
     exhaustive_kp4,
     exhaustive_relations,
+    hexagon_at_tops,
     operator_matrix,
+    peelings,
     projection_p0,
     restriction_limit,
+    right_ends,
     sl2_limit,
     slot_strings,
     slotwise_generator,
@@ -261,8 +264,6 @@ def test_path_operator_examples():
 
 
 def test_projection_normal_form_over_larger_weights():
-    from crystalgraphs.braiding import right_ends
-
     m = SoibelmanModel(A2)
     cs = colour_set(A2, A2.fundamental_weights)
     graph = HigherRankGraph(cs)
@@ -884,6 +885,19 @@ def test_r2_certificate_fails_through_its_premise_when_a_cartan_entry_is_missing
     assert "premise hexagon identity fails" in r2.detail
     assert r2.lemma_cases == 416
     assert _check(report, "R1").passed and _check(report, "R4").passed
+
+
+@pytest.mark.parametrize("label, cases", [("C2", 19), ("G2", 39), ("B3", 229)])
+def test_the_hexagon_holds_at_the_highest_weight_elements(label, cases):
+    # the chain at each top (1, b) of B(nu) x B(mu) is sigma_{nu,mu}(1, b):
+    # (1, 1) at b = 1 and None at the top of every other component, on far
+    # fewer cases than `_hexagon`'s every pair of the product
+    datum = build_root_datum(label)
+    model = SoibelmanModel(datum)
+    cs = colour_set(datum, datum.fundamental_weights)
+    assert hexagon_at_tops(model, cs) == (cases, True)
+    lams = model._relation_weights(cs)
+    assert all(model._hexagon(*peeling, mu)[1] for peeling in peelings(cs) for mu in lams)
 
 
 def _doubled_f_image(monkeypatch, lam):
