@@ -5,7 +5,10 @@ element under the inverse of the Cartan projection of
 B(rho_C - theta) (x) B(theta) onto B(rho_C), one projection per colour
 theta.  A path of degree lam is a pair (vertex, element of B(lam)) subject to
 the per-colour Cartan-component condition.  The graph is an infinite
-category; slices are materialized on demand by degree.
+category; slices are materialized on demand by degree, as one row per
+source vertex (element -> range).  `GraphPath` is the view of a path that
+`paths` and `range` offer callers; the slices, the export and the
+factorization check key paths by (source, element) instead.
 """
 
 from __future__ import annotations
@@ -106,9 +109,10 @@ class HigherRankGraph:
         self.vertex_ids = {v: k for k, v in enumerate(self.vertices)}
 
     @memo
-    def _slice(self, degree: Degree) -> dict[GraphPath, Vertex]:
-        """The paths of one degree, ordered by (source vertex, element), each
-        mapped to its range.
+    def _slice(self, degree: Degree) -> dict[Vertex, dict[int, Vertex]]:
+        """The paths of one degree as one row per vertex, in the order of
+        `vertices`: each row maps the elements of the paths from that vertex,
+        ascending, to their ranges.
 
         For each colour theta_i, the braiding table of (theta_i, lam), lam of
         the degree, has (c, b) as a key iff it lies in the Cartan component;
@@ -131,16 +135,20 @@ class HigherRankGraph:
             common = hits[0].keys()
             for hit in hits[1:]:
                 common = common & hit.keys()
-            for b in sorted(common):
-                out[GraphPath(v, b, degree)] = tuple([hit[b] for hit in hits])
+            common = sorted(common)
+            columns = [list(map(hit.__getitem__, common)) for hit in hits]
+            out[v] = dict(zip(common, zip(*columns)))
         return out
 
     def paths(self, degree: Degree) -> tuple[GraphPath, ...]:
         """All paths of the given degree, ordered by (source vertex, element)."""
-        return tuple(self._slice(tuple(degree)))
+        degree = tuple(degree)
+        return tuple(
+            GraphPath(v, b, degree) for v, row in self._slice(degree).items() for b in row
+        )
 
     def range(self, e: GraphPath) -> Vertex:
-        vertex = self._slice(e.degree).get(e)
+        vertex = self._slice(e.degree).get(e.source, {}).get(e.element)
         if vertex is None:
             raise ValueError(f"{e} is not a path of this graph")
         return vertex
@@ -164,38 +172,42 @@ class HigherRankGraph:
 
         One case per path of degree m + n, which fails unless the path has
         exactly one factorization and keeps the range of its e1; each pair
-        whose composite is no path of degree m + n adds a failed case."""
+        whose composite is no path of degree m + n adds a failed case.  Paths
+        are read off the slice rows by (source, element); a `GraphPath` is
+        built only to name a failing case."""
         m, n = tuple(m), tuple(n)
         matching = self.compose_table(n, m)
         total = tuple(a + b for a, b in zip(m, n))
-        ranges = self._slice(total)
-        # the range r(e1) of each factorization of each path
-        tops: dict[GraphPath, list[Vertex]] = {f: [] for f in ranges}
+        rows = self._slice(total)
+        rows_m = self._slice(m)
+        # the range r(e1) of each factorization of each path, by (source, element)
+        tops = {v: {b: [] for b in row} for v, row in rows.items()}
         strays = []
-        by_source: dict[Vertex, list[tuple[GraphPath, Vertex]]] = {}
-        for e1, r1 in self._slice(m).items():
-            by_source.setdefault(e1.source, []).append((e1, r1))
-        for e2, r2 in self._slice(n).items():
-            for e1, r1 in by_source.get(r2, ()):
-                image = matching.get((e2.element, e1.element))
-                f = None if image is None else GraphPath(e2.source, image, total)
-                found = tops.get(f)
-                if found is None:
-                    strays.append(f"{e1} after {e2} composes to no path of degree {total}")
-                else:
-                    found.append(r1)
+        for s2, row2 in self._slice(n).items():
+            top = tops.get(s2, {})
+            for b2, r2 in row2.items():
+                for b1, r1 in rows_m.get(r2, {}).items():
+                    image = matching.get((b2, b1))
+                    found = None if image is None else top.get(image)
+                    if found is None:
+                        e1, e2 = GraphPath(r2, b1, m), GraphPath(s2, b2, n)
+                        strays.append(f"{e1} after {e2} composes to no path of degree {total}")
+                    else:
+                        found.append(r1)
 
         def results():
-            for f, found in tops.items():
-                if len(found) != 1:
-                    yield f"path {f} has {len(found)} factorizations"
-                elif found[0] != ranges[f]:
-                    yield (
-                        f"path {f} has range {ranges[f]}, not the range {found[0]}"
-                        f" of its factor of degree {m}"
-                    )
-                else:
-                    yield ""
+            for v, top in tops.items():
+                row = rows[v]
+                for b, found in top.items():
+                    if len(found) != 1:
+                        yield f"path {GraphPath(v, b, total)} has {len(found)} factorizations"
+                    elif found[0] != row[b]:
+                        yield (
+                            f"path {GraphPath(v, b, total)} has range {row[b]}, not the range"
+                            f" {found[0]} of its factor of degree {m}"
+                        )
+                    else:
+                        yield ""
             yield from strays
 
         report = VerificationReport()
@@ -224,42 +236,48 @@ class HigherRankGraph:
         return [deg for deg in iter_product(*(range(b + 1) for b in bound)) if any(deg)]
 
     def export_json(self, bound: Degree) -> str:
-        data = {
+        """The graph as compact JSON: its type, colours and vertices, then one
+        record per path of each nonzero degree within bound, in slice order.
+        Each record is written straight from the slice rows."""
+        import json  # only JSON export pays for the import
+
+        head = {
             "type": self.datum.label,
             "colours": [list(c) for c in self.colours.colours],
             "vertices": [
                 {"id": k, "tuple": list(v)} for k, v in enumerate(self.vertices)
             ],
-            "paths": [
-                {
-                    "source": self.vertex_ids[e.source],
-                    "degree": list(e.degree),
-                    "element": e.element,
-                    "range": self.vertex_ids[r],
-                }
-                for degree in self.nonzero_degrees(bound)
-                for e, r in self._slice(degree).items()
-            ],
         }
-        import json  # only JSON export pays for the import
-
-        return json.dumps(data, separators=(",", ":"))
+        ids = self.vertex_ids
+        records = []
+        for degree in self.nonzero_degrees(bound):
+            tag = json.dumps(list(degree), separators=(",", ":"))
+            for v, row in self._slice(degree).items():
+                source = ids[v]
+                records.extend(
+                    f'{{"source":{source},"degree":{tag},"element":{b},"range":{ids[r]}}}'
+                    for b, r in row.items()
+                )
+        head_text = json.dumps(head, separators=(",", ":"))
+        # the head object without its closing brace, then the "paths" member
+        return f'{head_text[:-1]},"paths":[{",".join(records)}]}}'
 
     def export_dot(self, bound: Degree) -> str:
         lines = ["digraph hrgraph {"]
         for k in range(len(self.vertices)):
             lines.append(f'  v{k} [label="v{k}"];')
+        ids = self.vertex_ids
         for i in range(self.colours.n):
             if bound[i] < 1:
                 continue
             delta = tuple(int(j == i) for j in range(self.colours.n))
             colour = dot_colour(i + 1)
-            for e, r in self._slice(delta).items():
-                s, t = self.vertex_ids[e.source], self.vertex_ids[r]
-                lines.append(f'  v{s} -> v{t} [color="{colour}", label="{i + 1}"];')
+            for v, row in self._slice(delta).items():
+                s = ids[v]
+                for r in row.values():
+                    lines.append(f'  v{s} -> v{ids[r]} [color="{colour}", label="{i + 1}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
-
 
 @memo
 def graph_of(colours: ColourSet) -> HigherRankGraph:

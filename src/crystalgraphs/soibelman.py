@@ -566,14 +566,15 @@ class SoibelmanModel:
                 unit = tuple(int(k == c) for k in range(len(n)))
                 splits.append((tuple(x - y for x, y in zip(n, unit)), unit))
         factorization = all(graph.check_factorization(m, unit).passed for m, unit in splits)
-        S = {e: self.path_operator(colours, e) for d in units for e in graph.paths(d)}
+        paths_of = {d: graph.paths(d) for d in degrees}
+        S = {e: self.path_operator(colours, e) for d in units for e in paths_of[d]}
         S_adj = {e: s.adjoint() for e, s in S.items()}
         # paths of every degree by (range, degree), each list in path order
         ending: dict[tuple[Vertex, Degree], list[GraphPath]] = {}
         for d in degrees:
-            for e in graph.paths(d):
+            for e in paths_of[d]:
                 ending.setdefault((graph.range(e), d), []).append(e)
-        paths = sum(len(graph.paths(d)) for d in degrees)
+        paths = sum(len(paths_of[d]) for d in degrees)
         # for each degree d, the degrees d2 with d + d2 within the bound
         fits = {
             d: [d2 for d2 in degrees if all(x + y <= c for x, y, c in zip(d, d2, bound))]
@@ -587,7 +588,7 @@ class SoibelmanModel:
             for d2 in fits[d1]:
                 table = graph.compose_table(d2, d1)
                 weight_pairs.add((colours.weight_of(d2), colours.weight_of(d1)))
-                for e1 in graph.paths(d1):
+                for e1 in paths_of[d1]:
                     for e2 in ending.get((e1.source, d2), ()):
                         composable += 1
                         in_table = in_table and (e2.element, e1.element) in table
@@ -671,7 +672,7 @@ class SoibelmanModel:
         report.certify(
             "KP3 orthogonal isometries",
             kp3_diagonal(),
-            sum(len(graph.paths(d)) ** 2 for d in degrees) - len(S),
+            sum(len(paths_of[d]) ** 2 for d in degrees) - len(S),
             kp3_by,
             kp3_premises,
         )

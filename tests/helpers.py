@@ -15,7 +15,9 @@ relation the adjoint pairs up, the exhaustive KP2 multiplies every composable pa
 exhaustive KP3 every pair of same-degree path operators, and the exhaustive
 KP4 and grading build S_e at every degree, composite ones included.  The
 scanned slice tests every (vertex, element) pair of a degree against every
-colour's Cartan matching.  The Cartan braiding on products of irreducibles
+colour's Cartan matching, and the dict export dumps Python dicts of the
+public path view (`export_json_dicts`), where the library writes its
+records from the slice rows.  The Cartan braiding on products of irreducibles
 is the hexagon oracle: it moves each operand into the standalone crystal of
 its component, braids there and moves back, where the library composes
 adjacent pair tables.  Row reduction over Fraction (rank and inverse) is the
@@ -31,6 +33,7 @@ B(nu) x B(mu) only.
 """
 
 import functools
+import json
 import random
 from collections import deque
 from fractions import Fraction
@@ -927,6 +930,28 @@ def scanned_slice(graph, degree):
             if None not in images:
                 out[GraphPath(v, b, degree)] = tuple(image[1] for image in images)
     return out
+
+
+def export_json_dicts(graph, bound):
+    """The JSON export built as Python dicts over the public path view and
+    dumped by `json.dumps`, where the library writes each path record
+    straight from its slice rows."""
+    data = {
+        "type": graph.datum.label,
+        "colours": [list(c) for c in graph.colours.colours],
+        "vertices": [{"id": k, "tuple": list(v)} for k, v in enumerate(graph.vertices)],
+        "paths": [
+            {
+                "source": graph.vertex_ids[e.source],
+                "degree": list(e.degree),
+                "element": e.element,
+                "range": graph.vertex_ids[graph.range(e)],
+            }
+            for degree in graph.nonzero_degrees(bound)
+            for e in graph.paths(degree)
+        ],
+    }
+    return json.dumps(data, separators=(",", ":"))
 
 
 def composite(graph, e1, e2):

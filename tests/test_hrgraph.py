@@ -8,6 +8,7 @@ from crystalgraphs.hrgraph import (
     GraphPath,
     HigherRankGraph,
     colour_set,
+    dot_colour,
     graph_of,
     graph_tables_from_json,
 )
@@ -15,6 +16,7 @@ from crystalgraphs.rootdata import build_root_datum
 
 from helpers import (
     composite,
+    export_json_dicts,
     lowest,
     right_ends,
     scanned_slice,
@@ -211,7 +213,9 @@ def test_range_rejects_paths_off_the_cartan_component():
         if GraphPath(v, b, (1, 0)) not in valid
     ]
     assert bad
-    for e in bad:
+    # a source that is no vertex has no row in the slice
+    assert (0, 0) not in g.vertex_ids
+    for e in bad + [GraphPath((0, 0), 1, (1, 0))]:
         with pytest.raises(ValueError):
             g.range(e)
 
@@ -251,7 +255,9 @@ def test_slices_match_the_scan_in_order(label, bound, order):
     datum = build_root_datum(label)
     g = graph_of(colour_set(datum, [datum.fundamental_weights[k] for k in order]))
     for degree in iter_product(*(range(b + 1) for b in bound)):
-        assert list(g._slice(degree).items()) == list(scanned_slice(g, degree).items())
+        assert [(e, g.range(e)) for e in g.paths(degree)] == list(
+            scanned_slice(g, degree).items()
+        )
 
 
 @pytest.mark.parametrize("degrees", [((1, 0), (0, 1)), ((0, 0), (1, 1)), ((1, 1), (1, 0))])
@@ -295,6 +301,36 @@ def test_a_pair_missing_from_the_compose_table_fails_factorization_by_name(monke
     assert not check.passed and check.failed == 2 * len(pairs)
     assert check.cases == len(g.paths((1, 1))) + len(pairs)
     assert check.detail.startswith(f"path {lost} has 0 factorizations")
+
+
+def test_a_composite_off_the_slice_fails_factorization_as_a_stray(monkeypatch):
+    g = a2_graph()
+    # the one composable pair of these two elements: e of degree (0, 1), then e'
+    e, eprime = next(
+        (d, f)
+        for d in g.paths((0, 1))
+        for f in g.paths((1, 0))
+        if (d.element, f.element) == (3, 3) and f.source == g.range(d)
+    )
+    lost = composite(g, eprime, e)
+    original = HigherRankGraph.compose_table
+    nowhere = 10**6  # no element of B(lam + lam'), so no path of degree (1, 1)
+
+    def moved(self, degree, degree_p):
+        matching = original(self, degree, degree_p)
+        if (degree, degree_p) == ((0, 1), (1, 0)):
+            matching = {**matching, (e.element, eprime.element): nowhere}
+        return matching
+
+    monkeypatch.setattr(HigherRankGraph, "compose_table", moved)
+    check = g.check_factorization((1, 0), (0, 1)).checks[0]
+    # the composite loses its factorization, and the pair is a stray
+    assert not check.passed and check.failed == 2
+    assert check.cases == len(g.paths((1, 1))) + 1
+    assert check.detail == (
+        f"path {lost} has 0 factorizations; "
+        f"{eprime} after {e} composes to no path of degree (1, 1)"
+    )
 
 
 def test_no_sources_or_sinks_and_loops():
@@ -406,6 +442,51 @@ def test_export_dot_counts():
     vertex_only = g.export_dot((0, 0))
     assert "->" not in vertex_only
     assert vertex_only.count("[label=\"v") == 6
+
+
+@pytest.mark.parametrize(
+    "label, bound, colours",
+    [
+        ("A2", (1, 1), None),
+        ("C2", (2, 1), None),
+        ("C2", (1, 2), ((0, 1), (1, 0))),
+        ("G2", (3, 2), None),
+        ("G2", (2, 3), ((0, 1), (1, 0))),
+        ("B3", (1, 1, 1), None),
+    ],
+)
+def test_export_json_matches_the_dict_dump_byte_for_byte(label, bound, colours):
+    datum = build_root_datum(label)
+    g = graph_of(colour_set(datum, colours or datum.fundamental_weights))
+    text = g.export_json(bound)
+    # byte for byte, compared as a list of records so that a mismatch reports
+    # the first differing record instead of diffing one long line
+    assert text.split("},{") == export_json_dicts(g, bound).split("},{")
+    vertices, paths = graph_tables_from_json(text)
+    assert vertices == g.vertices
+    assert paths == tuple(
+        (g.vertex_ids[e.source], e.degree, e.element, g.vertex_ids[g.range(e)])
+        for degree in g.nonzero_degrees(bound)
+        for e in g.paths(degree)
+    )
+
+
+@pytest.mark.parametrize("label, bound", [("A2", (1, 1)), ("G2", (1, 1)), ("B3", (1, 0, 1))])
+def test_export_dot_lists_the_edges_of_the_unit_slices(label, bound):
+    datum = build_root_datum(label)
+    g = graph_of(colour_set(datum, datum.fundamental_weights))
+    lines = g.export_dot(bound).splitlines()
+    edges = [line for line in lines if "->" in line]
+    expected = [
+        f'  v{g.vertex_ids[e.source]} -> v{g.vertex_ids[g.range(e)]}'
+        f' [color="{dot_colour(i + 1)}", label="{i + 1}"];'
+        for i in range(g.colours.n)
+        if bound[i]
+        for e in g.paths(tuple(int(j == i) for j in range(g.colours.n)))
+    ]
+    assert edges == expected
+    nodes = [f'  v{k} [label="v{k}"];' for k in range(len(g.vertices))]
+    assert lines[1 : 1 + len(nodes)] == nodes
 
 
 def test_export_json_round_trip_and_determinism():

@@ -678,7 +678,9 @@ def test_a_composite_range_changed_fails_unique_factorization(monkeypatch):
     def wrap(original):
         def changed(self, degree):
             out = original(self, degree)
-            return {**out, f: moved} if degree == (1, 1) else out
+            if degree != (1, 1):
+                return out
+            return {**out, f.source: {**out[f.source], f.element: moved}}
 
         return changed
 
