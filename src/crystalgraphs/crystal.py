@@ -48,22 +48,24 @@ class Crystal:
     """
 
     def __init__(self, datum: RootDatum, highest_weight: Coords, weights: list[Coords],
-                 f_edges: dict[tuple[int, int], int]):
+                 f_edges: dict[int, dict[int, int]]):
         self.datum = datum
         self.highest_weight = highest_weight
         self._weights = weights
-        e_edges = {(i, j): b for (i, b), j in f_edges.items()}
         self._steps = {}
         for i in datum.colours:
+            down = f_edges[i]
+            up = {j: b for b, j in down.items()}
             steps = self._steps[i] = {}
             for top in self.elements():  # each i-string, walked down from its top
-                if (i, top) in e_edges:
+                if top in up:
                     continue
                 line = [top]
-                while (b := f_edges.get((i, line[-1]))) is not None:
+                while (b := down.get(line[-1])) is not None:
                     line.append(b)
+                last = len(line) - 1
                 for pos, b in enumerate(line):
-                    steps[b] = (pos, len(line) - 1 - pos, f_edges.get((i, b)), e_edges.get((i, b)))
+                    steps[b] = (pos, last - pos, down.get(b), up.get(b))
 
     @property
     def size(self) -> int:
@@ -155,11 +157,14 @@ def _walk_down(datum: RootDatum, top, weight: Coords, lower) -> tuple[list, dict
     """The weights and f-edges of everything ``lower(i, x)`` (None where f_i
     vanishes) reaches from top, numbered 1.. in breadth-first order with
     colours in increasing order; each weight is its parent's minus alpha_i.
-    The order depends only on the crystal graph, so every construction of
-    B(lam) numbers its elements alike."""
-    found, index, weights, f_edges = [top], {top: 1}, [weight], {}
+    The f-edges are one dict per colour, b -> f_i b.  The order depends only
+    on the crystal graph, so every construction of B(lam) numbers its
+    elements alike."""
+    found, index, weights = [top], {top: 1}, [weight]
+    f_edges = {i: {} for i in datum.colours}
+    colours = [(i, datum.simple_root(i), f_edges[i]) for i in datum.colours]
     for b, x in enumerate(found, start=1):  # found grows as it is read
-        for i in datum.colours:
+        for i, alpha, edges in colours:
             y = lower(i, x)
             if y is None:
                 continue
@@ -167,8 +172,8 @@ def _walk_down(datum: RootDatum, top, weight: Coords, lower) -> tuple[list, dict
             if j is None:
                 found.append(y)
                 j = index[y] = len(found)
-                weights.append(sub_weights(weights[b - 1], datum.simple_root(i)))
-            f_edges[i, b] = j
+                weights.append(sub_weights(weights[b - 1], alpha))
+            edges[b] = j
     return weights, f_edges
 
 
@@ -409,8 +414,10 @@ def canonical_morphism(source, target, top=None) -> dict:
     Computed by a lockstep lowering walk from the two tops, so its keys are
     exactly the source component.  Every f-edge the walk meets is checked:
     f_i x and f_i y are defined together, and an f_i x reached before must
-    map to f_i y.  The element map is memoized and shared between callers;
-    do not mutate it.
+    map to f_i y.  When source and target are both pair products, both sides
+    are lowered inline from the factors' step tables (`_pair_walk`); any
+    other walk goes through ``f``.  The element map is memoized and shared
+    between callers; do not mutate it.
     """
     return _walk(source, source.highest if top is None else top, target)
 
@@ -425,6 +432,8 @@ def _walk(source, top, target) -> dict:
         raise ValueError(
             f"mismatched highest weights {weight} vs {target.highest_weight}"
         )
+    if _is_pair(source) and _is_pair(target):
+        return _pair_walk(source, top, target)
     walk = {top: target.highest}
     queue = [top]
     lower_source, lower_target = source.f, target.f
@@ -437,6 +446,52 @@ def _walk(source, top, target) -> dict:
                 raise RuntimeError("components are not isomorphic")
             if fx is None:
                 continue
+            seen = walk.get(fx)
+            if seen is None:
+                walk[fx] = fy
+                queue.append(fx)
+            elif seen != fy:
+                raise RuntimeError("components are not isomorphic")
+    return walk
+
+
+def _is_pair(crystal) -> bool:
+    return isinstance(crystal, TensorCrystal) and crystal._pair
+
+
+def _pair_walk(source: TensorCrystal, top: tuple, target: TensorCrystal) -> dict:
+    """The lockstep walk of `_walk` between two pair products, with the pair
+    rule of `TensorCrystal.f` inlined on both sides: f_i(c x b) is
+    (f_i c, b) when phi_i(c) > eps_i(b), else (c, f_i b), or None.  Each
+    colour's four factor step tables are bound once; the checks are those
+    of the generic walk."""
+    tables = [source._steps[i] + target._steps[i] for i in source.datum.colours]
+    walk = {top: target.highest}
+    queue = [top]
+    for x in queue:  # queue grows as it is read
+        c, b = x
+        d, a = walk[x]
+        for first, second, first_t, second_t in tables:
+            step = first[c]
+            if step[1] > second[b][0]:
+                fx = step[2], b
+            else:
+                fx = second[b][2]
+                if fx is not None:
+                    fx = c, fx
+            step = first_t[d]
+            if step[1] > second_t[a][0]:
+                fy = step[2], a
+            else:
+                fy = second_t[a][2]
+                if fy is not None:
+                    fy = d, fy
+            if fx is None:
+                if fy is None:
+                    continue
+                raise RuntimeError("components are not isomorphic")
+            if fy is None:
+                raise RuntimeError("components are not isomorphic")
             seen = walk.get(fx)
             if seen is None:
                 walk[fx] = fy

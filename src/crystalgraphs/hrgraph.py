@@ -17,6 +17,7 @@ from itertools import product as iter_product
 from typing import Iterable, NamedTuple
 
 from .braiding import cartan_projection, pair_braiding
+from .crystal import highest_weight_crystal
 from .memo import memo
 from .report import VerificationReport
 from .rootdata import Coords, RootDatum, add_weights, integer_rank, sub_weights
@@ -118,20 +119,22 @@ class HigherRankGraph:
         the degree, has (c, b) as a key iff it lies in the Cartan component;
         the B(theta_i) factor of its image is the right end of the projection
         to B(theta_i+lam), that is the i-th entry of the range.  The table is
-        read into one row per entry c of B(theta_i), mapping each such b to
-        that factor.  The paths from a vertex v are then the elements b that
-        every row_i[v_i] has, in ascending order.
+        read into one row per element c of B(theta_i), mapping each such b
+        to that factor.  The paths from a vertex v are then the elements b
+        that every row_i[v_i] has, in ascending order.
         """
         lam = self.colours.weight_of(degree)
         rows = []
         for theta in self.colours.colours:
-            row: dict[int, dict[int, int]] = {}
-            for (c, b), image in pair_braiding(self.datum, theta, lam).items():
-                row.setdefault(c, {})[b] = image[1]
+            row: dict[int, dict[int, int]] = {
+                c: {} for c in highest_weight_crystal(self.datum, theta).elements()
+            }
+            for (c, b), (_, end) in pair_braiding(self.datum, theta, lam).items():
+                row[c][b] = end
             rows.append(row)
         out = {}
         for v in self.vertices:
-            hits = [row.get(c, {}) for row, c in zip(rows, v)]
+            hits = [row[c] for row, c in zip(rows, v)]
             common = hits[0].keys()
             for hit in hits[1:]:
                 common = common & hit.keys()
@@ -148,7 +151,7 @@ class HigherRankGraph:
         )
 
     def range(self, e: GraphPath) -> Vertex:
-        vertex = self._slice(e.degree).get(e.source, {}).get(e.element)
+        vertex = self._slice(tuple(e.degree)).get(e.source, {}).get(e.element)
         if vertex is None:
             raise ValueError(f"{e} is not a path of this graph")
         return vertex
@@ -231,6 +234,12 @@ class HigherRankGraph:
             report.certify(f"no sources/sinks at degree {degree}", [""] * len(paths) + missing)
         return report
 
+    def _check_bound(self, bound: Degree) -> None:
+        """Raise ValueError unless bound has one entry per colour."""
+        n = self.colours.n
+        if len(bound) != n:
+            raise ValueError(f"bound {tuple(bound)} has {len(bound)} entries, not {n}")
+
     def nonzero_degrees(self, bound: Degree) -> list[Degree]:
         """Every nonzero degree up to bound, in lexicographic order."""
         return [deg for deg in iter_product(*(range(b + 1) for b in bound)) if any(deg)]
@@ -241,6 +250,7 @@ class HigherRankGraph:
         Each record is written straight from the slice rows."""
         import json  # only JSON export pays for the import
 
+        self._check_bound(bound)
         head = {
             "type": self.datum.label,
             "colours": [list(c) for c in self.colours.colours],
@@ -253,16 +263,14 @@ class HigherRankGraph:
         for degree in self.nonzero_degrees(bound):
             tag = json.dumps(list(degree), separators=(",", ":"))
             for v, row in self._slice(degree).items():
-                source = ids[v]
-                records.extend(
-                    f'{{"source":{source},"degree":{tag},"element":{b},"range":{ids[r]}}}'
-                    for b, r in row.items()
-                )
+                prefix = f'{{"source":{ids[v]},"degree":{tag},"element":'
+                records.extend(f'{prefix}{b},"range":{ids[r]}}}' for b, r in row.items())
         head_text = json.dumps(head, separators=(",", ":"))
         # the head object without its closing brace, then the "paths" member
         return f'{head_text[:-1]},"paths":[{",".join(records)}]}}'
 
     def export_dot(self, bound: Degree) -> str:
+        self._check_bound(bound)
         lines = ["digraph hrgraph {"]
         for k in range(len(self.vertices)):
             lines.append(f'  v{k} [label="v{k}"];')

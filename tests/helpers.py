@@ -29,7 +29,9 @@ the Weyl vertices (`weyl_vertex_map`).  The right ends walk each element of
 B(rho_C) into B(rho_C - theta) x B(theta) (`right_ends`), where the library
 inverts one Cartan projection per colour.  The hexagon at highest-weight
 elements (`hexagon_at_tops`) evaluates `_hexagon`'s chain at the tops of
-B(nu) x B(mu) only.
+B(nu) x B(mu) only.  The lockstep walk over ``f`` (`lockstep_walk`) is the
+oracle of the pair-product kernel that lowers both sides of a braiding walk
+straight from the factors' step tables.
 """
 
 import functools
@@ -398,6 +400,30 @@ def slot_strings(m1, m2):
         for pos, x in enumerate(line):
             out[x] = (sid, pos, len(line) - 1)
     return out
+
+
+def lockstep_walk(source, target):
+    """The canonical matching of the component of source's highest element
+    onto that of target's, walked in lockstep over the crystals' own ``f``:
+    the oracle of the library's inline pair-product kernel, which reads the
+    factors' step tables instead.  Raises as the library's walk does."""
+    walk = {source.highest: target.highest}
+    queue = [source.highest]
+    for x in queue:  # queue grows as it is read
+        y = walk[x]
+        for i in source.datum.colours:
+            fx, fy = source.f(i, x), target.f(i, y)
+            if (fx is None) != (fy is None):
+                raise RuntimeError("components are not isomorphic")
+            if fx is None:
+                continue
+            seen = walk.get(fx)
+            if seen is None:
+                walk[fx] = fy
+                queue.append(fx)
+            elif seen != fy:
+                raise RuntimeError("components are not isomorphic")
+    return walk
 
 
 def transport(src, src_hw, dst, dst_hw, x):

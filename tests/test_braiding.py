@@ -7,6 +7,7 @@ from crystalgraphs.braiding import (
     sigma_word,
 )
 from crystalgraphs.crystal import canonical_morphism, highest_weight_crystal, tensor_of
+from crystalgraphs.memo import clear_caches
 from crystalgraphs.rootdata import add_weights, build_root_datum, weyl_dim
 
 from helpers import (
@@ -14,6 +15,7 @@ from helpers import (
     cartan_braiding,
     component_sizes,
     left_end,
+    lockstep_walk,
     lowest,
     raise_to_top,
     right_ends,
@@ -22,6 +24,8 @@ from helpers import (
 A2 = build_root_datum("A2")
 C2 = build_root_datum("C2")
 A3 = build_root_datum("A3")
+G2 = build_root_datum("G2")
+B3 = build_root_datum("B3")
 
 SL3_TABLE = {
     (1, 1): (1, 1),
@@ -355,3 +359,89 @@ def test_mixed_root_data_rejected():
             1,
             1,
         )
+
+
+def _kernel_pairs():
+    for datum in (A2, C2, G2, B3, A3):
+        for lam in datum.fundamental_weights:
+            for lamp in datum.fundamental_weights:
+                yield datum, lam, lamp
+    for datum in (C2, G2):
+        rho = tuple(1 for _ in datum.colours)
+        yield datum, datum.fundamental_weights[0], rho
+
+
+@pytest.mark.parametrize(
+    "datum,lam,lamp",
+    list(_kernel_pairs()),
+    ids=lambda x: getattr(x, "label", None) or ",".join(map(str, x)),
+)
+def test_the_pair_kernel_matches_the_lockstep_walk_over_f(datum, lam, lamp):
+    # pair_braiding lowers both pair products straight from the factors'
+    # step tables; the oracle walks the same components through f
+    table = pair_braiding(datum, lam, lamp)
+    oracle = lockstep_walk(tensor_of(datum, (lam, lamp)), tensor_of(datum, (lamp, lam)))
+    assert list(table.items()) == list(oracle.items())
+
+
+def _bump_phi(monkeypatch):
+    # phi_1 of element 3 of B(varpi1) reads 2, not 1: from (3, b) with
+    # eps_1(b) = 1, f_1 now lowers the first factor
+    steps = highest_weight_crystal(C2, (1, 0))._steps[1]
+    assert steps[3] == (0, 1, 4, None)
+    monkeypatch.setitem(steps, 3, (0, 2, 4, None))
+
+
+def _redirect_to_the_top(monkeypatch):
+    # on the source side only, f_1 of the top element 1 of B(varpi1) leads
+    # back to 1, so f_1 (1, 1) is the top itself: already mapped, to (1, 1),
+    # while f_1 of its image is (1, 2), so the vanishing check passes and
+    # the already-mapped check must fail
+    source = tensor_of(C2, ((1, 0), (0, 1)))
+    target = tensor_of(C2, ((0, 1), (1, 0)))
+    assert target.f(1, target.highest) == (1, 2)
+    first, second = source._steps[1]
+    monkeypatch.setitem(source._steps, 1, ({**first, 1: (0, 1, 1, None)}, second))
+    assert source.f(1, source.highest) == source.highest
+
+
+def _drop_an_edge_of_the_source(monkeypatch):
+    # on the source side only, f_2 of the top element 1 of B(varpi2)
+    # vanishes, so f_2 (1, 1) is None while f_2 of its image (1, 1) is
+    # (2, 1): the vanishing check must fail
+    source = tensor_of(C2, ((1, 0), (0, 1)))
+    target = tensor_of(C2, ((0, 1), (1, 0)))
+    assert target.f(2, target.highest) == (2, 1)
+    first, second = source._steps[2]
+    monkeypatch.setitem(source._steps, 2, (first, {**second, 1: (0, 0, None, None)}))
+    assert source.f(2, source.highest) is None
+
+
+def _drop_an_edge_of_the_target(monkeypatch):
+    # the mirror image: on the target side only, f_2 of the top element 1
+    # of B(varpi2) vanishes, so f_2 (1, 1) of the target is None while
+    # f_2 (1, 1) of the source is (1, 2)
+    source = tensor_of(C2, ((1, 0), (0, 1)))
+    target = tensor_of(C2, ((0, 1), (1, 0)))
+    assert source.f(2, source.highest) == (1, 2)
+    first, second = target._steps[2]
+    monkeypatch.setitem(target._steps, 2, ({**first, 1: (0, 0, None, None)}, second))
+    assert target.f(2, target.highest) is None
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_bump_phi, _redirect_to_the_top, _drop_an_edge_of_the_source, _drop_an_edge_of_the_target],
+)
+def test_a_tampered_step_table_fails_the_pair_kernel(monkeypatch, tamper):
+    clear_caches()
+    try:
+        tamper(monkeypatch)
+        source = tensor_of(C2, ((1, 0), (0, 1)))
+        target = tensor_of(C2, ((0, 1), (1, 0)))
+        with pytest.raises(RuntimeError, match="components are not isomorphic"):
+            lockstep_walk(source, target)
+        with pytest.raises(RuntimeError, match="components are not isomorphic"):
+            pair_braiding(C2, (1, 0), (0, 1))
+    finally:
+        clear_caches()  # no tampered table outlives the test

@@ -209,9 +209,12 @@ def test_a_base_crystal_missing_an_edge_is_caught(monkeypatch):
 
     def tampered(datum, lam):
         walk = small_walk(datum, lam)
-        if walk is not None and walk[1]:
-            f_edges = walk[1]
-            del f_edges[max(f_edges, key=lambda edge: edge[1])]
+        if walk is not None:
+            f_edges = walk[1]  # one dict b -> f_i b per colour i
+            edges = [(i, b) for i, down in f_edges.items() for b in down]
+            if edges:
+                i, b = max(edges, key=lambda edge: edge[1])
+                del f_edges[i][b]
         return walk
 
     clear_caches()

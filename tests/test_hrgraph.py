@@ -220,6 +220,16 @@ def test_range_rejects_paths_off_the_cartan_component():
             g.range(e)
 
 
+def test_range_accepts_a_degree_given_as_a_list():
+    # paths normalises its degree to a tuple, and so must range
+    g = a2_graph()
+    for degree in ([1, 0], [0, 1], [1, 1]):
+        paths = g.paths(degree)
+        assert paths == g.paths(tuple(degree))
+        for e in paths:
+            assert g.range(e._replace(degree=degree)) == g.range(e)
+
+
 def test_compose_identity_and_degree_additivity():
     g = a2_graph()
     edges = g.paths((1, 0))
@@ -487,6 +497,15 @@ def test_export_dot_lists_the_edges_of_the_unit_slices(label, bound):
     assert edges == expected
     nodes = [f'  v{k} [label="v{k}"];' for k in range(len(g.vertices))]
     assert lines[1 : 1 + len(nodes)] == nodes
+
+
+@pytest.mark.parametrize("bound", [(1,), (1, 1, 1)])
+def test_both_exports_reject_a_bound_of_the_wrong_length(bound):
+    g = a2_graph()
+    with pytest.raises(ValueError, match="entries, not 2"):
+        g.export_json(bound)
+    with pytest.raises(ValueError, match="entries, not 2"):
+        g.export_dot(bound)
 
 
 def test_export_json_round_trip_and_determinism():
