@@ -12,14 +12,16 @@ from __future__ import annotations
 import argparse
 import sys
 from itertools import product as iter_product
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .braiding import longest_permutation_word, pair_braiding, sigma_word
 from .crystal import highest_weight_crystal, over_cap, tensor_of
 from .hrgraph import Degree, colour_set, dot_colour, graph_of
 from .memo import cache_stats
-from .report import VerificationReport
 from .rootdata import build_root_datum, weyl_dim, weyl_group
+
+if TYPE_CHECKING:  # only verify builds a report
+    from .report import VerificationReport
 
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
     try:
@@ -116,7 +118,9 @@ def _braiding_table(datum, lam, lamp) -> str:
 
 
 def _run_verify(args, datum, colours) -> tuple[VerificationReport, str]:
-    from .soibelman import SoibelmanModel  # only verify pays for the operator layer
+    # only verify pays for the operator layer and the report
+    from .report import VerificationReport
+    from .soibelman import SoibelmanModel
 
     cs = colour_set(datum, colours)
     bound = args.bound or (1,) * cs.n

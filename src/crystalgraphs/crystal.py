@@ -6,8 +6,9 @@ quasi-minuscule crystal is read off its weights: f_i w = w - alpha_i where
 <w, alpha_i^vee> = 1, and f_i runs alpha_i -> z_i -> -alpha_i through one
 zero-weight element z_i per short simple root.  Every other B(lam) is the
 component of a highest element in a tensor product of two smaller crystals.
-Once built, a crystal keeps per colour one step table, b -> (eps_i b,
-phi_i b, f_i b, e_i b), which f, e, eps, phi and the tensor rule all read.
+Once built, a crystal keeps per colour one step table, four lists (eps_i,
+phi_i, f_i, e_i) indexed by element, which f, e, eps, phi and the tensor rule
+all read.
 
 The absorbing value 0 of crystal combinatorics is represented by ``None`` and
 propagates through every operation.
@@ -42,9 +43,11 @@ class Crystal:
     Elements are integers 1..size, with 1 the highest-weight element; the
     indexing is the breadth-first discovery order from the highest-weight
     path, exploring colours in increasing order.  The crystal keeps its
-    weights and, per colour i, its step table b -> (eps_i b, phi_i b, f_i b,
-    e_i b), so f, e, eps and phi are one lookup each; the colour is checked
-    only when that lookup misses.
+    weights and, per colour i, its step table: four lists (eps_i, phi_i,
+    f_i, e_i) indexed by element, index 0 unused and None where f_i or e_i
+    vanishes.  So f, e, eps and phi are one lookup each once the element is
+    known to be positive; the colour and the element are checked only when
+    that lookup fails.
     """
 
     def __init__(self, datum: RootDatum, highest_weight: Coords, weights: list[Coords],
@@ -53,19 +56,23 @@ class Crystal:
         self.highest_weight = highest_weight
         self._weights = weights
         self._steps = {}
+        slots = len(weights) + 1  # index 0 unused
         for i in datum.colours:
-            down = f_edges[i]
-            up = {j: b for b, j in down.items()}
-            steps = self._steps[i] = {}
+            eps, phi, down, up = [0] * slots, [0] * slots, [None] * slots, [None] * slots
+            for b, j in f_edges[i].items():
+                down[b] = j
+                up[j] = b
             for top in self.elements():  # each i-string, walked down from its top
-                if top in up:
+                if up[top] is not None:
                     continue
                 line = [top]
-                while (b := down.get(line[-1])) is not None:
+                while (b := down[line[-1]]) is not None:
                     line.append(b)
                 last = len(line) - 1
                 for pos, b in enumerate(line):
-                    steps[b] = (pos, last - pos, down.get(b), up.get(b))
+                    eps[b] = pos
+                    phi[b] = last - pos
+            self._steps[i] = (eps, phi, down, up)
 
     @property
     def size(self) -> int:
@@ -84,37 +91,50 @@ class Crystal:
     def weight(self, b: int) -> Coords:
         return self._weights[b - 1]
 
+    # Each accessor indexes its list only at a positive b: 0 is the unused
+    # slot and a negative index would wrap.  A failed lookup or a b that is
+    # not positive (None included) goes to `_miss`.
+
     def f(self, i: int, b: int | None) -> int | None:
         try:
-            return self._steps[i][b][2]
-        except KeyError:
-            _check_colour(self.datum, i)
-            if b is not None:
-                raise
-            return None
+            if b > 0:
+                return self._steps[i][2][b]
+        except (KeyError, IndexError, TypeError):
+            pass
+        return self._miss(i, b, vanishing=True)
 
     def e(self, i: int, b: int | None) -> int | None:
         try:
-            return self._steps[i][b][3]
-        except KeyError:
-            _check_colour(self.datum, i)
-            if b is not None:
-                raise
-            return None
+            if b > 0:
+                return self._steps[i][3][b]
+        except (KeyError, IndexError, TypeError):
+            pass
+        return self._miss(i, b, vanishing=True)
 
     def eps(self, i: int, b: int) -> int:
         try:
-            return self._steps[i][b][0]
-        except KeyError:
-            _check_colour(self.datum, i)
-            raise
+            if b > 0:
+                return self._steps[i][0][b]
+        except (KeyError, IndexError, TypeError):
+            pass
+        return self._miss(i, b)
 
     def phi(self, i: int, b: int) -> int:
         try:
-            return self._steps[i][b][1]
-        except KeyError:
-            _check_colour(self.datum, i)
-            raise
+            if b > 0:
+                return self._steps[i][1][b]
+        except (KeyError, IndexError, TypeError):
+            pass
+        return self._miss(i, b)
+
+    def _miss(self, i: int, b, vanishing: bool = False) -> None:
+        """After a failed lookup: ValueError for a colour outside the rank,
+        None for the absorbing value where f or e propagate it, else
+        KeyError for an element outside 1..size."""
+        _check_colour(self.datum, i)
+        if vanishing and b is None:
+            return None
+        raise KeyError(b)
 
     def __repr__(self) -> str:
         return f"Crystal({self.datum.label}, {self.highest_weight}, size={self.size})"
@@ -320,13 +340,22 @@ class TensorCrystal:
             _check_colour(self.datum, i)
             raise
 
+    def _check(self, t: tuple) -> None:
+        """Raise ValueError unless t has one entry per factor, and KeyError
+        unless every entry is an element of its factor."""
+        self._check_length(t)
+        for c, b in zip(self.factors, t):
+            if b not in c.elements():
+                raise KeyError(b)
+
     def _backward(self, steps: tuple, t: tuple) -> tuple[int, int]:
         """(eps_i of t, the factor f_i acts on, or -1 when f_i t = 0), in one
         backward pass of the signature rule over the colour's step tables."""
-        self._check_length(t)
+        self._check(t)
         eps, acts = 0, -1
         for k in range(len(t) - 1, -1, -1):
-            ex, px, _, _ = steps[k][t[k]]
+            b = t[k]
+            ex, px = steps[k][0][b], steps[k][1][b]
             if px > eps:
                 eps, acts = ex, k
             else:
@@ -336,10 +365,10 @@ class TensorCrystal:
     def _forward(self, steps: tuple, t: tuple) -> tuple[int, int]:
         """(phi_i of t, the factor e_i acts on, or -1 when e_i t = 0), in one
         forward pass of the signature rule over the colour's step tables."""
-        self._check_length(t)
+        self._check(t)
         phi, acts = 0, -1
-        for k, x in enumerate(t):
-            ex, px, _, _ = steps[k][x]
+        for k, b in enumerate(t):
+            ex, px = steps[k][0][b], steps[k][1][b]
             if ex > phi:
                 phi, acts = px, k
             else:
@@ -357,15 +386,19 @@ class TensorCrystal:
         if self._pair:
             c, b = t
             first, second = steps
-            step = first[c]
-            if step[1] > second[b][0]:
-                return step[2], b
-            fb = second[b][2]
-            return None if fb is None else (c, fb)
+            try:
+                if c > 0 and b > 0:
+                    if first[1][c] > second[0][b]:
+                        return first[2][c], b
+                    fb = second[2][b]
+                    return None if fb is None else (c, fb)
+            except (IndexError, TypeError):
+                pass
+            raise KeyError(t)
         k = self._backward(steps, t)[1]
         if k < 0:
             return None
-        return t[:k] + (steps[k][t[k]][2],) + t[k + 1 :]
+        return t[:k] + (steps[k][2][t[k]],) + t[k + 1 :]
 
     def e(self, i: int, t: TensorElement) -> TensorElement:
         steps = self._colour_steps(i)
@@ -374,15 +407,19 @@ class TensorCrystal:
         if self._pair:
             c, b = t
             first, second = steps
-            step = second[b]
-            if step[0] > first[c][1]:
-                return c, step[3]
-            ec = first[c][3]
-            return None if ec is None else (ec, b)
+            try:
+                if c > 0 and b > 0:
+                    if second[0][b] > first[1][c]:
+                        return c, second[3][b]
+                    ec = first[3][c]
+                    return None if ec is None else (ec, b)
+            except (IndexError, TypeError):
+                pass
+            raise KeyError(t)
         k = self._forward(steps, t)[1]
         if k < 0:
             return None
-        return t[:k] + (steps[k][t[k]][3],) + t[k + 1 :]
+        return t[:k] + (steps[k][3][t[k]],) + t[k + 1 :]
 
     def eps(self, i: int, t: tuple) -> int:
         return self._backward(self._colour_steps(i), t)[0]
@@ -463,27 +500,30 @@ def _pair_walk(source: TensorCrystal, top: tuple, target: TensorCrystal) -> dict
     """The lockstep walk of `_walk` between two pair products, with the pair
     rule of `TensorCrystal.f` inlined on both sides: f_i(c x b) is
     (f_i c, b) when phi_i(c) > eps_i(b), else (c, f_i b), or None.  Each
-    colour's four factor step tables are bound once; the checks are those
-    of the generic walk."""
-    tables = [source._steps[i] + target._steps[i] for i in source.datum.colours]
+    colour's eight factor lists are bound once; the checks are those
+    of the generic walk.  Every element the walk indexes is top, which
+    `_walk` has checked through e, or an image read off the tables."""
+    tables = []
+    for i in source.datum.colours:
+        (_, phi, f_first, _), (eps, _, f_second, _) = source._steps[i]
+        (_, phi_t, f_first_t, _), (eps_t, _, f_second_t, _) = target._steps[i]
+        tables.append((phi, f_first, eps, f_second, phi_t, f_first_t, eps_t, f_second_t))
     walk = {top: target.highest}
     queue = [top]
     for x in queue:  # queue grows as it is read
         c, b = x
         d, a = walk[x]
-        for first, second, first_t, second_t in tables:
-            step = first[c]
-            if step[1] > second[b][0]:
-                fx = step[2], b
+        for phi, f_first, eps, f_second, phi_t, f_first_t, eps_t, f_second_t in tables:
+            if phi[c] > eps[b]:
+                fx = f_first[c], b
             else:
-                fx = second[b][2]
+                fx = f_second[b]
                 if fx is not None:
                     fx = c, fx
-            step = first_t[d]
-            if step[1] > second_t[a][0]:
-                fy = step[2], a
+            if phi_t[d] > eps_t[a]:
+                fy = f_first_t[d], a
             else:
-                fy = second_t[a][2]
+                fy = f_second_t[a]
                 if fy is not None:
                     fy = d, fy
             if fx is None:

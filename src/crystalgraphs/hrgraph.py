@@ -14,13 +14,15 @@ factorization check key paths by (source, element) instead.
 from __future__ import annotations
 
 from itertools import product as iter_product
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .braiding import cartan_projection, pair_braiding
 from .crystal import highest_weight_crystal
 from .memo import memo
-from .report import VerificationReport
 from .rootdata import Coords, RootDatum, add_weights, integer_rank, sub_weights
+
+if TYPE_CHECKING:  # only the checks build reports; a `graph` launch never does
+    from .report import VerificationReport
 
 Vertex = tuple[int, ...]
 Degree = tuple[int, ...]
@@ -40,6 +42,11 @@ _DOT_PALETTE = (
 def dot_colour(i: int) -> str:
     """The DOT edge colour of colour index i, counted from 1."""
     return _DOT_PALETTE[(i - 1) % len(_DOT_PALETTE)]
+
+
+def _json_ints(xs: Iterable[int]) -> str:
+    """A sequence of ints as a compact JSON array."""
+    return f"[{','.join(map(str, xs))}]"
 
 
 class ColourSet(NamedTuple):
@@ -213,6 +220,8 @@ class HigherRankGraph:
                         yield ""
             yield from strays
 
+        from .report import VerificationReport
+
         report = VerificationReport()
         report.certify(f"factorization {m}+{n}", results())
         return report
@@ -221,6 +230,8 @@ class HigherRankGraph:
         """Row-finiteness and absence of sources/sinks up to a degree bound:
         one case per path of each degree, and a failed case for each vertex
         that is not both a range and a source there."""
+        from .report import VerificationReport
+
         report = VerificationReport()
         for degree in iter_product(*(range(b + 1) for b in bound)):
             paths = self.paths(degree)
@@ -247,27 +258,25 @@ class HigherRankGraph:
     def export_json(self, bound: Degree) -> str:
         """The graph as compact JSON: its type, colours and vertices, then one
         record per path of each nonzero degree within bound, in slice order.
-        Each record is written straight from the slice rows."""
-        import json  # only JSON export pays for the import
-
+        Every field is written by hand, the records straight from the slice
+        rows: the type label is a letter A-G and a rank, and every other
+        field is an int, so no string needs escaping."""
         self._check_bound(bound)
-        head = {
-            "type": self.datum.label,
-            "colours": [list(c) for c in self.colours.colours],
-            "vertices": [
-                {"id": k, "tuple": list(v)} for k, v in enumerate(self.vertices)
-            ],
-        }
+        colours = ",".join(_json_ints(c) for c in self.colours.colours)
+        vertices = ",".join(
+            f'{{"id":{k},"tuple":{_json_ints(v)}}}' for k, v in enumerate(self.vertices)
+        )
         ids = self.vertex_ids
         records = []
         for degree in self.nonzero_degrees(bound):
-            tag = json.dumps(list(degree), separators=(",", ":"))
+            tag = _json_ints(degree)
             for v, row in self._slice(degree).items():
                 prefix = f'{{"source":{ids[v]},"degree":{tag},"element":'
                 records.extend(f'{prefix}{b},"range":{ids[r]}}}' for b, r in row.items())
-        head_text = json.dumps(head, separators=(",", ":"))
-        # the head object without its closing brace, then the "paths" member
-        return f'{head_text[:-1]},"paths":[{",".join(records)}]}}'
+        return (
+            f'{{"type":"{self.datum.label}","colours":[{colours}],"vertices":[{vertices}],'
+            f'"paths":[{",".join(records)}]}}'
+        )
 
     def export_dot(self, bound: Degree) -> str:
         self._check_bound(bound)

@@ -426,6 +426,30 @@ def lockstep_walk(source, target):
     return walk
 
 
+STEP_FIELDS = ("eps", "phi", "f", "e")
+
+
+def step_row(steps, b):
+    """(eps_i b, phi_i b, f_i b, e_i b) off one colour's step table."""
+    return tuple(column[b] for column in steps)
+
+
+def tampered_steps(steps, b, **fields):
+    """A copy of one colour's step table, the lists (eps, phi, f, e), with
+    the named fields of element b replaced.  A replaced field's list is
+    copied, so the lists other crystals and tensor products share are never
+    mutated; the other lists are the original ones."""
+    if not set(fields) <= set(STEP_FIELDS):
+        raise ValueError(f"unknown step fields {sorted(set(fields) - set(STEP_FIELDS))}")
+    out = []
+    for name, column in zip(STEP_FIELDS, steps):
+        if name in fields:
+            column = column.copy()
+            column[b] = fields[name]
+        out.append(column)
+    return tuple(out)
+
+
 def transport(src, src_hw, dst, dst_hw, x):
     """Replay a lowering word from src_hw to x starting at dst_hw."""
     prev = {src_hw: None}

@@ -19,6 +19,8 @@ from helpers import (
     lowest,
     raise_to_top,
     right_ends,
+    step_row,
+    tampered_steps,
 )
 
 A2 = build_root_datum("A2")
@@ -387,9 +389,11 @@ def test_the_pair_kernel_matches_the_lockstep_walk_over_f(datum, lam, lamp):
 def _bump_phi(monkeypatch):
     # phi_1 of element 3 of B(varpi1) reads 2, not 1: from (3, b) with
     # eps_1(b) = 1, f_1 now lowers the first factor
-    steps = highest_weight_crystal(C2, (1, 0))._steps[1]
-    assert steps[3] == (0, 1, 4, None)
-    monkeypatch.setitem(steps, 3, (0, 2, 4, None))
+    # (clear_caches ran first, so every product is built on the tampered
+    # table, source and target alike)
+    crystal = highest_weight_crystal(C2, (1, 0))
+    assert step_row(crystal._steps[1], 3) == (0, 1, 4, None)
+    monkeypatch.setitem(crystal._steps, 1, tampered_steps(crystal._steps[1], 3, phi=2))
 
 
 def _redirect_to_the_top(monkeypatch):
@@ -401,7 +405,8 @@ def _redirect_to_the_top(monkeypatch):
     target = tensor_of(C2, ((0, 1), (1, 0)))
     assert target.f(1, target.highest) == (1, 2)
     first, second = source._steps[1]
-    monkeypatch.setitem(source._steps, 1, ({**first, 1: (0, 1, 1, None)}, second))
+    assert step_row(first, 1) == (0, 1, 2, None)
+    monkeypatch.setitem(source._steps, 1, (tampered_steps(first, 1, f=1), second))
     assert source.f(1, source.highest) == source.highest
 
 
@@ -413,7 +418,8 @@ def _drop_an_edge_of_the_source(monkeypatch):
     target = tensor_of(C2, ((0, 1), (1, 0)))
     assert target.f(2, target.highest) == (2, 1)
     first, second = source._steps[2]
-    monkeypatch.setitem(source._steps, 2, (first, {**second, 1: (0, 0, None, None)}))
+    assert step_row(second, 1) == (0, 1, 2, None)
+    monkeypatch.setitem(source._steps, 2, (first, tampered_steps(second, 1, phi=0, f=None)))
     assert source.f(2, source.highest) is None
 
 
@@ -425,7 +431,8 @@ def _drop_an_edge_of_the_target(monkeypatch):
     target = tensor_of(C2, ((0, 1), (1, 0)))
     assert source.f(2, source.highest) == (1, 2)
     first, second = target._steps[2]
-    monkeypatch.setitem(target._steps, 2, ({**first, 1: (0, 0, None, None)}, second))
+    assert step_row(first, 1) == (0, 1, 2, None)
+    monkeypatch.setitem(target._steps, 2, (tampered_steps(first, 1, phi=0, f=None), second))
     assert target.f(2, target.highest) is None
 
 

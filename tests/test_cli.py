@@ -12,7 +12,7 @@ from crystalgraphs.cli import main
 from crystalgraphs.memo import cache_stats, clear_caches
 from crystalgraphs.rootdata import build_root_datum, weyl_group
 
-from helpers import braid_moved_word
+from helpers import braid_moved_word, step_row, tampered_steps
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -205,9 +205,8 @@ def test_a_tampered_step_table_fails_the_crystal_suite(capsys, monkeypatch):
     from crystalgraphs.crystal import highest_weight_crystal
 
     rho = highest_weight_crystal(build_root_datum("A2"), (1, 1))
-    steps = rho._steps[1]
-    assert steps[1] == (0, 1, 2, None)
-    monkeypatch.setitem(steps, 1, (0, 2, 2, None))
+    assert step_row(rho._steps[1], 1) == (0, 1, 2, None)
+    monkeypatch.setitem(rho._steps, 1, tampered_steps(rho._steps[1], 1, phi=2))
     code, out, _ = run(capsys, "verify", "--type", "A2", "--suite", "crystal")
     assert code == 1
     assert out.startswith("FAIL crystal: sizes and axioms")
@@ -270,7 +269,17 @@ def test_a_graph_export_launch_loads_no_fractions_or_decimal():
     assert json.loads(probe.stdout)["type"] == "G2"
     loaded = set(probe.stderr.split())
     assert "crystalgraphs.crystal" in loaded
-    assert loaded.isdisjoint({"fractions", "decimal"})
+    # nor the verification layer, nor json: the export is written by hand
+    assert loaded.isdisjoint(
+        {
+            "fractions",
+            "decimal",
+            "json",
+            "crystalgraphs.report",
+            "crystalgraphs.soibelman",
+            "crystalgraphs.toeplitz",
+        }
+    )
 
 
 def test_the_readme_tour_runs_and_its_report_passes(capsys):

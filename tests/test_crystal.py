@@ -445,6 +445,31 @@ def test_dimension_oracle_small_battery():
             assert highest_weight_crystal(datum, lam).size == weyl_dim(datum, lam)
 
 
+@pytest.mark.parametrize("datum,lam", [(A2, (1, 1)), (G2, (0, 1))], ids=["A2-rho", "G2-varpi2"])
+def test_the_accessors_reject_an_element_outside_the_crystal(datum, lam):
+    # the step tables are lists indexed by element: index 0 is unused and a
+    # negative index would wrap, so every element a caller passes is checked
+    crystal = highest_weight_crystal(datum, lam)
+    outside = [0, -1, crystal.size + 1]
+    for i in datum.colours:
+        for op in (crystal.f, crystal.e, crystal.eps, crystal.phi):
+            for b in outside:
+                with pytest.raises(KeyError):
+                    op(i, b)
+        assert crystal.f(i, None) is None and crystal.e(i, None) is None
+    for i in (0, datum.rank + 1):
+        for op in (crystal.f, crystal.e, crystal.eps, crystal.phi):
+            with pytest.raises(ValueError, match=f"invalid colour index {i}"):
+                op(i, 1)
+    pair = tensor_of(datum, (lam, lam))
+    for i in datum.colours:
+        for op in (pair.f, pair.e):
+            for b in outside:
+                for t in ((b, 1), (1, b)):
+                    with pytest.raises(KeyError):
+                        op(i, t)
+
+
 @pytest.mark.parametrize("i", [0, 3])
 def test_crystals_and_tensor_products_reject_a_colour_outside_the_rank(i):
     crystal = highest_weight_crystal(A2, (1, 0))
