@@ -127,7 +127,7 @@ class Crystal:
             pass
         return self._miss(i, b)
 
-    def _miss(self, i: int, b, vanishing: bool = False) -> None:
+    def _miss(self, i: int, b: int | None, vanishing: bool = False) -> None:
         """After a failed lookup: ValueError for a colour outside the rank,
         None for the absorbing value where f or e propagate it, else
         KeyError for an element outside 1..size."""
